@@ -43,18 +43,19 @@ std::string PollPayload::describe() const {
 std::vector<PollingWiring> build_polling_wiring(const Topology& topology,
                                                 std::size_t root) {
   const SpanningTree tree = bfs_spanning_tree(topology, root);
-  const auto chan = out_channel_to_neighbor(topology);
+  const OutChannelIndex chan(topology);
   std::vector<PollingWiring> wiring(topology.n);
   for (std::size_t i = 0; i < topology.n; ++i) {
     wiring[i].is_root = (i == root);
     if (i != root) {
-      const std::size_t up = chan[i][tree.parent[i]];
-      ABE_CHECK_NE(up, SIZE_MAX) << "tree edge lacks a reverse channel";
+      const std::size_t up = chan.channel(i, tree.parent[i]);
+      ABE_CHECK_NE(up, OutChannelIndex::kNone)
+          << "tree edge lacks a reverse channel";
       wiring[i].parent_out = up;
     }
     for (std::size_t c : tree.children[i]) {
-      const std::size_t down = chan[i][c];
-      ABE_CHECK_NE(down, SIZE_MAX);
+      const std::size_t down = chan.channel(i, c);
+      ABE_CHECK_NE(down, OutChannelIndex::kNone);
       wiring[i].children_out.push_back(down);
     }
   }

@@ -154,13 +154,9 @@ Network::~Network() = default;
 void Network::add_node(NodePtr node) {
   ABE_CHECK(!started_) << "nodes must be added before start()";
   ABE_CHECK(static_cast<bool>(node));
-  for (auto& slot : slots_) {
-    if (!slot.node) {
-      slot.node = std::move(node);
-      return;
-    }
-  }
-  ABE_CHECK(false) << "more nodes than topology slots (" << size() << ")";
+  ABE_CHECK_LT(next_slot_, slots_.size())
+      << "more nodes than topology slots (" << size() << ")";
+  slots_[next_slot_++].node = std::move(node);
 }
 
 void Network::build_nodes(const std::function<NodePtr(std::size_t)>& factory) {

@@ -244,6 +244,7 @@ class Network {
   std::vector<std::uint64_t> delivered_by_channel_;
   std::vector<std::uint64_t> dropped_by_channel_;
   std::vector<NodeSlot> slots_;
+  std::size_t next_slot_ = 0;  // add_node fills slots_ in index order
   std::vector<ChannelState> channels_;
   std::vector<std::vector<std::size_t>> out_channels_;  // node -> edge indices
   std::vector<std::vector<std::size_t>> in_channels_;

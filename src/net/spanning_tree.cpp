@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <iterator>
 #include <limits>
 
 #include "util/check.h"
@@ -20,14 +21,9 @@ SpanningTree bfs_spanning_tree(const Topology& topology, std::size_t root) {
   ABE_CHECK(is_strongly_connected(topology))
       << "spanning tree needs a strongly connected graph";
 
-  // Forward adjacency plus a reverse-edge existence set.
   std::vector<std::vector<std::size_t>> nbr(topology.n);
-  std::vector<std::vector<char>> has_edge;  // dense for small n
-  has_edge.assign(topology.n, std::vector<char>(topology.n, 0));
-  for (const Edge& e : topology.edges) {
-    nbr[e.from].push_back(e.to);
-    has_edge[e.from][e.to] = 1;
-  }
+  for (const Edge& e : topology.edges) nbr[e.from].push_back(e.to);
+  const OutChannelIndex channels(topology);
 
   SpanningTree tree;
   tree.root = root;
@@ -44,7 +40,7 @@ SpanningTree bfs_spanning_tree(const Topology& topology, std::size_t root) {
       if (tree.parent[v] != std::numeric_limits<std::size_t>::max()) {
         continue;
       }
-      ABE_CHECK(has_edge[v][u])
+      ABE_CHECK(channels.channel(v, u) != OutChannelIndex::kNone)
           << "tree edge " << u << "->" << v
           << " lacks the reverse channel the β protocol needs";
       tree.parent[v] = u;
@@ -60,19 +56,36 @@ SpanningTree bfs_spanning_tree(const Topology& topology, std::size_t root) {
   return tree;
 }
 
-std::vector<std::vector<std::size_t>> out_channel_to_neighbor(
-    const Topology& topology) {
-  const auto out = out_adjacency(topology);
-  std::vector<std::vector<std::size_t>> map(
-      topology.n,
-      std::vector<std::size_t>(topology.n,
-                               std::numeric_limits<std::size_t>::max()));
-  for (std::size_t u = 0; u < topology.n; ++u) {
-    for (std::size_t k = 0; k < out[u].size(); ++k) {
-      map[u][topology.edges[out[u][k]].to] = k;
-    }
+OutChannelIndex::OutChannelIndex(const Topology& topology)
+    : begin_(topology.n + 1, 0), entries_(topology.edges.size()) {
+  for (const Edge& e : topology.edges) ++begin_[e.from + 1];
+  for (std::size_t u = 0; u < topology.n; ++u) begin_[u + 1] += begin_[u];
+  // Fill in edge order, so each node's k-th entry is its k-th out-channel.
+  std::vector<std::size_t> fill(begin_.begin(), begin_.end() - 1);
+  for (const Edge& e : topology.edges) {
+    const std::size_t at = fill[e.from]++;
+    entries_[at] = Entry{e.to, at - begin_[e.from]};
   }
-  return map;
+  for (std::size_t u = 0; u < topology.n; ++u) {
+    std::sort(entries_.begin() + static_cast<std::ptrdiff_t>(begin_[u]),
+              entries_.begin() + static_cast<std::ptrdiff_t>(begin_[u + 1]),
+              [](const Entry& a, const Entry& b) {
+                return a.to != b.to ? a.to < b.to : a.channel < b.channel;
+              });
+  }
+}
+
+std::size_t OutChannelIndex::channel(std::size_t from, std::size_t to) const {
+  ABE_CHECK_LT(from, begin_.size() - 1);
+  const auto first =
+      entries_.begin() + static_cast<std::ptrdiff_t>(begin_[from]);
+  const auto last =
+      entries_.begin() + static_cast<std::ptrdiff_t>(begin_[from + 1]);
+  // The last entry for `to` (parallel edges: the latest channel wins).
+  const auto it = std::upper_bound(
+      first, last, to, [](std::size_t v, const Entry& e) { return v < e.to; });
+  if (it == first || std::prev(it)->to != to) return kNone;
+  return std::prev(it)->channel;
 }
 
 }  // namespace abe

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "net/topology.h"
@@ -33,10 +34,32 @@ struct SpanningTree {
 // is missing.
 SpanningTree bfs_spanning_tree(const Topology& topology, std::size_t root);
 
-// For each node, the out-channel index (into out_adjacency order) leading
-// to a given neighbour; SIZE_MAX when there is no such channel. Helper for
-// wiring tree/ack routes.
-std::vector<std::vector<std::size_t>> out_channel_to_neighbor(
-    const Topology& topology);
+// Sparse neighbour -> out-channel lookup, for wiring tree/ack routes.
+// Each node's out-neighbours are kept sorted (CSR layout, O(E) memory) with
+// the out-channel index (into out_adjacency order) leading to them, so a
+// lookup is a binary search over the node's out-degree: O(E log deg) to
+// build and O(log deg) per query, where a dense n×n map would cost O(n²)
+// memory (800 MB at n = 10⁴). With parallel edges u->v the last one in
+// edge order wins.
+class OutChannelIndex {
+ public:
+  static constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+
+  explicit OutChannelIndex(const Topology& topology);
+
+  // `from`'s out-channel index leading to `to`; kNone when there is no
+  // edge from -> to.
+  std::size_t channel(std::size_t from, std::size_t to) const;
+
+ private:
+  struct Entry {
+    std::size_t to;
+    std::size_t channel;
+  };
+  // Node u's entries are entries_[begin_[u], begin_[u + 1]), sorted by
+  // (to, channel).
+  std::vector<std::size_t> begin_;
+  std::vector<Entry> entries_;
+};
 
 }  // namespace abe

@@ -83,7 +83,7 @@ class EventQueue {
   virtual bool erase_slot(std::uint32_t slot) = 0;
 
   // Moves every entry into `out` (appending, unspecified order) and leaves
-  // the queue empty. Used for backend migration (auto heap -> calendar).
+  // the queue empty. Used for backend migration (auto heap -> ladder).
   virtual void drain_into(std::vector<QueueEntry>& out) = 0;
 
   virtual std::size_t size() const = 0;

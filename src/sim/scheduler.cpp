@@ -30,7 +30,7 @@ void Scheduler::maybe_migrate() {
   std::vector<QueueEntry> entries;
   entries.reserve(queue_->size());
   queue_->drain_into(entries);
-  queue_ = make_event_queue(EqueueBackend::kCalendar);
+  queue_ = make_event_queue(EqueueBackend::kLadder);
   for (const QueueEntry& e : entries) queue_->push(e);
 }
 

@@ -20,9 +20,12 @@
 // Backend selection (see sim/equeue/backend.h and README "Event-queue
 // backends"): an explicit EqueueBackend constructor argument, overridden
 // process-wide by the ABE_EQUEUE environment variable; the default kAuto
-// starts on the heap and migrates to the calendar queue once the pending
-// set crosses kEqueueAutoThreshold. Pop order — and therefore every seeded
-// trial — is bit-identical across backends.
+// starts on the heap and migrates to the ladder queue once the pending set
+// crosses kEqueueAutoThreshold (the ladder, not the calendar: a big
+// simultaneous burst such as n on_start events at t = 0 collapses the
+// calendar onto one day it must scan per pop, while the ladder absorbs it
+// in one bottom sort). Pop order — and therefore every seeded trial — is
+// bit-identical across backends.
 #pragma once
 
 #include <cstdint>
@@ -107,8 +110,8 @@ class Scheduler {
   std::uint64_t pending() const { return q_size(); }
 
   // Name of the ACTIVE queue backend: "heap", "calendar" or "ladder".
-  // Under kAuto this changes from "heap" to "calendar" when the pending
-  // set first crosses kEqueueAutoThreshold.
+  // Under kAuto this changes from "heap" to "ladder" when the pending set
+  // first crosses kEqueueAutoThreshold.
   const char* backend_name() const { return queue_->name(); }
 
   // Total events processed over the scheduler's lifetime (for metrics).
@@ -167,7 +170,7 @@ class Scheduler {
   void release_slot(std::uint32_t slot);
   // Pops and executes the earliest event. Pre: !idle().
   void run_top();
-  // kAuto policy: heap -> calendar migration past the threshold.
+  // kAuto policy: heap -> ladder migration past the threshold.
   void maybe_migrate();
 
   // Devirtualized queue access: the heap is the default backend of every

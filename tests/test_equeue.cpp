@@ -1,5 +1,5 @@
 // Event-queue subsystem tests: backend selection, per-backend unit
-// behavior, the auto heap->calendar migration, and the randomized
+// behavior, the auto heap->ladder migration, and the randomized
 // differential trace that pins the subsystem's core contract — every
 // backend pops the bit-identical sequence for the same schedule/cancel/run
 // trace, so backend choice can never change a seeded simulation.
@@ -166,7 +166,7 @@ TEST(Equeue, InfinityAndZeroTimesStayOrdered) {
 
 // --- auto policy ------------------------------------------------------------
 
-TEST(Equeue, AutoMigratesToCalendarPastThreshold) {
+TEST(Equeue, AutoMigratesToLadderPastThreshold) {
   if (equeue_env_pinned()) GTEST_SKIP() << "ABE_EQUEUE pinned externally";
   Scheduler s;  // default: auto
   EXPECT_STREQ(s.backend_name(), "heap");
@@ -177,7 +177,7 @@ TEST(Equeue, AutoMigratesToCalendarPastThreshold) {
   EXPECT_STREQ(s.backend_name(), "heap");  // exactly at the threshold
   ids.push_back(
       s.schedule_at(0.5, [] {}));  // crosses the threshold: migrate
-  EXPECT_STREQ(s.backend_name(), "calendar");
+  EXPECT_STREQ(s.backend_name(), "ladder");
   EXPECT_EQ(s.pending(), kEqueueAutoThreshold + 1);
 
   // Handles issued before the migration still cancel the right events.
@@ -290,6 +290,82 @@ TEST(EqueueDifferential, IdenticalTraceAcrossAllBackends) {
           EqueueBackend::kAuto}) {
       Scheduler other(b);
       const Trace got = drive(other, seed, 300, 4096);
+      ASSERT_EQ(got.size(), reference.size())
+          << equeue_backend_name(b) << " seed " << seed;
+      EXPECT_TRUE(got == reference)
+          << equeue_backend_name(b) << " seed " << seed
+          << ": pop sequence diverged from the heap reference";
+    }
+  }
+}
+
+// The start shape of a large polling trial: Network::start() schedules n
+// on_start events at exactly t = 0, which carries kAuto across the
+// threshold mid-burst, and the run then mixes follow-ups (some
+// simultaneous with the burst) and cancels into the drain. Under kAuto the
+// burst lands on the ladder; pinned on the calendar it is one day the pop
+// scan walks. Every backend must still execute the same trace.
+class BurstDriver {
+ public:
+  BurstDriver(Scheduler& s, std::uint64_t seed) : s_(s), rng_(seed) {}
+
+  Trace run() {
+    for (std::size_t i = 0; i < kEqueueAutoThreshold + 2000; ++i) {
+      schedule(0.0);
+    }
+    for (int i = 0; i < 64; ++i) cancel_one();  // some before any pop
+    s_.run();
+    return std::move(trace_);
+  }
+
+ private:
+  static constexpr int kMaxEvents = 40000;
+
+  void schedule(double when) {
+    const int tag = tag_++;
+    handles_.push_back(s_.schedule_at(when, [this, tag] { fire(tag); }));
+  }
+
+  void cancel_one() {
+    // Live, already-run or already-cancelled: the scheduler sorts it out.
+    s_.cancel(handles_[rng_.uniform_int(handles_.size())]);
+  }
+
+  void fire(int tag) {
+    trace_.emplace_back(s_.now(), tag);
+    if (tag_ >= kMaxEvents) return;
+    const double r = rng_.uniform01();
+    if (r < 0.4) {
+      schedule(s_.now() + rng_.exponential(1.0));
+    } else if (r < 0.5) {
+      schedule(s_.now());  // joins the burst when now() is still 0
+    } else if (r < 0.55) {
+      schedule(s_.now() + rng_.exponential(1.0));
+      schedule(s_.now() + rng_.exponential(1.0));
+    } else if (r < 0.6) {
+      cancel_one();
+    }
+  }
+
+  Scheduler& s_;
+  Rng rng_;
+  Trace trace_;
+  std::vector<EventId> handles_;
+  int tag_ = 0;
+};
+
+TEST(EqueueDifferential, SimultaneousStartBurstIdenticalAcrossBackends) {
+  for (std::uint64_t seed : {3u, 11u}) {
+    Scheduler heap(EqueueBackend::kHeap);
+    const Trace reference = BurstDriver(heap, seed).run();
+    ASSERT_GT(reference.size(), kEqueueAutoThreshold);
+    for (EqueueBackend b : {EqueueBackend::kCalendar, EqueueBackend::kLadder,
+                            EqueueBackend::kAuto}) {
+      Scheduler other(b);
+      const Trace got = BurstDriver(other, seed).run();
+      if (b == EqueueBackend::kAuto && !equeue_env_pinned()) {
+        EXPECT_STREQ(other.backend_name(), "ladder");
+      }
       ASSERT_EQ(got.size(), reference.size())
           << equeue_backend_name(b) << " seed " << seed;
       EXPECT_TRUE(got == reference)

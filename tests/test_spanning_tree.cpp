@@ -1,9 +1,16 @@
-// Tests for the BFS spanning-tree substrate.
+// Tests for the BFS spanning-tree substrate, the sparse out-channel lookup
+// and the tree wirings built on it.
 #include "net/spanning_tree.h"
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
+
+#include "algo/polling_election.h"
+#include "scenario/scenario.h"
+#include "syncr/beta.h"
 
 namespace abe {
 namespace {
@@ -77,16 +84,144 @@ TEST(SpanningTree, UnidirectionalRingRejected) {
   EXPECT_DEATH(bfs_spanning_tree(unidirectional_ring(4), 0), "reverse");
 }
 
+// Brute-force reference for OutChannelIndex: scan u's out-channels in
+// out_adjacency order; with parallel edges the last one wins.
+std::size_t brute_force_channel(
+    const Topology& t, const std::vector<std::vector<std::size_t>>& out,
+    std::size_t u, std::size_t v) {
+  std::size_t found = OutChannelIndex::kNone;
+  for (std::size_t k = 0; k < out[u].size(); ++k) {
+    if (t.edges[out[u][k]].to == v) found = k;
+  }
+  return found;
+}
+
+void expect_index_matches_brute_force(const Topology& t) {
+  const OutChannelIndex index(t);
+  const auto out = out_adjacency(t);
+  for (std::size_t u = 0; u < t.n; ++u) {
+    for (std::size_t v = 0; v < t.n; ++v) {
+      EXPECT_EQ(index.channel(u, v), brute_force_channel(t, out, u, v))
+          << t.name << " " << u << "->" << v;
+    }
+  }
+}
+
 TEST(SpanningTree, OutChannelMapConsistent) {
   const Topology t = grid(2, 3);
-  const auto map = out_channel_to_neighbor(t);
+  const OutChannelIndex index(t);
   const auto out = out_adjacency(t);
   for (std::size_t u = 0; u < t.n; ++u) {
     for (std::size_t k = 0; k < out[u].size(); ++k) {
       const std::size_t v = t.edges[out[u][k]].to;
-      EXPECT_EQ(map[u][v], k);
+      EXPECT_EQ(index.channel(u, v), k);
     }
   }
+}
+
+TEST(SpanningTree, OutChannelIndexNonNeighbourIsNone) {
+  // grid(2, 3): 0-1-2 over 3-4-5; node 0 reaches only 1 and 3.
+  const OutChannelIndex index(grid(2, 3));
+  EXPECT_NE(index.channel(0, 1), OutChannelIndex::kNone);
+  EXPECT_NE(index.channel(0, 3), OutChannelIndex::kNone);
+  for (std::size_t v : {0u, 2u, 4u, 5u}) {
+    EXPECT_EQ(index.channel(0, v), OutChannelIndex::kNone) << "0->" << v;
+  }
+  // One-way ring: the reverse direction has no channel.
+  const OutChannelIndex ring(unidirectional_ring(5));
+  EXPECT_EQ(ring.channel(2, 3), 0u);
+  EXPECT_EQ(ring.channel(3, 2), OutChannelIndex::kNone);
+}
+
+TEST(SpanningTree, OutChannelIndexMatchesBruteForce) {
+  expect_index_matches_brute_force(complete(7));
+  expect_index_matches_brute_force(hypercube(6));
+}
+
+TEST(SpanningTree, OutChannelIndexParallelEdgesLastWins) {
+  Topology t;
+  t.n = 3;
+  t.edges = {{0, 1}, {0, 2}, {0, 1}, {1, 0}, {2, 0}};
+  const OutChannelIndex index(t);
+  EXPECT_EQ(index.channel(0, 1), 2u);
+  EXPECT_EQ(index.channel(0, 2), 1u);
+  expect_index_matches_brute_force(t);
+}
+
+// --- wiring equivalence -----------------------------------------------------
+
+// The polling and β wiring, rebuilt from the tree with the brute-force
+// channel scan, must equal what build_polling_wiring and build_beta_wiring
+// produce with OutChannelIndex.
+void expect_polling_wiring_matches_reference(const Topology& t) {
+  const std::vector<PollingWiring> got = build_polling_wiring(t, 0);
+  const SpanningTree tree = bfs_spanning_tree(t, 0);
+  const auto out = out_adjacency(t);
+  ASSERT_EQ(got.size(), t.n);
+  for (std::size_t v = 0; v < t.n; ++v) {
+    EXPECT_EQ(got[v].is_root, v == 0);
+    if (v != 0) {
+      EXPECT_EQ(got[v].parent_out,
+                brute_force_channel(t, out, v, tree.parent[v]))
+          << t.name << " node " << v;
+    }
+    std::vector<std::size_t> children;
+    for (std::size_t c : tree.children[v]) {
+      children.push_back(brute_force_channel(t, out, v, c));
+    }
+    EXPECT_EQ(got[v].children_out, children) << t.name << " node " << v;
+  }
+}
+
+void expect_beta_wiring_matches_reference(const Topology& t) {
+  const SpanningTree tree = bfs_spanning_tree(t, 0);
+  const std::vector<BetaWiring> got = build_beta_wiring(t, tree);
+  const auto out = out_adjacency(t);
+  const auto in = in_adjacency(t);
+  ASSERT_EQ(got.size(), t.n);
+  for (std::size_t v = 0; v < t.n; ++v) {
+    EXPECT_EQ(got[v].is_root, v == tree.root);
+    if (v != tree.root) {
+      EXPECT_EQ(got[v].parent_out,
+                brute_force_channel(t, out, v, tree.parent[v]));
+    }
+    std::vector<std::size_t> children;
+    for (std::size_t c : tree.children[v]) {
+      children.push_back(brute_force_channel(t, out, v, c));
+    }
+    EXPECT_EQ(got[v].children_out, children) << t.name << " node " << v;
+    std::vector<std::size_t> reverse;
+    for (std::size_t e : in[v]) {
+      reverse.push_back(brute_force_channel(t, out, v, t.edges[e].from));
+    }
+    EXPECT_EQ(got[v].reverse_of_in, reverse) << t.name << " node " << v;
+  }
+}
+
+TEST(WiringEquivalence, EveryFamilyMatchesBruteForceReference) {
+  // Every family but the one-way ring, which has no reverse channels for
+  // the echo/ack routes (rejected above).
+  for (TopologyFamily family :
+       {TopologyFamily::kRingBi, TopologyFamily::kLine, TopologyFamily::kStar,
+        TopologyFamily::kComplete, TopologyFamily::kGrid,
+        TopologyFamily::kTorus, TopologyFamily::kHypercube,
+        TopologyFamily::kGnp, TopologyFamily::kGeometric}) {
+    for (std::size_t n : {4u, 12u, 16u}) {
+      const TopologySpec spec{family, n, 0.0};
+      if (!spec.problem().empty()) continue;  // e.g. hypercube of 12
+      Rng rng(n);
+      const Topology t = spec.build(rng);
+      SCOPED_TRACE(std::string(topology_family_name(family)) + " n=" +
+                   std::to_string(n));
+      expect_polling_wiring_matches_reference(t);
+      expect_beta_wiring_matches_reference(t);
+    }
+  }
+}
+
+TEST(WiringEquivalence, PollingWiringOnTorus100x100) {
+  // n = 10^4: the dense n×n channel map this replaced took 800 MB per call.
+  expect_polling_wiring_matches_reference(torus(100, 100));
 }
 
 }  // namespace
