@@ -3,6 +3,7 @@
 // channel orderings, activation policies, clock drift and processing delay.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -130,6 +131,11 @@ struct HarshCase {
   DriftModel drift;
   ProcessingModel processing;
 };
+
+// Print the case by name: gtest's default byte dump of this struct includes
+// the name pointer and padding, which would make the listed test names
+// differ from one build or run to the next.
+void PrintTo(const HarshCase& c, std::ostream* os) { *os << c.name; }
 
 class ElectionHarshEnvironment : public ::testing::TestWithParam<HarshCase> {
 };
