@@ -42,8 +42,8 @@ std::string PollPayload::describe() const {
 
 std::vector<PollingWiring> build_polling_wiring(const Topology& topology,
                                                 std::size_t root) {
-  const SpanningTree tree = bfs_spanning_tree(topology, root);
   const OutChannelIndex chan(topology);
+  const SpanningTree tree = bfs_spanning_tree(topology, root, chan);
   std::vector<PollingWiring> wiring(topology.n);
   for (std::size_t i = 0; i < topology.n; ++i) {
     wiring[i].is_root = (i == root);
@@ -187,7 +187,8 @@ class PollingDriver final : public AlgorithmDriver {
                                std::memory_order_relaxed);
       watch->leader_count.fetch_add(1, std::memory_order_release);
     };
-    return std::make_unique<PollingElectionNode>(wiring_[index],
+    // Each index is built once, so the node takes its wiring by move.
+    return std::make_unique<PollingElectionNode>(std::move(wiring_[index]),
                                                  std::move(options));
   }
 

@@ -49,10 +49,10 @@ class Network::ContextImpl final : public Context {
     return NodeId{static_cast<std::int64_t>(index_)};
   }
   std::size_t out_degree() const override {
-    return net_->out_channels_[index_].size();
+    return net_->out_channels_.degree(index_);
   }
   std::size_t in_degree() const override {
-    return net_->in_channels_[index_].size();
+    return net_->in_channels_.degree(index_);
   }
   std::size_t network_size() const override { return net_->size(); }
 
@@ -61,7 +61,7 @@ class Network::ContextImpl final : public Context {
   }
 
   double local_now() override {
-    return net_->slots_[index_].clock->local_at(net_->now());
+    return net_->slots_[index_].clock.local_at(net_->now());
   }
   SimTime real_now() const override { return net_->now(); }
 
@@ -111,12 +111,7 @@ Network::Network(NetworkConfig config)
   const std::size_t n = config_.topology.n;
   out_channels_ = out_adjacency(config_.topology);
   in_channels_ = in_adjacency(config_.topology);
-  in_index_of_edge_.assign(config_.topology.edges.size(), 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    for (std::size_t k = 0; k < in_channels_[v].size(); ++k) {
-      in_index_of_edge_[in_channels_[v][k]] = k;
-    }
-  }
+  in_index_of_edge_ = in_channels_.local_indices();
   channels_.resize(config_.topology.edges.size());
   for (auto& ch : channels_) {
     ch.delay = config_.delay;
@@ -135,16 +130,22 @@ Network::Network(NetworkConfig config)
         "net.delay", FixedHistogram::log2_bounds(mean > 0.0 ? mean : 1.0,
                                                  /*below=*/3, /*above=*/6));
   }
-  slots_.resize(n);
+  slots_.reserve(n);
+  contexts_.reserve(n);
+  // Tick phases are read only by tick events; each is its own substream, so
+  // skipping them when ticks are off leaves every other stream unchanged.
+  const bool draw_tick_phase = config_.enable_ticks &&
+                               config_.tick_phase == TickPhase::kRandomPerNode;
   for (std::size_t i = 0; i < n; ++i) {
-    slots_[i].rng = root_rng_.substream("node", i);
-    slots_[i].clock = std::make_unique<LocalClock>(
-        config_.clock_bounds, config_.drift, root_rng_.substream("clock", i),
-        config_.clock_segment_mean);
-    slots_[i].context = std::make_unique<ContextImpl>(this, i);
-    if (config_.tick_phase == TickPhase::kRandomPerNode) {
-      slots_[i].tick_phase = root_rng_.substream("tick-phase", i).uniform01() *
-                             config_.tick_local_period;
+    NodeSlot& slot = slots_.emplace_back(
+        root_rng_.substream("node", i),
+        LocalClock(config_.clock_bounds, config_.drift,
+                   root_rng_.substream("clock", i),
+                   config_.clock_segment_mean));
+    contexts_.emplace_back(this, i);
+    if (draw_tick_phase) {
+      slot.tick_phase = root_rng_.substream("tick-phase", i).uniform01() *
+                        config_.tick_local_period;
     }
   }
 }
@@ -191,7 +192,7 @@ void Network::start() {
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     scheduler_.schedule_at(0.0, [this, i] {
       current_cause_ = -1;  // on_start is a causal root: no trace record
-      slots_[i].node->on_start(*slots_[i].context);
+      slots_[i].node->on_start(contexts_[i]);
     });
     if (config_.enable_ticks) {
       slots_[i].ticking = true;
@@ -205,7 +206,7 @@ void Network::schedule_next_tick(std::size_t node_index) {
   const double next_local =
       slot.tick_phase +
       static_cast<double>(slot.ticks + 1) * config_.tick_local_period;
-  const SimTime fire = slot.clock->real_at(next_local);
+  const SimTime fire = slot.clock.real_at(next_local);
   // The causing event: the tick (or start()) that scheduled this fire.
   const std::int64_t cause = current_cause_;
   scheduler_.schedule_at(fire, [this, node_index, cause] {
@@ -216,7 +217,7 @@ void Network::schedule_next_tick(std::size_t node_index) {
                                    NodeId{static_cast<std::int64_t>(node_index)},
                                    static_cast<std::int64_t>(s.ticks),
                                    cause);
-    s.node->on_tick(*s.context, s.ticks);
+    s.node->on_tick(contexts_[node_index], s.ticks);
     if (s.node->is_terminated()) {
       s.ticking = false;  // terminal nodes stop consuming tick events
     } else {
@@ -229,8 +230,8 @@ TimerId Network::set_timer(std::size_t node_index, double local_delay,
                            std::uint64_t tag) {
   ABE_CHECK_GE(local_delay, 0.0);
   NodeSlot& slot = slots_[node_index];
-  const double local_now = slot.clock->local_at(now());
-  const SimTime fire = slot.clock->real_at(local_now + local_delay);
+  const double local_now = slot.clock.local_at(now());
+  const SimTime fire = slot.clock.real_at(local_now + local_delay);
   // A timer handle IS its scheduler event handle: generation-counted ids
   // make cancel-after-fire safe without any timer bookkeeping of our own.
   const TimerId timer_id{scheduler_.peek_next_id().value()};
@@ -238,13 +239,13 @@ TimerId Network::set_timer(std::size_t node_index, double local_delay,
   const std::int64_t cause = current_cause_;
   scheduler_.schedule_at(
       std::max(fire, now()), [this, node_index, tag, timer_id, cause] {
-        NodeSlot& s = slots_[node_index];
         ++metrics_.timers_fired;
         current_cause_ =
             trace_.record(now(), TraceKind::kTimer,
                           NodeId{static_cast<std::int64_t>(node_index)},
                           static_cast<std::int64_t>(tag), cause);
-        s.node->on_timer(*s.context, timer_id, tag);
+        slots_[node_index].node->on_timer(contexts_[node_index], timer_id,
+                                          tag);
       });
   return timer_id;
 }
@@ -257,8 +258,8 @@ void Network::send_from(std::size_t node_index, std::size_t out_index,
                         PayloadPtr payload) {
   ABE_CHECK(started_) << "send before start()";
   ABE_CHECK(static_cast<bool>(payload));
-  ABE_CHECK_LT(out_index, out_channels_[node_index].size());
-  const std::size_t edge_index = out_channels_[node_index][out_index];
+  ABE_CHECK_LT(out_index, out_channels_.degree(node_index));
+  const std::size_t edge_index = out_channels_.of(node_index)[out_index];
   ChannelState& ch = channels_[edge_index];
 
   ++metrics_.messages_sent;
@@ -282,8 +283,6 @@ void Network::send_from(std::size_t node_index, std::size_t out_index,
                             current_cause_);
   }
 
-  std::shared_ptr<const Payload> shared{payload.release()};
-
   // Silent loss (ARQ substrate): the message vanishes in transit.
   if (ch.loss_probability > 0.0 &&
       channel_rng_.bernoulli(ch.loss_probability)) {
@@ -294,7 +293,7 @@ void Network::send_from(std::size_t node_index, std::size_t out_index,
                     NodeId{static_cast<std::int64_t>(
                         config_.topology.edges[edge_index].to)},
                     "edge=" + std::to_string(edge_index) + " " +
-                        shared->describe(),
+                        payload->describe(),
                     static_cast<std::int64_t>(edge_index), send_id);
     } else {
       trace_.record(now(), TraceKind::kDrop,
@@ -302,7 +301,7 @@ void Network::send_from(std::size_t node_index, std::size_t out_index,
                         config_.topology.edges[edge_index].to)},
                     static_cast<std::int64_t>(edge_index), send_id);
     }
-    return;
+    return;  // `payload` is freed here
   }
 
   const double delay =
@@ -317,65 +316,70 @@ void Network::send_from(std::size_t node_index, std::size_t out_index,
     ch.last_arrival = arrival;
   }
   const SimTime sent_at = now();
-  // Captures total 48 bytes: the InlineAction budget of the hot path.
-  scheduler_.schedule_at(arrival, [this, edge_index, shared, sent_at,
-                                   send_id] {
-    deliver(edge_index, shared, sent_at, send_id);
-  });
+  auto on_arrival = [this, edge_index, payload = std::move(payload), sent_at,
+                     send_id]() mutable {
+    deliver(edge_index, std::move(payload), sent_at, send_id);
+  };
+  static_assert(InlineAction::stores_inline<decltype(on_arrival)>(),
+                "the delivery event must not allocate");
+  scheduler_.schedule_at(arrival, std::move(on_arrival));
 }
 
-void Network::deliver(std::size_t edge_index,
-                      std::shared_ptr<const Payload> payload, SimTime sent_at,
-                      std::int64_t send_id) {
-  const std::size_t to = config_.topology.edges[edge_index].to;
-  NodeSlot& slot = slots_[to];
-
+void Network::deliver(std::size_t edge_index, PayloadPtr payload,
+                      SimTime sent_at, std::int64_t send_id) {
   const double channel_delay = now() - sent_at;
-  auto finish_delivery = [this, edge_index, payload, channel_delay, to,
-                          send_id](double work) {
-    NodeSlot& s = slots_[to];
-    ++metrics_.messages_delivered;
-    metrics_.total_channel_delay += channel_delay;
-    metrics_.max_channel_delay =
-        std::max(metrics_.max_channel_delay, channel_delay);
-    if (delay_hist_ != nullptr) {
-      delay_hist_->record(channel_delay);
-      ++delivered_by_channel_[edge_index];
-    }
-    // The deliver's cause is its send; the delay/work fields attribute the
-    // send->deliver gap for the critical-path profiler (obs/causal.h).
-    if (trace_.enabled()) {
-      current_cause_ = trace_.record(now(), TraceKind::kDeliver,
-                                     NodeId{static_cast<std::int64_t>(to)},
-                                     "edge=" + std::to_string(edge_index) +
-                                         " " + payload->describe(),
-                                     static_cast<std::int64_t>(edge_index),
-                                     send_id, channel_delay, work);
-    } else {
-      current_cause_ = trace_.record(now(), TraceKind::kDeliver,
-                                     NodeId{static_cast<std::int64_t>(to)},
-                                     static_cast<std::int64_t>(edge_index),
-                                     send_id, channel_delay, work);
-    }
-    s.node->on_message(*s.context, in_index_of_edge_[edge_index], *payload);
-  };
-
   if (config_.processing.kind == ProcessingModel::Kind::kZero) {
-    finish_delivery(0.0);
+    finish_delivery(edge_index, *payload, channel_delay, send_id, 0.0);
     return;
   }
   // Definition 1(3): handling occupies the node; queue behind earlier work.
+  NodeSlot& slot = slots_[config_.topology.edges[edge_index].to];
   const SimTime start = std::max(now(), slot.busy_until);
   const double ptime = config_.processing.sample(slot.rng);
   const SimTime finish = start + ptime;
   slot.busy_until = finish;
   if (finish <= now()) {
-    finish_delivery(ptime);
-  } else {
-    scheduler_.schedule_at(finish, [finish_delivery, ptime] {
-      finish_delivery(ptime);
-    });
+    finish_delivery(edge_index, *payload, channel_delay, send_id, ptime);
+    return;
   }
+  auto on_processed = [this, edge_index, payload = std::move(payload),
+                       channel_delay, send_id, ptime] {
+    finish_delivery(edge_index, *payload, channel_delay, send_id, ptime);
+  };
+  static_assert(InlineAction::stores_inline<decltype(on_processed)>(),
+                "the processing continuation must not allocate");
+  scheduler_.schedule_at(finish, std::move(on_processed));
+}
+
+void Network::finish_delivery(std::size_t edge_index, const Payload& payload,
+                              double channel_delay, std::int64_t send_id,
+                              double work) {
+  const std::size_t to = config_.topology.edges[edge_index].to;
+  ++metrics_.messages_delivered;
+  metrics_.total_channel_delay += channel_delay;
+  metrics_.max_channel_delay =
+      std::max(metrics_.max_channel_delay, channel_delay);
+  if (delay_hist_ != nullptr) {
+    delay_hist_->record(channel_delay);
+    ++delivered_by_channel_[edge_index];
+  }
+  // The deliver's cause is its send; the delay/work fields attribute the
+  // send->deliver gap for the critical-path profiler (obs/causal.h).
+  if (trace_.enabled()) {
+    current_cause_ = trace_.record(now(), TraceKind::kDeliver,
+                                   NodeId{static_cast<std::int64_t>(to)},
+                                   "edge=" + std::to_string(edge_index) + " " +
+                                       payload.describe(),
+                                   static_cast<std::int64_t>(edge_index),
+                                   send_id, channel_delay, work);
+  } else {
+    current_cause_ = trace_.record(now(), TraceKind::kDeliver,
+                                   NodeId{static_cast<std::int64_t>(to)},
+                                   static_cast<std::int64_t>(edge_index),
+                                   send_id, channel_delay, work);
+  }
+  slots_[to].node->on_message(contexts_[to], in_index_of_edge_[edge_index],
+                              payload);
 }
 
 void Network::sample_timeseries() {
@@ -434,7 +438,7 @@ const Node& Network::node(std::size_t i) const {
 
 LocalClock& Network::clock(std::size_t i) {
   ABE_CHECK_LT(i, slots_.size());
-  return *slots_[i].clock;
+  return slots_[i].clock;
 }
 
 double Network::expected_delay_bound() const {

@@ -209,10 +209,14 @@ class Network {
     double loss_probability = 0.0;
     SimTime last_arrival = 0.0;  // FIFO floor
   };
+  // Per-node state, held by value in one array (slots_): no per-node heap
+  // object besides the node itself and its clock's segment list.
   struct NodeSlot {
+    NodeSlot(Rng node_rng, LocalClock node_clock)
+        : clock(std::move(node_clock)), rng(node_rng) {}
+
     NodePtr node;
-    std::unique_ptr<ContextImpl> context;
-    std::unique_ptr<LocalClock> clock;
+    LocalClock clock;
     Rng rng;
     SimTime busy_until = 0.0;
     std::uint64_t ticks = 0;
@@ -220,10 +224,17 @@ class Network {
     bool ticking = false;
   };
 
+  // Message path. The payload has one owner at every step — send_from, the
+  // delivery event, deliver, the processing continuation — and is freed
+  // when the last of them finishes with it (or when a pending event is
+  // destroyed with the scheduler).
   void send_from(std::size_t node_index, std::size_t out_index,
                  PayloadPtr payload);
-  void deliver(std::size_t edge_index, std::shared_ptr<const Payload> payload,
-               SimTime sent_at, std::int64_t send_id);
+  void deliver(std::size_t edge_index, PayloadPtr payload, SimTime sent_at,
+               std::int64_t send_id);
+  void finish_delivery(std::size_t edge_index, const Payload& payload,
+                       double channel_delay, std::int64_t send_id,
+                       double work);
   void schedule_next_tick(std::size_t node_index);
   void sample_timeseries();
   TimerId set_timer(std::size_t node_index, double local_delay,
@@ -244,10 +255,13 @@ class Network {
   std::vector<std::uint64_t> delivered_by_channel_;
   std::vector<std::uint64_t> dropped_by_channel_;
   std::vector<NodeSlot> slots_;
+  // contexts_[i] is node i's Context; like slots_, sized once in the
+  // constructor so the references handed to nodes stay valid.
+  std::vector<ContextImpl> contexts_;
   std::size_t next_slot_ = 0;  // add_node fills slots_ in index order
   std::vector<ChannelState> channels_;
-  std::vector<std::vector<std::size_t>> out_channels_;  // node -> edge indices
-  std::vector<std::vector<std::size_t>> in_channels_;
+  Adjacency out_channels_;  // node -> edge indices
+  Adjacency in_channels_;
   std::vector<std::size_t> in_index_of_edge_;  // edge -> receiver's in-index
   // Causality: the trace id of the event whose handler is currently running
   // (-1 between handlers / inside on_start). Every record made from inside a

@@ -1,7 +1,6 @@
 #include "net/spanning_tree.h"
 
 #include <algorithm>
-#include <deque>
 #include <iterator>
 #include <limits>
 
@@ -16,14 +15,17 @@ std::size_t SpanningTree::height() const {
 }
 
 SpanningTree bfs_spanning_tree(const Topology& topology, std::size_t root) {
+  return bfs_spanning_tree(topology, root, OutChannelIndex(topology));
+}
+
+SpanningTree bfs_spanning_tree(const Topology& topology, std::size_t root,
+                               const OutChannelIndex& channels) {
   validate_topology(topology);
   ABE_CHECK_LT(root, topology.n);
   ABE_CHECK(is_strongly_connected(topology))
       << "spanning tree needs a strongly connected graph";
 
-  std::vector<std::vector<std::size_t>> nbr(topology.n);
-  for (const Edge& e : topology.edges) nbr[e.from].push_back(e.to);
-  const OutChannelIndex channels(topology);
+  const Adjacency out = out_adjacency(topology);
 
   SpanningTree tree;
   tree.root = root;
@@ -32,11 +34,13 @@ SpanningTree bfs_spanning_tree(const Topology& topology, std::size_t root) {
   tree.depth.assign(topology.n, 0);
   tree.parent[root] = root;
 
-  std::deque<std::size_t> queue{root};
-  while (!queue.empty()) {
-    const std::size_t u = queue.front();
-    queue.pop_front();
-    for (std::size_t v : nbr[u]) {
+  // The visit order doubles as the BFS queue: [head, order.size()).
+  std::vector<std::size_t> order{root};
+  order.reserve(topology.n);
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const std::size_t u = order[head];
+    for (std::size_t e : out.of(u)) {
+      const std::size_t v = topology.edges[e].to;
       if (tree.parent[v] != std::numeric_limits<std::size_t>::max()) {
         continue;
       }
@@ -46,7 +50,7 @@ SpanningTree bfs_spanning_tree(const Topology& topology, std::size_t root) {
       tree.parent[v] = u;
       tree.children[u].push_back(v);
       tree.depth[v] = tree.depth[u] + 1;
-      queue.push_back(v);
+      order.push_back(v);
     }
   }
   for (std::size_t v = 0; v < topology.n; ++v) {
@@ -56,22 +60,21 @@ SpanningTree bfs_spanning_tree(const Topology& topology, std::size_t root) {
   return tree;
 }
 
-OutChannelIndex::OutChannelIndex(const Topology& topology)
-    : begin_(topology.n + 1, 0), entries_(topology.edges.size()) {
-  for (const Edge& e : topology.edges) ++begin_[e.from + 1];
-  for (std::size_t u = 0; u < topology.n; ++u) begin_[u + 1] += begin_[u];
-  // Fill in edge order, so each node's k-th entry is its k-th out-channel.
-  std::vector<std::size_t> fill(begin_.begin(), begin_.end() - 1);
-  for (const Edge& e : topology.edges) {
-    const std::size_t at = fill[e.from]++;
-    entries_[at] = Entry{e.to, at - begin_[e.from]};
-  }
+OutChannelIndex::OutChannelIndex(const Topology& topology) {
+  const Adjacency out = out_adjacency(topology);
+  begin_.reserve(topology.n + 1);
+  entries_.reserve(topology.edges.size());
+  begin_.push_back(0);
   for (std::size_t u = 0; u < topology.n; ++u) {
-    std::sort(entries_.begin() + static_cast<std::ptrdiff_t>(begin_[u]),
-              entries_.begin() + static_cast<std::ptrdiff_t>(begin_[u + 1]),
-              [](const Entry& a, const Entry& b) {
+    const Adjacency::Span channels = out.of(u);
+    for (std::size_t k = 0; k < channels.size(); ++k) {
+      entries_.push_back(Entry{topology.edges[channels[k]].to, k});
+    }
+    std::sort(entries_.begin() + static_cast<std::ptrdiff_t>(begin_.back()),
+              entries_.end(), [](const Entry& a, const Entry& b) {
                 return a.to != b.to ? a.to < b.to : a.channel < b.channel;
               });
+    begin_.push_back(entries_.size());
   }
 }
 

@@ -62,4 +62,9 @@ class OutChannelIndex {
   std::vector<Entry> entries_;
 };
 
+// bfs_spanning_tree reusing a caller's OutChannelIndex of `topology` for the
+// reverse-channel check (callers that wire routes build one anyway).
+SpanningTree bfs_spanning_tree(const Topology& topology, std::size_t root,
+                               const OutChannelIndex& channels);
+
 }  // namespace abe

@@ -1,8 +1,6 @@
 #include "net/topology.h"
 
 #include <algorithm>
-#include <deque>
-#include <set>
 
 #include "util/check.h"
 
@@ -100,17 +98,22 @@ Topology torus(std::size_t rows, std::size_t cols) {
   t.n = rows * cols;
   t.name = "torus";
   auto id = [cols](std::size_t r, std::size_t c) { return r * cols + c; };
-  std::set<std::pair<std::size_t, std::size_t>> seen;
-  auto add = [&](std::size_t a, std::size_t b) {
-    if (a == b) return;  // 2x2 torus wraps onto the same neighbour
-    if (seen.insert({a, b}).second) t.edges.push_back(Edge{a, b});
-  };
+  // On an extent-2 dimension the wrap link of the second position joins the
+  // same two nodes as the first position's link, so that dimension emits its
+  // pair of directed edges only at position 0. No other pair can repeat.
+  const std::size_t row_links = cols == 2 ? 1 : cols;
+  const std::size_t col_links = rows == 2 ? 1 : rows;
+  t.edges.reserve(2 * (rows * row_links + cols * col_links));
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {
-      add(id(r, c), id(r, (c + 1) % cols));
-      add(id(r, (c + 1) % cols), id(r, c));
-      add(id(r, c), id((r + 1) % rows, c));
-      add(id((r + 1) % rows, c), id(r, c));
+      if (c < row_links) {
+        t.edges.push_back(Edge{id(r, c), id(r, (c + 1) % cols)});
+        t.edges.push_back(Edge{id(r, (c + 1) % cols), id(r, c)});
+      }
+      if (r < col_links) {
+        t.edges.push_back(Edge{id(r, c), id((r + 1) % rows, c)});
+        t.edges.push_back(Edge{id((r + 1) % rows, c), id(r, c)});
+      }
     }
   }
   return t;
@@ -202,51 +205,66 @@ Topology random_geometric(std::size_t n, double radius, Rng& rng,
   return Topology{};
 }
 
-std::vector<std::vector<std::size_t>> out_adjacency(const Topology& t) {
-  std::vector<std::vector<std::size_t>> adj(t.n);
-  for (std::size_t e = 0; e < t.edges.size(); ++e) {
-    adj[t.edges[e].from].push_back(e);
+template <typename EndpointOf>
+Adjacency Adjacency::build(const Topology& t, EndpointOf endpoint) {
+  Adjacency adj;
+  adj.offsets_.assign(t.n + 1, 0);
+  for (const Edge& e : t.edges) ++adj.offsets_[endpoint(e) + 1];
+  for (std::size_t u = 0; u < t.n; ++u) {
+    adj.offsets_[u + 1] += adj.offsets_[u];
   }
+  // Fill in edge order; offsets_[u] serves as u's cursor and is shifted back
+  // afterwards, so no third array is needed.
+  adj.edges_.resize(t.edges.size());
+  for (std::size_t e = 0; e < t.edges.size(); ++e) {
+    adj.edges_[adj.offsets_[endpoint(t.edges[e])]++] = e;
+  }
+  for (std::size_t u = t.n; u > 0; --u) {
+    adj.offsets_[u] = adj.offsets_[u - 1];
+  }
+  adj.offsets_[0] = 0;
   return adj;
 }
 
-std::vector<std::vector<std::size_t>> in_adjacency(const Topology& t) {
-  std::vector<std::vector<std::size_t>> adj(t.n);
-  for (std::size_t e = 0; e < t.edges.size(); ++e) {
-    adj[t.edges[e].to].push_back(e);
+std::vector<std::size_t> Adjacency::local_indices() const {
+  std::vector<std::size_t> index(edges_.size(), 0);
+  for (std::size_t u = 0; u < node_count(); ++u) {
+    for (std::size_t at = offsets_[u]; at < offsets_[u + 1]; ++at) {
+      index[edges_[at]] = at - offsets_[u];
+    }
   }
-  return adj;
+  return index;
+}
+
+Adjacency out_adjacency(const Topology& t) {
+  return Adjacency::build(t, [](const Edge& e) { return e.from; });
+}
+
+Adjacency in_adjacency(const Topology& t) {
+  return Adjacency::build(t, [](const Edge& e) { return e.to; });
 }
 
 namespace {
 
-// BFS reachability over directed edges (forward or reversed).
+// BFS reachability from node 0 over directed edges (forward or reversed).
 std::size_t reachable_count(const Topology& t, bool reversed) {
   if (t.n == 0) return 0;
-  std::vector<std::vector<std::size_t>> nbr(t.n);
-  for (const Edge& e : t.edges) {
-    if (reversed) {
-      nbr[e.to].push_back(e.from);
-    } else {
-      nbr[e.from].push_back(e.to);
-    }
-  }
+  const Adjacency adj = reversed ? in_adjacency(t) : out_adjacency(t);
   std::vector<char> seen(t.n, 0);
-  std::deque<std::size_t> queue{0};
+  // The visit order doubles as the BFS queue: [head, order.size()).
+  std::vector<std::size_t> order{0};
+  order.reserve(t.n);
   seen[0] = 1;
-  std::size_t count = 1;
-  while (!queue.empty()) {
-    const std::size_t u = queue.front();
-    queue.pop_front();
-    for (std::size_t v : nbr[u]) {
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    for (std::size_t e : adj.of(order[head])) {
+      const std::size_t v = reversed ? t.edges[e].from : t.edges[e].to;
       if (!seen[v]) {
         seen[v] = 1;
-        ++count;
-        queue.push_back(v);
+        order.push_back(v);
       }
     }
   }
-  return count;
+  return order.size();
 }
 
 }  // namespace
@@ -259,17 +277,19 @@ bool is_strongly_connected(const Topology& t) {
 std::size_t diameter(const Topology& t) {
   ABE_CHECK(is_strongly_connected(t));
   if (t.n <= 1) return 0;
-  std::vector<std::vector<std::size_t>> nbr(t.n);
-  for (const Edge& e : t.edges) nbr[e.from].push_back(e.to);
+  const Adjacency out = out_adjacency(t);
   std::size_t best = 0;
+  std::vector<std::size_t> dist(t.n);
+  std::vector<std::size_t> queue;
+  queue.reserve(t.n);
   for (std::size_t s = 0; s < t.n; ++s) {
-    std::vector<std::size_t> dist(t.n, t.n + 1);
-    std::deque<std::size_t> queue{s};
+    std::fill(dist.begin(), dist.end(), t.n + 1);
+    queue.assign(1, s);
     dist[s] = 0;
-    while (!queue.empty()) {
-      const std::size_t u = queue.front();
-      queue.pop_front();
-      for (std::size_t v : nbr[u]) {
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const std::size_t u = queue[head];
+      for (std::size_t e : out.of(u)) {
+        const std::size_t v = t.edges[e].to;
         if (dist[v] > dist[u] + 1) {
           dist[v] = dist[u] + 1;
           queue.push_back(v);

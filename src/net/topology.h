@@ -72,10 +72,66 @@ Topology random_connected(std::size_t n, double p, Rng& rng);
 Topology random_geometric(std::size_t n, double radius, Rng& rng,
                           std::vector<double>* positions = nullptr);
 
+// Per-node channel lists in compressed sparse row (CSR) form.
+//
+// Layout: two flat arrays instead of one vector per node.
+//   offsets_  n + 1 entries; offsets_[0] = 0, offsets_[n] = E.
+//   edges_    E entries; node u's list is edges_[offsets_[u], offsets_[u+1]).
+// Each entry is an index into Topology::edges, and every list is in edge
+// order, so entry k of node u's list is u's local channel k (the out_index a
+// node passes to Context::send, or the in_index it receives). Building one
+// is a counting pass plus a fill pass: O(n + E) time, two allocations.
+class Adjacency {
+ public:
+  // A read-only view of one node's list (contiguous edge indices).
+  class Span {
+   public:
+    Span(const std::size_t* first, const std::size_t* last)
+        : first_(first), last_(last) {}
+    const std::size_t* begin() const { return first_; }
+    const std::size_t* end() const { return last_; }
+    std::size_t size() const {
+      return static_cast<std::size_t>(last_ - first_);
+    }
+    std::size_t operator[](std::size_t k) const { return first_[k]; }
+
+   private:
+    const std::size_t* first_;
+    const std::size_t* last_;
+  };
+
+  Adjacency() = default;
+
+  // Number of nodes the adjacency covers.
+  std::size_t node_count() const {
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
+  }
+  std::size_t degree(std::size_t u) const {
+    return offsets_[u + 1] - offsets_[u];
+  }
+  Span of(std::size_t u) const {
+    return Span(edges_.data() + offsets_[u], edges_.data() + offsets_[u + 1]);
+  }
+
+  // For every edge listed here, its position k within its node's list:
+  // result[of(u)[k]] = k. For in_adjacency this is the receiver-side
+  // in-index of each edge.
+  std::vector<std::size_t> local_indices() const;
+
+ private:
+  friend Adjacency out_adjacency(const Topology& t);
+  friend Adjacency in_adjacency(const Topology& t);
+  template <typename EndpointOf>
+  static Adjacency build(const Topology& t, EndpointOf endpoint);
+
+  std::vector<std::size_t> offsets_;
+  std::vector<std::size_t> edges_;
+};
+
 // Out-channel lists: for each node, the indices into topology.edges of its
 // outgoing edges, in edge order. in_adjacency is the analogue for incoming.
-std::vector<std::vector<std::size_t>> out_adjacency(const Topology& t);
-std::vector<std::vector<std::size_t>> in_adjacency(const Topology& t);
+Adjacency out_adjacency(const Topology& t);
+Adjacency in_adjacency(const Topology& t);
 
 // Kosaraju-style check that every node reaches every other.
 bool is_strongly_connected(const Topology& t);

@@ -176,8 +176,9 @@ class ThreadNetwork {
   ThreadNetConfig config_;
   Rng root_rng_;
   std::vector<Slot> slots_;
-  std::vector<std::vector<std::size_t>> out_channels_;
-  std::vector<std::vector<std::size_t>> in_channels_;
+  std::size_t next_slot_ = 0;  // add_node fills slots_ in index order
+  Adjacency out_channels_;     // node -> edge indices
+  Adjacency in_channels_;
   std::vector<std::size_t> in_index_of_edge_;
   MailItem::Clock::time_point start_time_{};
   std::atomic<std::uint64_t> messages_sent_{0};

@@ -57,18 +57,18 @@ class UdpNetwork::UdpContext final : public Context {
     return NodeId{static_cast<std::int64_t>(index_)};
   }
   std::size_t out_degree() const override {
-    return net_->out_channels_[index_].size();
+    return net_->out_channels_.degree(index_);
   }
   std::size_t in_degree() const override {
-    return net_->in_channels_[index_].size();
+    return net_->in_channels_.degree(index_);
   }
   std::size_t network_size() const override { return net_->size(); }
 
   void send(std::size_t out_index, PayloadPtr payload) override {
-    ABE_CHECK_LT(out_index, net_->out_channels_[index_].size());
+    ABE_CHECK_LT(out_index, net_->out_channels_.degree(index_));
     ABE_CHECK(static_cast<bool>(payload));
     Slot& self_slot = net_->slots_[index_];
-    const std::size_t edge = net_->out_channels_[index_][out_index];
+    const std::size_t edge = net_->out_channels_.of(index_)[out_index];
     const std::size_t to = net_->config_.topology.edges[edge].to;
 
     net_->messages_sent_.fetch_add(1, std::memory_order_relaxed);
@@ -188,12 +188,7 @@ UdpNetwork::UdpNetwork(UdpNetConfig config)
   const std::size_t n = config_.topology.n;
   out_channels_ = out_adjacency(config_.topology);
   in_channels_ = in_adjacency(config_.topology);
-  in_index_of_edge_.assign(config_.topology.edges.size(), 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    for (std::size_t k = 0; k < in_channels_[v].size(); ++k) {
-      in_index_of_edge_[in_channels_[v][k]] = k;
-    }
-  }
+  in_index_of_edge_ = in_channels_.local_indices();
 
   // Sockets open in the constructor so every sender knows every port before
   // the first datagram — start() only spawns threads.
@@ -212,8 +207,8 @@ UdpNetwork::UdpNetwork(UdpNetConfig config)
     } else {
       slots_[i].clock_rate = 1.0;
     }
-    slots_[i].next_seq.assign(out_channels_[i].size(), 0);
-    slots_[i].rx.resize(in_channels_[i].size());
+    slots_[i].next_seq.assign(out_channels_.degree(i), 0);
+    slots_[i].rx.resize(in_channels_.degree(i));
   }
 
   // Measured-delay instruments live in the network's own registry and are
@@ -316,13 +311,8 @@ MetricsSnapshot UdpNetwork::metrics_snapshot() const {
 void UdpNetwork::add_node(NodePtr node) {
   ABE_CHECK(!started_.load());
   ABE_CHECK(static_cast<bool>(node));
-  for (auto& slot : slots_) {
-    if (!slot.node) {
-      slot.node = std::move(node);
-      return;
-    }
-  }
-  ABE_CHECK(false) << "more nodes than topology slots";
+  ABE_CHECK_LT(next_slot_, slots_.size()) << "more nodes than topology slots";
+  slots_[next_slot_++].node = std::move(node);
 }
 
 void UdpNetwork::build_nodes(

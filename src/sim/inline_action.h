@@ -17,8 +17,10 @@ namespace abe {
 
 class InlineAction {
  public:
-  // Sized for the largest hot-path closure (message delivery captures a
-  // shared_ptr payload plus routing fields: 48 bytes).
+  // Sized for the largest hot-path closure: the processing-delay
+  // continuation in net/network.cpp captures the owned payload plus five
+  // 8-byte routing and timing fields (48 bytes). Network static_asserts
+  // stores_inline<> on it and on the delivery event (40 bytes).
   static constexpr std::size_t kInlineSize = 48;
 
   // True when a callable of type F is stored in the inline buffer (no heap

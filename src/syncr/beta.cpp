@@ -18,7 +18,7 @@ std::string BetaControl::describe() const {
 
 std::vector<BetaWiring> build_beta_wiring(const Topology& topology,
                                           const SpanningTree& tree) {
-  const auto in_adj = in_adjacency(topology);
+  const Adjacency in_adj = in_adjacency(topology);
   const OutChannelIndex to_nbr(topology);
   constexpr std::size_t kNone = OutChannelIndex::kNone;
 
@@ -38,9 +38,10 @@ std::vector<BetaWiring> build_beta_wiring(const Topology& topology,
       w.children_out.push_back(out);
     }
     // Ack routes: for each incoming channel, the channel back to its sender.
-    w.reverse_of_in.resize(in_adj[v].size());
-    for (std::size_t k = 0; k < in_adj[v].size(); ++k) {
-      const std::size_t sender = topology.edges[in_adj[v][k]].from;
+    const Adjacency::Span in = in_adj.of(v);
+    w.reverse_of_in.resize(in.size());
+    for (std::size_t k = 0; k < in.size(); ++k) {
+      const std::size_t sender = topology.edges[in[k]].from;
       const std::size_t back = to_nbr.channel(v, sender);
       ABE_CHECK(back != kNone) << "edge " << sender << "->" << v
                                << " lacks the reverse ack channel";

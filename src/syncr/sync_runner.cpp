@@ -11,16 +11,11 @@ SyncRunResult run_synchronous(const Topology& topology,
                               std::uint64_t rounds, std::uint64_t seed) {
   validate_topology(topology);
   const std::size_t n = topology.n;
-  const auto out_adj = out_adjacency(topology);
-  const auto in_adj = in_adjacency(topology);
+  const Adjacency out_adj = out_adjacency(topology);
+  const Adjacency in_adj = in_adjacency(topology);
 
   // Receiver-side in-index of each edge.
-  std::vector<std::size_t> in_index_of_edge(topology.edges.size(), 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    for (std::size_t k = 0; k < in_adj[v].size(); ++k) {
-      in_index_of_edge[in_adj[v][k]] = k;
-    }
-  }
+  const std::vector<std::size_t> in_index_of_edge = in_adj.local_indices();
 
   Rng root(seed);
   std::vector<Rng> rngs;
@@ -32,7 +27,7 @@ SyncRunResult run_synchronous(const Topology& topology,
     rngs.push_back(root.substream("sync-app", i));
     apps.push_back(factory(i));
     ABE_CHECK(static_cast<bool>(apps.back()));
-    contexts[i] = SyncAppContext{i, out_adj[i].size(), in_adj[i].size(), n,
+    contexts[i] = SyncAppContext{i, out_adj.degree(i), in_adj.degree(i), n,
                                  nullptr};
   }
   for (std::size_t i = 0; i < n; ++i) contexts[i].rng = &rngs[i];
@@ -43,9 +38,9 @@ SyncRunResult run_synchronous(const Topology& topology,
 
   auto dispatch = [&](std::size_t from, std::vector<SyncOutgoing> out) {
     for (auto& msg : out) {
-      ABE_CHECK_LT(msg.out_index, out_adj[from].size());
+      ABE_CHECK_LT(msg.out_index, out_adj.degree(from));
       ABE_CHECK(static_cast<bool>(msg.payload));
-      const std::size_t edge = out_adj[from][msg.out_index];
+      const std::size_t edge = out_adj.of(from)[msg.out_index];
       const std::size_t to = topology.edges[edge].to;
       inboxes[to].push_back(SyncIncoming{
           in_index_of_edge[edge],

@@ -123,7 +123,7 @@ TEST(BetaWiring, RoutesAreSane) {
   EXPECT_EQ(total_children, 5u);  // n - 1 tree edges
   const auto in_adj = in_adjacency(t);
   for (std::size_t v = 0; v < t.n; ++v) {
-    EXPECT_EQ(wiring[v].reverse_of_in.size(), in_adj[v].size());
+    EXPECT_EQ(wiring[v].reverse_of_in.size(), in_adj.degree(v));
   }
 }
 

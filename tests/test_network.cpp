@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "net/topology.h"
@@ -403,6 +406,125 @@ TEST(Network, ExtraNodeRejected) {
   Network net(std::move(config));
   net.add_node(std::make_unique<SinkNode>());
   EXPECT_DEATH(net.add_node(std::make_unique<SinkNode>()), "more nodes");
+}
+
+// --- payload lifetime -------------------------------------------------------
+
+// Counts its own destructions, so a test can check that every payload the
+// network carried was freed exactly once.
+class CountingPayload final : public Payload {
+ public:
+  explicit CountingPayload(std::size_t* freed) : freed_(freed) {}
+  ~CountingPayload() override { ++*freed_; }
+  std::unique_ptr<Payload> clone() const override {
+    return std::make_unique<CountingPayload>(freed_);
+  }
+  std::string describe() const override { return "Counting"; }
+
+ private:
+  std::size_t* freed_;
+};
+
+// Sends `burst` counting payloads on every out-channel at start, then
+// forwards on channel 0 for its first `forwards` deliveries, so payloads are
+// also created and freed from inside handlers.
+class CountingFloodNode final : public Node {
+ public:
+  CountingFloodNode(std::size_t* freed, int burst, int forwards)
+      : freed_(freed), burst_(burst), forwards_left_(forwards) {}
+
+  void on_start(Context& ctx) override {
+    for (std::size_t k = 0; k < ctx.out_degree(); ++k) {
+      for (int b = 0; b < burst_; ++b) {
+        ctx.send(k, std::make_unique<CountingPayload>(freed_));
+      }
+    }
+  }
+  void on_message(Context& ctx, std::size_t, const Payload& payload) override {
+    ASSERT_NE(payload_cast<CountingPayload>(payload), nullptr);
+    if (forwards_left_ > 0) {
+      --forwards_left_;
+      ctx.send(0, std::make_unique<CountingPayload>(freed_));
+    }
+  }
+
+ private:
+  std::size_t* freed_;
+  int burst_;
+  int forwards_left_;
+};
+
+enum class Teardown { kAfterQuiescence, kInFlight };
+
+// Runs a counting flood on a 6-node bidirectional ring and checks that the
+// payloads freed equal the payloads sent: at quiescence already (each one is
+// freed on delivery or drop, not held until teardown), and after the
+// Network is destroyed with messages still queued (pending delivery events
+// and processing continuations free theirs).
+void expect_payloads_freed_once(ProcessingModel processing, double loss,
+                                Teardown teardown) {
+  std::size_t freed = 0;
+  std::uint64_t sent = 0;
+  {
+    NetworkConfig config;
+    config.topology = bidirectional_ring(6);
+    config.delay = exponential_delay(1.0);
+    config.processing = processing;
+    config.loss_probability = loss;
+    config.seed = 11;
+    Network net(std::move(config));
+    net.build_nodes([&freed](std::size_t) {
+      return std::make_unique<CountingFloodNode>(&freed, /*burst=*/3,
+                                                 /*forwards=*/5);
+    });
+    net.start();
+    if (teardown == Teardown::kInFlight) {
+      net.run_until([&net] { return net.metrics().messages_delivered >= 10; });
+      sent = net.metrics().messages_sent;
+      EXPECT_GT(net.metrics().in_flight(), 0u);
+      EXPECT_LT(freed, sent);
+    } else {
+      net.run_until_quiescent();
+      sent = net.metrics().messages_sent;
+      EXPECT_EQ(net.metrics().in_flight(), 0u);
+      EXPECT_EQ(freed, sent) << "payloads must be freed when delivered";
+      if (loss > 0.0) {
+        EXPECT_GT(net.metrics().messages_dropped, 0u);
+      }
+    }
+  }
+  EXPECT_GT(sent, 36u);  // 6 nodes x 2 channels x burst 3, plus forwards
+  EXPECT_EQ(freed, sent);
+}
+
+TEST(Network, PayloadFreedOncePerSendZeroProcessing) {
+  expect_payloads_freed_once(ProcessingModel::zero(), 0.0,
+                             Teardown::kAfterQuiescence);
+}
+
+TEST(Network, PayloadFreedOncePerSendFixedProcessing) {
+  expect_payloads_freed_once(ProcessingModel::fixed(0.5), 0.0,
+                             Teardown::kAfterQuiescence);
+}
+
+TEST(Network, PayloadFreedOncePerSendExponentialProcessing) {
+  expect_payloads_freed_once(ProcessingModel::exponential(0.5), 0.0,
+                             Teardown::kAfterQuiescence);
+}
+
+TEST(Network, PayloadFreedOncePerSendWhenDropped) {
+  for (const ProcessingModel& processing :
+       {ProcessingModel::zero(), ProcessingModel::fixed(0.5)}) {
+    expect_payloads_freed_once(processing, 0.4, Teardown::kAfterQuiescence);
+  }
+}
+
+TEST(Network, PayloadFreedOncePerSendWhenDestroyedInFlight) {
+  for (const ProcessingModel& processing :
+       {ProcessingModel::zero(), ProcessingModel::fixed(2.0),
+        ProcessingModel::exponential(2.0)}) {
+    expect_payloads_freed_once(processing, 0.0, Teardown::kInFlight);
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/harness.h"
 #include "runtime/mailbox.h"
@@ -211,6 +212,20 @@ ThreadNetConfig two_node_config(double time_scale_us = 1000.0) {
   config.time_scale_us = time_scale_us;
   config.drift = DriftModel::kNone;
   return config;
+}
+
+TEST(ThreadNet, AddNodeFillsSlotsInOrderAndRejectsExtra) {
+  ThreadNetwork net(two_node_config());
+  std::vector<const Node*> made;
+  for (std::size_t i = 0; i < 2; ++i) {
+    auto node = std::make_unique<TimerTerminator>(1.0);
+    made.push_back(node.get());
+    net.add_node(std::move(node));
+  }
+  EXPECT_EQ(&net.node(0), made[0]);
+  EXPECT_EQ(&net.node(1), made[1]);
+  EXPECT_DEATH(net.add_node(std::make_unique<TimerTerminator>(1.0)),
+               "more nodes than topology slots");
 }
 
 TEST(ThreadNet, WaitUntilAlreadyTruePredicateReturnsImmediately) {

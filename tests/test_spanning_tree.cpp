@@ -86,12 +86,11 @@ TEST(SpanningTree, UnidirectionalRingRejected) {
 
 // Brute-force reference for OutChannelIndex: scan u's out-channels in
 // out_adjacency order; with parallel edges the last one wins.
-std::size_t brute_force_channel(
-    const Topology& t, const std::vector<std::vector<std::size_t>>& out,
-    std::size_t u, std::size_t v) {
+std::size_t brute_force_channel(const Topology& t, const Adjacency& out,
+                                std::size_t u, std::size_t v) {
   std::size_t found = OutChannelIndex::kNone;
-  for (std::size_t k = 0; k < out[u].size(); ++k) {
-    if (t.edges[out[u][k]].to == v) found = k;
+  for (std::size_t k = 0; k < out.degree(u); ++k) {
+    if (t.edges[out.of(u)[k]].to == v) found = k;
   }
   return found;
 }
@@ -112,8 +111,8 @@ TEST(SpanningTree, OutChannelMapConsistent) {
   const OutChannelIndex index(t);
   const auto out = out_adjacency(t);
   for (std::size_t u = 0; u < t.n; ++u) {
-    for (std::size_t k = 0; k < out[u].size(); ++k) {
-      const std::size_t v = t.edges[out[u][k]].to;
+    for (std::size_t k = 0; k < out.degree(u); ++k) {
+      const std::size_t v = t.edges[out.of(u)[k]].to;
       EXPECT_EQ(index.channel(u, v), k);
     }
   }
@@ -191,7 +190,7 @@ void expect_beta_wiring_matches_reference(const Topology& t) {
     }
     EXPECT_EQ(got[v].children_out, children) << t.name << " node " << v;
     std::vector<std::size_t> reverse;
-    for (std::size_t e : in[v]) {
+    for (std::size_t e : in.of(v)) {
       reverse.push_back(brute_force_channel(t, out, v, t.edges[e].from));
     }
     EXPECT_EQ(got[v].reverse_of_in, reverse) << t.name << " node " << v;

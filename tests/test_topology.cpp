@@ -3,7 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "net/network.h"
+#include "scenario/scenario.h"
 
 namespace abe {
 namespace {
@@ -15,9 +22,9 @@ TEST(Topology, UnidirectionalRingShape) {
   const auto out = out_adjacency(t);
   const auto in = in_adjacency(t);
   for (std::size_t i = 0; i < 5; ++i) {
-    ASSERT_EQ(out[i].size(), 1u);
-    ASSERT_EQ(in[i].size(), 1u);
-    EXPECT_EQ(t.edges[out[i][0]].to, (i + 1) % 5);
+    ASSERT_EQ(out.degree(i), 1u);
+    ASSERT_EQ(in.degree(i), 1u);
+    EXPECT_EQ(t.edges[out.of(i)[0]].to, (i + 1) % 5);
   }
   EXPECT_TRUE(is_strongly_connected(t));
   EXPECT_EQ(diameter(t), 4u);
@@ -58,8 +65,8 @@ TEST(Topology, StarShape) {
   EXPECT_TRUE(is_strongly_connected(t));
   EXPECT_EQ(diameter(t), 2u);
   const auto out = out_adjacency(t);
-  EXPECT_EQ(out[0].size(), 8u);  // hub
-  EXPECT_EQ(out[3].size(), 1u);  // spoke
+  EXPECT_EQ(out.degree(0), 8u);  // hub
+  EXPECT_EQ(out.degree(3), 1u);  // spoke
 }
 
 TEST(Topology, CompleteShape) {
@@ -92,7 +99,50 @@ TEST(Topology, TorusTwoByTwoDeduplicates) {
   // dropped rather than doubled.
   const auto out = out_adjacency(t);
   for (std::size_t i = 0; i < t.n; ++i) {
-    EXPECT_EQ(out[i].size(), 2u);
+    EXPECT_EQ(out.degree(i), 2u);
+  }
+}
+
+// The torus builder as it was written with a std::set dedup: every wrap
+// link is offered in both directions at every position and repeats are
+// dropped. torus() must emit the identical edge list without the set.
+Topology set_dedup_torus(std::size_t rows, std::size_t cols) {
+  Topology t;
+  t.n = rows * cols;
+  t.name = "torus";
+  auto id = [cols](std::size_t r, std::size_t c) { return r * cols + c; };
+  std::set<std::pair<std::size_t, std::size_t>> seen;
+  auto add = [&](std::size_t a, std::size_t b) {
+    if (a == b) return;
+    if (seen.insert({a, b}).second) t.edges.push_back(Edge{a, b});
+  };
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      add(id(r, c), id(r, (c + 1) % cols));
+      add(id(r, (c + 1) % cols), id(r, c));
+      add(id(r, c), id((r + 1) % rows, c));
+      add(id((r + 1) % rows, c), id(r, c));
+    }
+  }
+  return t;
+}
+
+TEST(Topology, TorusEqualsSetDedupReference) {
+  // Covers 2x2, 2xk and kx2, where one or both dimensions wrap onto the
+  // same neighbour, and the duplicate-free k x k case.
+  for (std::size_t rows : {2u, 3u, 4u, 7u}) {
+    for (std::size_t cols : {2u, 3u, 4u, 7u}) {
+      const Topology got = torus(rows, cols);
+      const Topology want = set_dedup_torus(rows, cols);
+      SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(cols));
+      EXPECT_EQ(got.n, want.n);
+      EXPECT_EQ(got.name, want.name);
+      ASSERT_EQ(got.edges.size(), want.edges.size());
+      for (std::size_t e = 0; e < got.edges.size(); ++e) {
+        EXPECT_EQ(got.edges[e].from, want.edges[e].from) << "edge " << e;
+        EXPECT_EQ(got.edges[e].to, want.edges[e].to) << "edge " << e;
+      }
+    }
   }
 }
 
@@ -238,12 +288,135 @@ TEST(Topology, InIndexMappingConsistent) {
   const auto in = in_adjacency(t);
   std::set<std::size_t> all_edges;
   for (std::size_t v = 0; v < t.n; ++v) {
-    for (std::size_t e : in[v]) {
+    for (std::size_t e : in.of(v)) {
       EXPECT_EQ(t.edges[e].to, v);
       all_edges.insert(e);
     }
   }
   EXPECT_EQ(all_edges.size(), t.edge_count());
+}
+
+// --- CSR adjacency against a brute-force scan of topology.edges -----------
+
+// Node u's out- (or in-) edges, by scanning every edge in edge order.
+std::vector<std::vector<std::size_t>> scan_edges(const Topology& t,
+                                                 bool incoming) {
+  std::vector<std::vector<std::size_t>> lists(t.n);
+  for (std::size_t u = 0; u < t.n; ++u) {
+    for (std::size_t e = 0; e < t.edges.size(); ++e) {
+      if ((incoming ? t.edges[e].to : t.edges[e].from) == u) {
+        lists[u].push_back(e);
+      }
+    }
+  }
+  return lists;
+}
+
+void expect_adjacency_equals(const Adjacency& adj,
+                             const std::vector<std::vector<std::size_t>>& want,
+                             const char* which) {
+  ASSERT_EQ(adj.node_count(), want.size()) << which;
+  for (std::size_t u = 0; u < want.size(); ++u) {
+    const Adjacency::Span got = adj.of(u);
+    EXPECT_EQ(adj.degree(u), want[u].size()) << which << " node " << u;
+    EXPECT_EQ(std::vector<std::size_t>(got.begin(), got.end()), want[u])
+        << which << " node " << u;
+  }
+}
+
+// Sends, on every out-channel k, the global index of the edge the brute-force
+// scan says channel k is, and records (in_index, edge) for what arrives.
+class EdgeProbeNode final : public Node {
+ public:
+  EdgeProbeNode(const std::vector<std::vector<std::size_t>>* out,
+                std::vector<std::pair<std::size_t, std::size_t>>* received)
+      : out_(out), received_(received) {}
+
+  void on_start(Context& ctx) override {
+    const auto self = static_cast<std::size_t>(ctx.self().value());
+    for (std::size_t k = 0; k < ctx.out_degree(); ++k) {
+      ctx.send(k, std::make_unique<IntPayload>(
+                      static_cast<std::int64_t>((*out_)[self][k])));
+    }
+  }
+  void on_message(Context&, std::size_t in_index,
+                  const Payload& payload) override {
+    received_->emplace_back(
+        in_index,
+        static_cast<std::size_t>(payload_as<IntPayload>(payload).value()));
+  }
+
+ private:
+  const std::vector<std::vector<std::size_t>>* out_;
+  std::vector<std::pair<std::size_t, std::size_t>>* received_;
+};
+
+// The CSR out/in lists, the in-index map and the Network's channel numbering
+// (out_index -> edge on send, edge -> in_index on delivery) all equal the
+// brute-force scan.
+void expect_channels_match_brute_force(const Topology& t) {
+  const auto want_out = scan_edges(t, /*incoming=*/false);
+  const auto want_in = scan_edges(t, /*incoming=*/true);
+  expect_adjacency_equals(out_adjacency(t), want_out, "out");
+  expect_adjacency_equals(in_adjacency(t), want_in, "in");
+  const std::vector<std::size_t> in_index = in_adjacency(t).local_indices();
+  ASSERT_EQ(in_index.size(), t.edge_count());
+  for (std::size_t v = 0; v < t.n; ++v) {
+    for (std::size_t k = 0; k < want_in[v].size(); ++k) {
+      EXPECT_EQ(in_index[want_in[v][k]], k) << "node " << v;
+    }
+  }
+
+  NetworkConfig config;
+  config.topology = t;
+  config.seed = 3;
+  Network net(config);
+  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> received(t.n);
+  net.build_nodes([&](std::size_t i) {
+    return std::make_unique<EdgeProbeNode>(&want_out, &received[i]);
+  });
+  net.start();
+  net.run_until_quiescent();
+  for (std::size_t v = 0; v < t.n; ++v) {
+    ASSERT_EQ(received[v].size(), want_in[v].size()) << "node " << v;
+    std::vector<char> seen(want_in[v].size(), 0);
+    for (const auto& [in_index, edge] : received[v]) {
+      ASSERT_LT(in_index, want_in[v].size()) << "node " << v;
+      EXPECT_EQ(want_in[v][in_index], edge) << "node " << v;
+      EXPECT_FALSE(seen[in_index]) << "node " << v << " in " << in_index;
+      seen[in_index] = 1;
+    }
+  }
+}
+
+TEST(Topology, AdjacencyMatchesBruteForceForEveryFamily) {
+  for (TopologyFamily family :
+       {TopologyFamily::kRingUni, TopologyFamily::kRingBi,
+        TopologyFamily::kLine, TopologyFamily::kStar,
+        TopologyFamily::kComplete, TopologyFamily::kGrid,
+        TopologyFamily::kTorus, TopologyFamily::kHypercube,
+        TopologyFamily::kGnp, TopologyFamily::kGeometric}) {
+    for (std::size_t n : {1u, 4u, 12u, 16u}) {
+      const TopologySpec spec{family, n, 0.0};
+      if (!spec.problem().empty()) continue;  // e.g. hypercube of 12
+      Rng rng(n);
+      const Topology t = spec.build(rng);
+      SCOPED_TRACE(std::string(topology_family_name(family)) + " n=" +
+                   std::to_string(n));
+      expect_channels_match_brute_force(t);
+    }
+  }
+}
+
+TEST(Topology, AdjacencyMatchesBruteForceWithParallelEdges) {
+  // Parallel edges keep separate channels, numbered in edge order.
+  Topology t;
+  t.n = 3;
+  t.edges = {{0, 1}, {0, 2}, {0, 1}, {1, 0}, {2, 0}, {1, 0}, {1, 2}};
+  expect_channels_match_brute_force(t);
+  const Adjacency in = in_adjacency(t);
+  EXPECT_EQ(in.degree(0), 3u);
+  EXPECT_EQ(in.of(0)[2], 5u);
 }
 
 TEST(Topology, ValidateRejectsSelfLoop) {

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "net/delay.h"
 #include "net/message.h"
@@ -226,6 +227,21 @@ TEST(UdpNet, OverSocketBudgetCellIsRejectedStructurally) {
   // Same size is fine on the thread runtime (bigger budget, no sockets).
   spec.runtime = RuntimeKind::kThread;
   EXPECT_EQ(runtime_cell_problem(spec), "");
+}
+
+TEST(UdpNet, AddNodeFillsSlotsInOrderAndRejectsExtra) {
+  UdpNetConfig config;
+  config.topology = unidirectional_ring(3);
+  UdpNetwork net(std::move(config));
+  std::vector<const Node*> made;
+  for (std::size_t i = 0; i < 3; ++i) {
+    auto node = std::make_unique<CountingSink>();
+    made.push_back(node.get());
+    net.add_node(std::move(node));
+  }
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(&net.node(i), made[i]);
+  EXPECT_DEATH(net.add_node(std::make_unique<CountingSink>()),
+               "more nodes than topology slots");
 }
 
 TEST(UdpNet, PiecewiseDriftRejected) {
