@@ -42,8 +42,9 @@ std::string PollPayload::describe() const {
 
 std::vector<PollingWiring> build_polling_wiring(const Topology& topology,
                                                 std::size_t root) {
-  const OutChannelIndex chan(topology);
-  const SpanningTree tree = bfs_spanning_tree(topology, root, chan);
+  const Adjacency out = out_adjacency(topology);
+  const OutChannelIndex chan(topology, out);
+  const SpanningTree tree = bfs_spanning_tree(topology, root, out, chan);
   std::vector<PollingWiring> wiring(topology.n);
   for (std::size_t i = 0; i < topology.n; ++i) {
     wiring[i].is_root = (i == root);

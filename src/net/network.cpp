@@ -109,19 +109,23 @@ Network::Network(NetworkConfig config)
   next_sample_ = config_.timeseries_interval;
 
   const std::size_t n = config_.topology.n;
+  const std::size_t edge_count = config_.topology.edges.size();
+  ABE_CHECK_LE(std::max(n, edge_count), std::size_t{UINT32_MAX})
+      << "channel records hold node and in-channel indices in 32 bits";
   out_channels_ = out_adjacency(config_.topology);
   in_channels_ = in_adjacency(config_.topology);
-  in_index_of_edge_ = in_channels_.local_indices();
-  channels_.resize(config_.topology.edges.size());
-  for (auto& ch : channels_) {
-    ch.delay = config_.delay;
-    ch.loss_probability = config_.loss_probability;
+  channels_.resize(edge_count);
+  for (std::size_t v = 0; v < n; ++v) {
+    const Adjacency::Span in = in_channels_.of(v);
+    for (std::size_t k = 0; k < in.size(); ++k) {
+      ChannelState& ch = channels_[in[k]];
+      ch.delay = config_.delay.get();
+      ch.loss_probability = config_.loss_probability;
+      ch.to = static_cast<std::uint32_t>(v);
+      ch.in_index = static_cast<std::uint32_t>(k);
+    }
   }
-  metrics_.sent_by_node.assign(n, 0);
-  metrics_.sent_by_channel.assign(channels_.size(), 0);
   if (config_.metrics) {
-    delivered_by_channel_.assign(channels_.size(), 0);
-    dropped_by_channel_.assign(channels_.size(), 0);
     // Geometric buckets around the configured mean delay δ — the scale the
     // ABE contract promises — with a deep 2^6 tail (the part "bounded
     // EXPECTED delay" leaves unbounded).
@@ -170,7 +174,8 @@ void Network::set_channel_delay(std::size_t edge_index, DelayModelPtr delay) {
   ABE_CHECK(!started_);
   ABE_CHECK_LT(edge_index, channels_.size());
   ABE_CHECK(static_cast<bool>(delay));
-  channels_[edge_index].delay = std::move(delay);
+  channels_[edge_index].delay = delay.get();
+  delay_overrides_.push_back(std::move(delay));
 }
 
 void Network::set_channel_loss(std::size_t edge_index,
@@ -189,12 +194,14 @@ void Network::start() {
         << "node " << i << " missing before start()";
   }
   started_ = true;
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    scheduler_.schedule_at(0.0, [this, i] {
+  scheduler_.schedule_at(0.0, [this] {
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
       current_cause_ = -1;  // on_start is a causal root: no trace record
       slots_[i].node->on_start(contexts_[i]);
-    });
-    if (config_.enable_ticks) {
+    }
+  });
+  if (config_.enable_ticks) {
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
       slots_[i].ticking = true;
       schedule_next_tick(i);
     }
@@ -263,8 +270,7 @@ void Network::send_from(std::size_t node_index, std::size_t out_index,
   ChannelState& ch = channels_[edge_index];
 
   ++metrics_.messages_sent;
-  ++metrics_.sent_by_node[node_index];
-  ++metrics_.sent_by_channel[edge_index];
+  ++ch.sent;
   // Flight recorder: the lite record (numeric edge arg) is always on; the
   // payload string is formatted only in full trace mode. The send's cause is
   // the handler that issued it.
@@ -287,18 +293,16 @@ void Network::send_from(std::size_t node_index, std::size_t out_index,
   if (ch.loss_probability > 0.0 &&
       channel_rng_.bernoulli(ch.loss_probability)) {
     ++metrics_.messages_dropped;
-    if (!dropped_by_channel_.empty()) ++dropped_by_channel_[edge_index];
+    ++ch.dropped;
     if (trace_.enabled()) {
       trace_.record(now(), TraceKind::kDrop,
-                    NodeId{static_cast<std::int64_t>(
-                        config_.topology.edges[edge_index].to)},
+                    NodeId{static_cast<std::int64_t>(ch.to)},
                     "edge=" + std::to_string(edge_index) + " " +
                         payload->describe(),
                     static_cast<std::int64_t>(edge_index), send_id);
     } else {
       trace_.record(now(), TraceKind::kDrop,
-                    NodeId{static_cast<std::int64_t>(
-                        config_.topology.edges[edge_index].to)},
+                    NodeId{static_cast<std::int64_t>(ch.to)},
                     static_cast<std::int64_t>(edge_index), send_id);
     }
     return;  // `payload` is freed here
@@ -306,8 +310,7 @@ void Network::send_from(std::size_t node_index, std::size_t out_index,
 
   const double delay =
       config_.adversary_delay != nullptr
-          ? config_.adversary_delay->next_delay(
-                node_index, config_.topology.edges[edge_index].to)
+          ? config_.adversary_delay->next_delay(node_index, ch.to)
           : ch.delay->sample(channel_rng_);
   ABE_CHECK_GE(delay, 0.0);
   SimTime arrival = now() + delay;
@@ -333,7 +336,7 @@ void Network::deliver(std::size_t edge_index, PayloadPtr payload,
     return;
   }
   // Definition 1(3): handling occupies the node; queue behind earlier work.
-  NodeSlot& slot = slots_[config_.topology.edges[edge_index].to];
+  NodeSlot& slot = slots_[channels_[edge_index].to];
   const SimTime start = std::max(now(), slot.busy_until);
   const double ptime = config_.processing.sample(slot.rng);
   const SimTime finish = start + ptime;
@@ -354,15 +357,14 @@ void Network::deliver(std::size_t edge_index, PayloadPtr payload,
 void Network::finish_delivery(std::size_t edge_index, const Payload& payload,
                               double channel_delay, std::int64_t send_id,
                               double work) {
-  const std::size_t to = config_.topology.edges[edge_index].to;
+  ChannelState& ch = channels_[edge_index];
+  const std::size_t to = ch.to;
+  ++ch.delivered;
   ++metrics_.messages_delivered;
   metrics_.total_channel_delay += channel_delay;
   metrics_.max_channel_delay =
       std::max(metrics_.max_channel_delay, channel_delay);
-  if (delay_hist_ != nullptr) {
-    delay_hist_->record(channel_delay);
-    ++delivered_by_channel_[edge_index];
-  }
+  if (delay_hist_ != nullptr) delay_hist_->record(channel_delay);
   // The deliver's cause is its send; the delay/work fields attribute the
   // send->deliver gap for the critical-path profiler (obs/causal.h).
   if (trace_.enabled()) {
@@ -378,8 +380,7 @@ void Network::finish_delivery(std::size_t edge_index, const Payload& payload,
                                    static_cast<std::int64_t>(edge_index),
                                    send_id, channel_delay, work);
   }
-  slots_[to].node->on_message(contexts_[to], in_index_of_edge_[edge_index],
-                              payload);
+  slots_[to].node->on_message(contexts_[to], ch.in_index, payload);
 }
 
 void Network::sample_timeseries() {
@@ -441,6 +442,22 @@ LocalClock& Network::clock(std::size_t i) {
   return slots_[i].clock;
 }
 
+std::vector<std::uint64_t> Network::channel_counts(
+    std::uint64_t ChannelState::*count) const {
+  std::vector<std::uint64_t> out;
+  out.reserve(channels_.size());
+  for (const ChannelState& ch : channels_) out.push_back(ch.*count);
+  return out;
+}
+
+std::vector<std::uint64_t> Network::sent_by_node() const {
+  std::vector<std::uint64_t> out(size(), 0);
+  for (std::size_t e = 0; e < channels_.size(); ++e) {
+    out[config_.topology.edges[e].from] += channels_[e].sent;
+  }
+  return out;
+}
+
 double Network::expected_delay_bound() const {
   double bound = 0.0;
   for (const auto& ch : channels_) {
@@ -477,14 +494,16 @@ MetricsSnapshot Network::metrics_snapshot() const {
   snap.add_counter("trace.recorded",
                    static_cast<double>(trace_.total_recorded()));
   if (config_.metrics) {
-    // Scalar rollups of the per-channel vectors (the vectors themselves are
-    // exposed via delivered_by_channel()/dropped_by_channel(); at n = 10^4
-    // they would dwarf the rest of the sweep JSON).
+    // Scalar rollups of the per-channel drop counts (the vectors themselves
+    // are exposed via dropped_by_channel(); at n = 10^4 they would dwarf the
+    // rest of the sweep JSON). Without a drop both are 0: skip the scan.
     std::uint64_t lossy = 0;
     std::uint64_t worst = 0;
-    for (const std::uint64_t d : dropped_by_channel_) {
-      if (d > 0) ++lossy;
-      worst = std::max(worst, d);
+    if (metrics_.messages_dropped > 0) {
+      for (const ChannelState& ch : channels_) {
+        if (ch.dropped > 0) ++lossy;
+        worst = std::max(worst, ch.dropped);
+      }
     }
     snap.add_counter("net.channels.lossy", static_cast<double>(lossy));
     snap.add_gauge("net.channels.max_dropped", static_cast<double>(worst));

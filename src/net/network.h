@@ -99,10 +99,10 @@ struct NetworkConfig {
   // performance knob: every backend pops in the identical order, so seeded
   // runs are bit-identical across backends. ABE_EQUEUE overrides.
   EqueueBackend equeue = EqueueBackend::kAuto;
-  // Extended observability (obs/metrics.h): per-channel deliver/drop
-  // vectors and a sampled channel-delay histogram, harvested by
-  // metrics_snapshot(). Off by default; recording consumes no randomness
-  // and reorders nothing, so enabling it cannot change any aggregate.
+  // Extended observability (obs/metrics.h): a sampled channel-delay
+  // histogram and per-channel drop rollups, harvested by metrics_snapshot().
+  // Off by default; recording consumes no randomness and reorders nothing,
+  // so enabling it cannot change any aggregate.
   bool metrics = false;
   // Causal-history mode: widen the flight-recorder ring to full capacity
   // WITHOUT enabling detail strings, so cause chains (obs/causal.h) reach
@@ -122,8 +122,6 @@ struct NetworkMetrics {
   std::uint64_t timers_fired = 0;
   double total_channel_delay = 0.0;  // summed over delivered messages
   double max_channel_delay = 0.0;
-  std::vector<std::uint64_t> sent_by_node;
-  std::vector<std::uint64_t> sent_by_channel;
 
   std::uint64_t in_flight() const {
     return messages_sent - messages_delivered - messages_dropped;
@@ -152,8 +150,19 @@ class Network {
   void set_channel_delay(std::size_t edge_index, DelayModelPtr delay);
   void set_channel_loss(std::size_t edge_index, double loss_probability);
 
-  // Schedules on_start for every node (and first ticks). Requires exactly
-  // topology.n nodes installed. Must be called exactly once.
+  // Schedules ONE event at t = 0 that calls on_start on every node in index
+  // order (each a causal root: no trace record, current cause -1), then the
+  // first tick of every node in index order when ticks are on. Requires
+  // exactly topology.n nodes installed. Must be called exactly once.
+  //
+  // This is the same execution as one start event per node: on_start
+  // records nothing, every event an on_start schedules sorts after the
+  // whole start (same time, later sequence) and after the first ticks, and
+  // ticks still tie-break in index order. Two observable differences: a
+  // run_until predicate is checked once after the whole start rather than
+  // after each node, and the scheduler counts one start event instead of n
+  // (sched.scheduled / sched.popped), so the pending set no longer holds an
+  // n-event burst at t = 0.
   void start();
 
   // --- running ----------------------------------------------------------
@@ -182,16 +191,19 @@ class Network {
   // Sampled load gauges (config.timeseries_interval > 0; empty otherwise).
   const TimeSeries& timeseries() const { return timeseries_; }
 
-  // Extended observability, populated when config.metrics is on: delivered
-  // and dropped counts per channel (edge index into topology().edges; empty
-  // vectors when disabled). The seed-pinned lossy-ring regression in
-  // tests/test_obs.cpp reads these directly.
-  const std::vector<std::uint64_t>& delivered_by_channel() const {
-    return delivered_by_channel_;
+  // Per-channel and per-node message counts, derived on each call from the
+  // channel records (channel = edge index into topology().edges; node =
+  // sender index). Always kept; O(E) to build, so not for hot loops.
+  std::vector<std::uint64_t> sent_by_channel() const {
+    return channel_counts(&ChannelState::sent);
   }
-  const std::vector<std::uint64_t>& dropped_by_channel() const {
-    return dropped_by_channel_;
+  std::vector<std::uint64_t> delivered_by_channel() const {
+    return channel_counts(&ChannelState::delivered);
   }
+  std::vector<std::uint64_t> dropped_by_channel() const {
+    return channel_counts(&ChannelState::dropped);
+  }
+  std::vector<std::uint64_t> sent_by_node() const;
 
   // Deterministic harvest of scheduler + network instruments, sorted by
   // metric name (obs/metrics.h). Always includes the always-on scalar
@@ -204,11 +216,28 @@ class Network {
 
  private:
   class ContextImpl;
+  // Everything the message path reads or writes about one channel, in one
+  // record per edge (channels_[e] for topology().edges[e]), so a send and
+  // its delivery each touch one 56-byte record instead of several parallel
+  // arrays:
+  //   delay             the channel's delay model: config_.delay, or a
+  //                     per-channel override owned by delay_overrides_;
+  //   loss_probability  per-attempt silent drop probability;
+  //   last_arrival      FIFO floor (ChannelOrdering::kFifo only);
+  //   to, in_index      receiver, and this channel's index among the
+  //                     receiver's in-channels (the in_index on_message gets);
+  //   sent, delivered, dropped   per-channel message counts.
   struct ChannelState {
-    DelayModelPtr delay;
+    const DelayModel* delay = nullptr;
     double loss_probability = 0.0;
-    SimTime last_arrival = 0.0;  // FIFO floor
+    SimTime last_arrival = 0.0;
+    std::uint32_t to = 0;
+    std::uint32_t in_index = 0;
+    std::uint64_t sent = 0;
+    std::uint64_t delivered = 0;
+    std::uint64_t dropped = 0;
   };
+  static_assert(sizeof(ChannelState) == 56, "one packed record per channel");
   // Per-node state, held by value in one array (slots_): no per-node heap
   // object besides the node itself and its clock's segment list.
   struct NodeSlot {
@@ -235,6 +264,9 @@ class Network {
   void finish_delivery(std::size_t edge_index, const Payload& payload,
                        double channel_delay, std::int64_t send_id,
                        double work);
+  // One count field of every channel record, in edge order.
+  std::vector<std::uint64_t> channel_counts(
+      std::uint64_t ChannelState::*count) const;
   void schedule_next_tick(std::size_t node_index);
   void sample_timeseries();
   TimerId set_timer(std::size_t node_index, double local_delay,
@@ -252,17 +284,15 @@ class Network {
   // single null test when metrics are off (the obs cost contract).
   MetricsRegistry registry_;
   FixedHistogram* delay_hist_ = nullptr;
-  std::vector<std::uint64_t> delivered_by_channel_;
-  std::vector<std::uint64_t> dropped_by_channel_;
   std::vector<NodeSlot> slots_;
   // contexts_[i] is node i's Context; like slots_, sized once in the
   // constructor so the references handed to nodes stay valid.
   std::vector<ContextImpl> contexts_;
   std::size_t next_slot_ = 0;  // add_node fills slots_ in index order
   std::vector<ChannelState> channels_;
+  std::vector<DelayModelPtr> delay_overrides_;  // owners of set_channel_delay
   Adjacency out_channels_;  // node -> edge indices
   Adjacency in_channels_;
-  std::vector<std::size_t> in_index_of_edge_;  // edge -> receiver's in-index
   // Causality: the trace id of the event whose handler is currently running
   // (-1 between handlers / inside on_start). Every record made from inside a
   // handler — sends, drops, scheduled timer/tick fires — links back to it.

@@ -15,17 +15,16 @@ std::size_t SpanningTree::height() const {
 }
 
 SpanningTree bfs_spanning_tree(const Topology& topology, std::size_t root) {
-  return bfs_spanning_tree(topology, root, OutChannelIndex(topology));
+  const Adjacency out = out_adjacency(topology);
+  return bfs_spanning_tree(topology, root, out, OutChannelIndex(topology, out));
 }
 
 SpanningTree bfs_spanning_tree(const Topology& topology, std::size_t root,
+                               const Adjacency& out,
                                const OutChannelIndex& channels) {
   validate_topology(topology);
   ABE_CHECK_LT(root, topology.n);
-  ABE_CHECK(is_strongly_connected(topology))
-      << "spanning tree needs a strongly connected graph";
-
-  const Adjacency out = out_adjacency(topology);
+  ABE_CHECK_EQ(out.node_count(), topology.n);
 
   SpanningTree tree;
   tree.root = root;
@@ -55,13 +54,18 @@ SpanningTree bfs_spanning_tree(const Topology& topology, std::size_t root,
   }
   for (std::size_t v = 0; v < topology.n; ++v) {
     ABE_CHECK(tree.parent[v] != std::numeric_limits<std::size_t>::max())
-        << "node " << v << " unreachable from root";
+        << "node " << v << " unreachable from root " << root
+        << ": spanning tree needs a strongly connected graph";
   }
   return tree;
 }
 
-OutChannelIndex::OutChannelIndex(const Topology& topology) {
-  const Adjacency out = out_adjacency(topology);
+OutChannelIndex::OutChannelIndex(const Topology& topology)
+    : OutChannelIndex(topology, out_adjacency(topology)) {}
+
+OutChannelIndex::OutChannelIndex(const Topology& topology,
+                                 const Adjacency& out) {
+  ABE_CHECK_EQ(out.node_count(), topology.n);
   begin_.reserve(topology.n + 1);
   entries_.reserve(topology.edges.size());
   begin_.push_back(0);

@@ -30,8 +30,12 @@ struct SpanningTree {
 
 // Builds a BFS tree over the topology's directed edges, requiring that the
 // reverse edge exists for every tree edge (the β protocol talks both ways).
-// Aborts when the graph is not strongly connected or a needed reverse edge
-// is missing.
+// Aborts when the graph is not strongly connected: a node the BFS cannot
+// reach from the root ("... strongly connected"), or a tree edge without
+// its reverse channel ("... reverse channel"). The two checks together
+// imply strong connectivity — the root reaches every node, and every node
+// returns to the root along its reversed tree path — so no separate
+// connectivity pass runs.
 SpanningTree bfs_spanning_tree(const Topology& topology, std::size_t root);
 
 // Sparse neighbour -> out-channel lookup, for wiring tree/ack routes.
@@ -46,6 +50,8 @@ class OutChannelIndex {
   static constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
 
   explicit OutChannelIndex(const Topology& topology);
+  // Same index from the caller's out_adjacency(topology).
+  OutChannelIndex(const Topology& topology, const Adjacency& out);
 
   // `from`'s out-channel index leading to `to`; kNone when there is no
   // edge from -> to.
@@ -62,9 +68,10 @@ class OutChannelIndex {
   std::vector<Entry> entries_;
 };
 
-// bfs_spanning_tree reusing a caller's OutChannelIndex of `topology` for the
-// reverse-channel check (callers that wire routes build one anyway).
+// bfs_spanning_tree reusing the caller's out_adjacency(topology) and its
+// OutChannelIndex (callers that wire routes build both anyway).
 SpanningTree bfs_spanning_tree(const Topology& topology, std::size_t root,
+                               const Adjacency& out,
                                const OutChannelIndex& channels);
 
 }  // namespace abe

@@ -118,10 +118,10 @@ class BehaviorDecoratedDriver final : public AlgorithmDriver {
   const SimTime deadline_;
 };
 
-ScenarioTrialDriver make_polling_binding(const ScenarioSpec& spec,
-                                         const Topology& topology) {
+// The polling and gossip drivers read their graph from the RuntimeConfig in
+// configure(), so their experiment structs carry no topology here.
+ScenarioTrialDriver make_polling_binding(const ScenarioSpec& spec) {
   PollingExperiment e;
-  e.topology = topology;
   e.loss_probability = spec.failure.channel_loss();
 
   auto sink = std::make_shared<PollingRunResult>();
@@ -139,10 +139,8 @@ ScenarioTrialDriver make_polling_binding(const ScenarioSpec& spec,
   return binding;
 }
 
-ScenarioTrialDriver make_gossip_binding(const ScenarioSpec& spec,
-                                        const Topology& topology) {
+ScenarioTrialDriver make_gossip_binding(const ScenarioSpec& spec) {
   GossipExperiment e;
-  e.topology = topology;
   e.loss_probability = spec.failure.channel_loss();
 
   auto sink = std::make_shared<GossipResult>();
@@ -226,10 +224,10 @@ ScenarioTrialDriver make_scenario_driver(const ScenarioSpec& spec,
       binding = make_ring_binding(spec);
       break;
     case ScenarioAlgorithm::kPollingElection:
-      binding = make_polling_binding(spec, topology);
+      binding = make_polling_binding(spec);
       break;
     case ScenarioAlgorithm::kGossip:
-      binding = make_gossip_binding(spec, topology);
+      binding = make_gossip_binding(spec);
       break;
     case ScenarioAlgorithm::kBetaSync:
       binding = make_beta_sync_binding(topology);
@@ -248,10 +246,9 @@ ScenarioTrialDriver make_scenario_driver(const ScenarioSpec& spec,
 }
 
 RuntimeConfig scenario_runtime_config(const ScenarioSpec& spec,
-                                      const Topology& topology,
-                                      std::uint64_t seed) {
+                                      Topology topology, std::uint64_t seed) {
   RuntimeConfig config;
-  config.topology = topology;
+  config.topology = std::move(topology);
   config.delay = build_delay(spec);
   config.clock_bounds = spec.clock_bounds;
   config.drift = spec.drift;
@@ -291,11 +288,12 @@ ScenarioTrialResult run_scenario_trial(const ScenarioSpec& spec,
       << runtime_kind_name(spec.runtime) << " runtime: " << problem;
 
   // The ring election runs on the unidirectional ring its spec names; all
-  // other algorithms take the materialised (possibly random) graph.
-  const Topology topology = build_trial_topology(spec, seed);
+  // other algorithms take the materialised (possibly random) graph. It is
+  // built once: the driver is made from it, then it moves into the config.
+  Topology topology = build_trial_topology(spec, seed);
   ScenarioTrialDriver binding = make_scenario_driver(spec, topology, seed);
   const TrialOutcome outcome = run_algorithm_trial(
-      spec.runtime, scenario_runtime_config(spec, topology, seed),
+      spec.runtime, scenario_runtime_config(spec, std::move(topology), seed),
       *binding.driver);
   return binding.project(outcome);
 }
@@ -307,9 +305,10 @@ TrialOutcome replay_scenario_trial(const ScenarioSpec& spec,
       << "only simulator trials are replayable (thread trials are "
          "wall-clock nondeterministic)";
 
-  const Topology topology = build_trial_topology(spec, seed);
+  Topology topology = build_trial_topology(spec, seed);
   ScenarioTrialDriver binding = make_scenario_driver(spec, topology, seed);
-  RuntimeConfig config = scenario_runtime_config(spec, topology, seed);
+  RuntimeConfig config =
+      scenario_runtime_config(spec, std::move(topology), seed);
   config.trace = true;
 
   // run_algorithm_trial's exact lifecycle, inlined on a concrete

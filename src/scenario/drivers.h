@@ -58,9 +58,9 @@ TrialOutcome replay_scenario_trial(const ScenarioSpec& spec,
 
 // The spec's environment as a runtime-agnostic RuntimeConfig for the given
 // trial seed (failure-degrade wrapping applied to the delay model, channel
-// loss extracted, thread realisation knobs forwarded).
+// loss extracted, thread realisation knobs forwarded). Takes the topology by
+// value: pass an rvalue to move the trial graph in without a copy.
 RuntimeConfig scenario_runtime_config(const ScenarioSpec& spec,
-                                      const Topology& topology,
-                                      std::uint64_t seed);
+                                      Topology topology, std::uint64_t seed);
 
 }  // namespace abe

@@ -10,13 +10,18 @@
 //     ladder queue once the pending set crosses kEqueueAutoThreshold —
 //     small runs keep the heap's cache-tight behaviour, big sweeps get the
 //     ladder's O(1) amortized operations. The target is the ladder, not the
-//     calendar, because the crossing is often a simultaneous burst (n
-//     on_start events at t = 0 in a large polling trial): the calendar's
-//     head-gap tuning collapses such a burst onto one day and scans that
-//     day on every pop, while the ladder sorts it once into its bottom.
-//     Measured on the n = 10^4 polling torus (perfbench torus-10k, 4-vCPU
-//     VM): a median 225 ms of CPU per trial on auto -> calendar vs 46 ms
-//     on auto -> ladder, with identical messages and times per seed.
+//     calendar, because a crossing can be a simultaneous burst (thousands
+//     of events at one instant): the calendar's head-gap tuning collapses
+//     such a burst onto one day and scans that day on every pop, while the
+//     ladder sorts it once into its bottom. Measured on the n = 10^4
+//     polling torus when Network::start still scheduled n on_start events
+//     at t = 0 (perfbench torus-10k, 4-vCPU VM): a median 225 ms of CPU per
+//     trial on auto -> calendar vs 46 ms on auto -> ladder, with identical
+//     messages and times per seed. Network::start now schedules a single
+//     start event, so that trial peaks at ~200 pending events and stays on
+//     the heap; no registered scenario crosses the threshold on kAuto (the
+//     `scale` sweep pins each backend explicitly), and the migration is
+//     exercised by the equeue tests and a tick-train network test.
 //   * The ABE_EQUEUE environment variable ("heap", "calendar", "ladder",
 //     "auto") overrides EVERY construction-time choice, so a whole sweep
 //     binary can be re-run on a different backend without recompiling.

@@ -54,13 +54,13 @@
 // Degenerate inputs stay correct (only slower): zero spread (all events
 // simultaneous) pins width to 1 so everything lands on one day and pop
 // degrades to a scan of equal-time events. A simultaneous burst is thus one
-// day and costs O(size) per pop, O(k^2) to drain k events — the shape of
-// Network::start() in a large trial (n on_start events at t = 0), and the
-// reason kAuto migrates to the ladder queue instead (measured in
-// sim/equeue/backend.h). Infinite times clamp to the last virtual day
-// (monotone, so ordering is preserved); a pending set entirely beyond the
-// cursor's current year falls back to a full-wall scan that re-anchors the
-// cursor.
+// day and costs O(size) per pop, O(k^2) to drain k events — the shape
+// Network::start() had in a large trial while it scheduled n on_start
+// events at t = 0, and the reason kAuto migrates to the ladder queue
+// instead (measured in sim/equeue/backend.h). Infinite times clamp to the
+// last virtual day (monotone, so ordering is preserved); a pending set
+// entirely beyond the cursor's current year falls back to a full-wall scan
+// that re-anchors the cursor.
 //
 // Cancellation is O(1): a per-slot locator (bucket, index) lets erase_slot
 // swap-remove the entry directly. A one-entry min cache makes the common

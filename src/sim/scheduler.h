@@ -22,10 +22,12 @@
 // process-wide by the ABE_EQUEUE environment variable; the default kAuto
 // starts on the heap and migrates to the ladder queue once the pending set
 // crosses kEqueueAutoThreshold (the ladder, not the calendar: a big
-// simultaneous burst such as n on_start events at t = 0 collapses the
+// simultaneous burst — thousands of events at one instant — collapses the
 // calendar onto one day it must scan per pop, while the ladder absorbs it
-// in one bottom sort). Pop order — and therefore every seeded trial — is
-// bit-identical across backends.
+// in one bottom sort). Network::start no longer produces such a burst (one
+// start event, not n), so the pending set of a network trial is its first
+// ticks plus the messages in flight. Pop order — and therefore every
+// seeded trial — is bit-identical across backends.
 #pragma once
 
 #include <cstdint>

@@ -3,12 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "net/topology.h"
+#include "runtime/runtime.h"
+#include "scenario/drivers.h"
+#include "scenario/scenario.h"
+#include "sim/equeue/backend.h"
 
 namespace abe {
 namespace {
@@ -369,9 +374,9 @@ TEST(Network, MetricsPerNodeAndChannel) {
   net.add_node(std::make_unique<SinkNode>());
   net.start();
   net.run_until_quiescent();
-  EXPECT_EQ(net.metrics().sent_by_node[0], 4u);
-  EXPECT_EQ(net.metrics().sent_by_node[1], 0u);
-  EXPECT_EQ(net.metrics().sent_by_channel[0], 4u);
+  EXPECT_EQ(net.sent_by_node()[0], 4u);
+  EXPECT_EQ(net.sent_by_node()[1], 0u);
+  EXPECT_EQ(net.sent_by_channel()[0], 4u);
   EXPECT_EQ(net.metrics().mean_channel_delay(), 1.0);
   EXPECT_EQ(net.metrics().max_channel_delay, 1.0);
 }
@@ -526,6 +531,269 @@ TEST(Network, PayloadFreedOncePerSendWhenDestroyedInFlight) {
     expect_payloads_freed_once(processing, 0.0, Teardown::kInFlight);
   }
 }
+
+// --- start semantics ---------------------------------------------------------
+
+bool equeue_env_pinned() {
+  const char* env = std::getenv("ABE_EQUEUE");
+  return env != nullptr && env[0] != '\0';
+}
+
+// Appends its index to a shared log in on_start; node 0 also arms a
+// zero-delay timer that appends -1 when it fires.
+class StartLogNode final : public Node {
+ public:
+  StartLogNode(std::vector<std::int64_t>* log, std::vector<SimTime>* times)
+      : log_(log), times_(times) {}
+  void on_start(Context& ctx) override {
+    log_->push_back(ctx.self().value());
+    times_->push_back(ctx.real_now());
+    if (ctx.self().value() == 0) ctx.set_timer_local(0.0, 0);
+  }
+  void on_timer(Context&, TimerId, std::uint64_t) override {
+    log_->push_back(-1);
+  }
+  void on_message(Context&, std::size_t, const Payload&) override {}
+
+ private:
+  std::vector<std::int64_t>* log_;
+  std::vector<SimTime>* times_;
+};
+
+TEST(NetworkStart, OnStartOncePerNodeInIndexOrderBeforeZeroDelayTimer) {
+  constexpr std::size_t kN = 6;
+  NetworkConfig config;
+  config.topology = bidirectional_ring(kN);
+  config.seed = 3;
+  Network net(std::move(config));
+  std::vector<std::int64_t> log;
+  std::vector<SimTime> times;
+  net.build_nodes([&](std::size_t) -> NodePtr {
+    return std::make_unique<StartLogNode>(&log, &times);
+  });
+  net.start();
+  net.run_until_quiescent();
+  // Every on_start ran exactly once, in index order, at t = 0; the timer
+  // node 0 armed with zero delay fired only after node n - 1's on_start.
+  const std::vector<std::int64_t> expected = {0, 1, 2, 3, 4, 5, -1};
+  EXPECT_EQ(log, expected);
+  ASSERT_EQ(times.size(), kN);
+  for (SimTime t : times) EXPECT_EQ(t, 0.0);
+  EXPECT_EQ(net.metrics().timers_fired, 1u);
+}
+
+TEST(NetworkStart, SchedulesOneStartEventPlusFirstTicks) {
+  for (const bool ticks : {false, true}) {
+    constexpr std::size_t kN = 9;
+    NetworkConfig config;
+    config.topology = bidirectional_ring(kN);
+    config.enable_ticks = ticks;
+    config.seed = 4;
+    Network net(std::move(config));
+    net.build_nodes(
+        [](std::size_t) -> NodePtr { return std::make_unique<SinkNode>(); });
+    net.start();
+    const std::uint64_t tick_count = ticks ? kN : 0;
+    EXPECT_EQ(net.scheduler().scheduled_count(), 1 + tick_count)
+        << "ticks " << ticks;
+    EXPECT_EQ(net.scheduler().pending(), 1 + tick_count) << "ticks " << ticks;
+  }
+}
+
+// Appends (node, time) for every tick: the execution order of a tick-only
+// network.
+class TickLogNode final : public Node {
+ public:
+  explicit TickLogNode(std::vector<std::pair<std::int64_t, SimTime>>* log)
+      : log_(log) {}
+  void on_tick(Context& ctx, std::uint64_t) override {
+    log_->emplace_back(ctx.self().value(), ctx.real_now());
+  }
+  void on_message(Context&, std::size_t, const Payload&) override {}
+
+ private:
+  std::vector<std::pair<std::int64_t, SimTime>>* log_;
+};
+
+std::vector<std::pair<std::int64_t, SimTime>> run_tick_network(
+    std::size_t n, EqueueBackend backend, std::string* backend_end) {
+  NetworkConfig config;
+  config.topology = unidirectional_ring(n);
+  config.enable_ticks = true;
+  config.equeue = backend;
+  config.seed = 21;
+  Network net(std::move(config));
+  std::vector<std::pair<std::int64_t, SimTime>> log;
+  net.build_nodes([&log](std::size_t) -> NodePtr {
+    return std::make_unique<TickLogNode>(&log);
+  });
+  net.start();
+  net.run_until_quiescent(3.0);
+  *backend_end = net.scheduler().backend_name();
+  return log;
+}
+
+// The start burst no longer crosses the auto threshold, so kAuto migration
+// is pinned here by n + 1 pending first ticks (plus the start event).
+TEST(NetworkStart, AutoMigratesOnTickTrainsAndMatchesHeapOrder) {
+  if (equeue_env_pinned()) GTEST_SKIP() << "ABE_EQUEUE pinned externally";
+  const std::size_t n = kEqueueAutoThreshold + 1;
+  std::string auto_end;
+  std::string heap_end;
+  const auto on_auto = run_tick_network(n, EqueueBackend::kAuto, &auto_end);
+  const auto on_heap = run_tick_network(n, EqueueBackend::kHeap, &heap_end);
+  EXPECT_EQ(auto_end, "ladder");
+  EXPECT_EQ(heap_end, "heap");
+  ASSERT_GE(on_heap.size(), 2 * n);  // every node ticked at least twice
+  EXPECT_TRUE(on_auto == on_heap)
+      << "auto -> ladder diverged from the heap's execution order";
+}
+
+// A polling election at n = 10^4 keeps at most a wave of messages pending,
+// so kAuto stays on the heap for the whole trial.
+TEST(NetworkStart, PollingTorus10kStaysOnHeap) {
+  if (equeue_env_pinned()) GTEST_SKIP() << "ABE_EQUEUE pinned externally";
+  const ScenarioSpec* registered = find_scenario("polling-torus");
+  ASSERT_NE(registered, nullptr);
+  ScenarioSpec spec = *registered;
+  spec.topology.n = 10000;
+  ASSERT_EQ(spec.equeue, EqueueBackend::kAuto);
+  const std::uint64_t seed = 1;
+  Rng topo_rng = Rng(seed).substream("scenario-topology");
+  Topology topology = spec.topology.build(topo_rng);
+  ScenarioTrialDriver binding = make_scenario_driver(spec, topology, seed);
+  RuntimeConfig config =
+      scenario_runtime_config(spec, std::move(topology), seed);
+  binding.driver->configure(config);
+  const SimTime deadline = config.deadline;
+  SimRuntime rt(std::move(config));
+  rt.build_nodes([&](std::size_t i) { return binding.driver->make_node(i); });
+  rt.start();
+  ASSERT_TRUE(rt.run_until_done([&] { return binding.driver->done(rt); },
+                                deadline));
+  binding.driver->settle(rt, true);
+  const Scheduler& sched = rt.network().scheduler();
+  EXPECT_STREQ(sched.backend_name(), "heap");
+  EXPECT_LT(sched.queue_high_water(), kEqueueAutoThreshold);
+}
+
+// --- per-channel counts ------------------------------------------------------
+
+// Floods every out-channel at start and echoes each delivery once on the
+// same local channel index (mod out-degree).
+class EchoFloodNode final : public Node {
+ public:
+  void on_start(Context& ctx) override {
+    for (int b = 0; b < 5; ++b) {
+      for (std::size_t c = 0; c < ctx.out_degree(); ++c) {
+        ctx.send(c, std::make_unique<IntPayload>(0));
+      }
+    }
+  }
+  void on_message(Context& ctx, std::size_t in_index,
+                  const Payload& payload) override {
+    if (payload_as<IntPayload>(payload).value() == 0) {
+      ctx.send(in_index % ctx.out_degree(), std::make_unique<IntPayload>(1));
+    }
+  }
+};
+
+struct ChannelCountCase {
+  const char* name;
+  ChannelOrdering ordering;
+  ProcessingModel processing;
+  double loss;
+  bool overrides;  // set_channel_delay / set_channel_loss on a few edges
+};
+
+void PrintTo(const ChannelCountCase& c, std::ostream* os) { *os << c.name; }
+
+class NetworkChannelCounts
+    : public ::testing::TestWithParam<ChannelCountCase> {};
+
+// The derived per-channel and per-node vectors equal a brute-force count of
+// the full trace's send, deliver and drop records.
+TEST_P(NetworkChannelCounts, AccessorsMatchTraceCounts) {
+  const ChannelCountCase& c = GetParam();
+  NetworkConfig config;
+  config.topology = grid(3, 3);
+  config.delay = exponential_delay(1.0);
+  config.ordering = c.ordering;
+  config.processing = c.processing;
+  config.loss_probability = c.loss;
+  config.seed = 99;
+  Network net(std::move(config));
+  net.trace().enable();
+  if (c.overrides) {
+    net.set_channel_delay(0, fixed_delay(3.0));
+    net.set_channel_delay(5, lomax_delay(2.5, 2.0));
+    net.set_channel_loss(2, 0.6);
+    net.set_channel_loss(7, 0.0);
+  }
+  net.build_nodes(
+      [](std::size_t) -> NodePtr { return std::make_unique<EchoFloodNode>(); });
+  net.start();
+  net.run_until_quiescent();
+
+  const Topology& topo = net.topology();
+  const std::size_t edges = topo.edge_count();
+  std::vector<std::uint64_t> sent(edges, 0);
+  std::vector<std::uint64_t> delivered(edges, 0);
+  std::vector<std::uint64_t> dropped(edges, 0);
+  std::vector<std::uint64_t> by_node(topo.n, 0);
+  for (const TraceEvent& ev : net.trace().events()) {
+    const auto e = static_cast<std::size_t>(ev.arg);
+    switch (ev.kind) {
+      case TraceKind::kSend:
+        ASSERT_EQ(static_cast<std::size_t>(ev.node.value()),
+                  topo.edges[e].from);
+        ++sent[e];
+        ++by_node[topo.edges[e].from];
+        break;
+      case TraceKind::kDeliver:
+        ASSERT_EQ(static_cast<std::size_t>(ev.node.value()),
+                  topo.edges[e].to);
+        ++delivered[e];
+        break;
+      case TraceKind::kDrop:
+        ASSERT_EQ(static_cast<std::size_t>(ev.node.value()),
+                  topo.edges[e].to);
+        ++dropped[e];
+        break;
+      default:
+        break;
+    }
+  }
+  ASSERT_EQ(net.trace().total_recorded(), net.trace().events().size())
+      << "the trace ring must hold the whole run";
+  EXPECT_EQ(net.sent_by_channel(), sent);
+  EXPECT_EQ(net.delivered_by_channel(), delivered);
+  EXPECT_EQ(net.dropped_by_channel(), dropped);
+  EXPECT_EQ(net.sent_by_node(), by_node);
+  if (c.loss > 0.0 || c.overrides) {
+    EXPECT_GT(net.metrics().messages_dropped, 0u);
+  }
+  if (c.overrides) {
+    EXPECT_EQ(dropped[7], 0u);  // the override turned this channel lossless
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, NetworkChannelCounts,
+    ::testing::Values(
+        ChannelCountCase{"arbitrary", ChannelOrdering::kArbitrary,
+                         ProcessingModel::zero(), 0.0, false},
+        ChannelCountCase{"lossy", ChannelOrdering::kArbitrary,
+                         ProcessingModel::zero(), 0.3, false},
+        ChannelCountCase{"fifo_lossy", ChannelOrdering::kFifo,
+                         ProcessingModel::zero(), 0.2, false},
+        ChannelCountCase{"exp_processing", ChannelOrdering::kFifo,
+                         ProcessingModel::exponential(0.5), 0.1, false},
+        ChannelCountCase{"overrides", ChannelOrdering::kArbitrary,
+                         ProcessingModel::fixed(0.25), 0.1, true}),
+    [](const ::testing::TestParamInfo<ChannelCountCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace abe

@@ -84,10 +84,10 @@ TEST_P(NetworkPropertySweep, ConservationAndOrdering) {
 
   // Per-channel counters sum to the total.
   std::uint64_t by_channel = 0;
-  for (auto v : m.sent_by_channel) by_channel += v;
+  for (auto v : net.sent_by_channel()) by_channel += v;
   EXPECT_EQ(by_channel, m.messages_sent);
   std::uint64_t by_node = 0;
-  for (auto v : m.sent_by_node) by_node += v;
+  for (auto v : net.sent_by_node()) by_node += v;
   EXPECT_EQ(by_node, m.messages_sent);
 
   // Receivers got exactly their share, in order when FIFO.

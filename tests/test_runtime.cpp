@@ -324,6 +324,10 @@ struct ParityCase {
   bool udp = false;
 };
 
+// gtest would otherwise print the case as a raw byte dump (pointers and
+// padding included), which makes the ctest name change with every build.
+void PrintTo(const ParityCase& c, std::ostream* os) { *os << c.name; }
+
 class CrossRuntimeParity : public ::testing::TestWithParam<ParityCase> {};
 
 TEST_P(CrossRuntimeParity, CompletedTrialsAreSafeAndMessagesComparable) {

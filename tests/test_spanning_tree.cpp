@@ -84,6 +84,23 @@ TEST(SpanningTree, UnidirectionalRingRejected) {
   EXPECT_DEATH(bfs_spanning_tree(unidirectional_ring(4), 0), "reverse");
 }
 
+TEST(SpanningTree, NodeUnreachableFromRootRejected) {
+  // 0 <-> 1 and 2 -> 0: node 2 reaches the root, the root never reaches 2.
+  Topology t;
+  t.n = 3;
+  t.edges = {{0, 1}, {1, 0}, {2, 0}};
+  EXPECT_DEATH(bfs_spanning_tree(t, 0), "strongly connected");
+}
+
+TEST(SpanningTree, ReachableButNotStronglyConnectedRejected) {
+  // 0 <-> 1 and 0 -> 2: the root reaches every node, but 2 is a sink, so
+  // the tree edge 0 -> 2 has no way back.
+  Topology t;
+  t.n = 3;
+  t.edges = {{0, 1}, {1, 0}, {0, 2}};
+  EXPECT_DEATH(bfs_spanning_tree(t, 0), "reverse");
+}
+
 // Brute-force reference for OutChannelIndex: scan u's out-channels in
 // out_adjacency order; with parallel edges the last one wins.
 std::size_t brute_force_channel(const Topology& t, const Adjacency& out,
@@ -145,6 +162,71 @@ TEST(SpanningTree, OutChannelIndexParallelEdgesLastWins) {
   EXPECT_EQ(index.channel(0, 1), 2u);
   EXPECT_EQ(index.channel(0, 2), 1u);
   expect_index_matches_brute_force(t);
+}
+
+// Reference BFS straight over topology.edges (a node's out-edges in edge
+// order, as out_adjacency lists them), without any adjacency structure.
+SpanningTree reference_bfs_tree(const Topology& t, std::size_t root) {
+  constexpr std::size_t kUnset = static_cast<std::size_t>(-1);
+  SpanningTree tree;
+  tree.root = root;
+  tree.parent.assign(t.n, kUnset);
+  tree.children.assign(t.n, {});
+  tree.depth.assign(t.n, 0);
+  tree.parent[root] = root;
+  std::vector<std::size_t> queue{root};
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const std::size_t u = queue[head];
+    for (const Edge& e : t.edges) {
+      if (e.from != u || tree.parent[e.to] != kUnset) continue;
+      tree.parent[e.to] = u;
+      tree.children[u].push_back(e.to);
+      tree.depth[e.to] = tree.depth[u] + 1;
+      queue.push_back(e.to);
+    }
+  }
+  return tree;
+}
+
+TEST(SpanningTree, SharedAdjacencyMatchesStandaloneForEveryFamily) {
+  for (TopologyFamily family :
+       {TopologyFamily::kRingUni, TopologyFamily::kRingBi,
+        TopologyFamily::kLine, TopologyFamily::kStar,
+        TopologyFamily::kComplete, TopologyFamily::kGrid,
+        TopologyFamily::kTorus, TopologyFamily::kHypercube,
+        TopologyFamily::kGnp, TopologyFamily::kGeometric}) {
+    for (std::size_t n : {1u, 4u, 12u, 16u}) {
+      const TopologySpec spec{family, n, 0.0};
+      if (!spec.problem().empty()) continue;
+      Rng rng(n + 7);
+      const Topology t = spec.build(rng);
+      SCOPED_TRACE(std::string(topology_family_name(family)) + " n=" +
+                   std::to_string(n));
+      const Adjacency out = out_adjacency(t);
+      const OutChannelIndex shared(t, out);
+      const OutChannelIndex standalone(t);
+      for (std::size_t u = 0; u < t.n; ++u) {
+        for (std::size_t v = 0; v < t.n; ++v) {
+          EXPECT_EQ(shared.channel(u, v), standalone.channel(u, v))
+              << u << "->" << v;
+          EXPECT_EQ(shared.channel(u, v), brute_force_channel(t, out, u, v))
+              << u << "->" << v;
+        }
+      }
+      // The one-way ring (n > 1) has no reverse channels: no tree.
+      if (family == TopologyFamily::kRingUni && n > 1) continue;
+      const std::size_t root = n / 2;
+      const SpanningTree a = bfs_spanning_tree(t, root, out, shared);
+      const SpanningTree b = bfs_spanning_tree(t, root);
+      const SpanningTree ref = reference_bfs_tree(t, root);
+      for (const SpanningTree* tree : {&a, &b}) {
+        EXPECT_EQ(tree->root, ref.root);
+        EXPECT_EQ(tree->parent, ref.parent);
+        EXPECT_EQ(tree->children, ref.children);
+        EXPECT_EQ(tree->depth, ref.depth);
+      }
+    }
+  }
 }
 
 // --- wiring equivalence -----------------------------------------------------
