@@ -152,6 +152,12 @@ bool FaultyNode::is_terminated() const {
   return crashed_ || inner_->is_terminated();
 }
 
+TickDemand FaultyNode::tick_demand() const {
+  if (crashed_) return TickDemand::none();
+  if (profile_ == BehaviorProfile::kEquivocate) return inner_->tick_demand();
+  return inner_->is_terminated() ? TickDemand::none() : TickDemand::every();
+}
+
 NodePtr maybe_wrap_faulty(NodePtr inner, const BehaviorSpec& spec,
                           std::size_t index, std::size_t n,
                           double crash_time) {

@@ -43,6 +43,10 @@ class FaultyNode final : public Node {
   // A crashed node is terminal (runtimes stop its tick train); otherwise
   // the inner node decides.
   bool is_terminated() const override;
+  // Nothing once crashed. Crash and reorder profiles act on every tick (the
+  // crash instant is checked there, the reorder buffer drains there), so
+  // they keep them all; equivocation passes the inner node's demand on.
+  TickDemand tick_demand() const override;
 
   Node& algorithm_node() override { return inner_->algorithm_node(); }
   const Node& algorithm_node() const override {

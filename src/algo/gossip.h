@@ -45,6 +45,10 @@ class GossipNode final : public Node {
                   const Payload& payload) override;
 
   std::string state_string() const override;
+  // An uninformed node has nothing to push.
+  TickDemand tick_demand() const override {
+    return informed_ ? TickDemand::every() : TickDemand::none();
+  }
 
   bool informed() const { return informed_; }
   SimTime informed_at() const { return informed_at_; }

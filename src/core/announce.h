@@ -54,6 +54,10 @@ class AnnouncingElectionNode final : public Node {
   std::string state_string() const override;
   // Terminated once this node *knows* the election finished.
   bool is_terminated() const override { return done_; }
+  // The inner election's demand until this node knows the outcome.
+  TickDemand tick_demand() const override {
+    return done_ ? TickDemand::none() : inner_.tick_demand();
+  }
 
   bool done() const { return done_; }
   bool is_leader() const { return inner_.state() == ElectionState::kLeader; }

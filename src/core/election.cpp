@@ -54,6 +54,12 @@ void ElectionNode::set_state(Context& ctx, ElectionState next) {
   }
 }
 
+TickDemand ElectionNode::tick_demand() const {
+  if (state_ != ElectionState::kIdle) return TickDemand::none();
+  return TickDemand::bernoulli(
+      activation_probability_for(options_.policy, options_.a0, d_));
+}
+
 void ElectionNode::on_tick(Context& ctx, std::uint64_t /*tick*/) {
   if (state_ != ElectionState::kIdle) return;
   const double p =

@@ -110,6 +110,9 @@ class ElectionNode final : public Node {
   bool is_terminated() const override {
     return state_ == ElectionState::kLeader;
   }
+  // Only an idle node uses its ticks, and on each one it activates with the
+  // same probability until a message moves it out of idle.
+  TickDemand tick_demand() const override;
 
   // --- observable state (tests & metrics) --------------------------------
   ElectionState state() const { return state_; }

@@ -70,7 +70,7 @@ struct ElectionRunResult {
   SimTime election_time = 0.0;     // real time at which the leader appeared
   std::uint64_t messages = 0;      // messages sent up to the election moment
   std::uint64_t messages_total = 0;  // including the settle window
-  std::uint64_t ticks = 0;         // clock ticks fired up to the election
+  std::uint64_t ticks = 0;         // on_tick calls up to the election
   std::uint64_t activations = 0;   // activations summed over nodes
   std::uint64_t purges = 0;        // knockout purges summed over nodes
   std::uint64_t max_leaders_ever = 0;  // safety: must never exceed 1

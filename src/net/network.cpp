@@ -1,6 +1,7 @@
 #include "net/network.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <utility>
 
@@ -140,16 +141,16 @@ Network::Network(NetworkConfig config)
   // skipping them when ticks are off leaves every other stream unchanged.
   const bool draw_tick_phase = config_.enable_ticks &&
                                config_.tick_phase == TickPhase::kRandomPerNode;
+  if (config_.enable_ticks) trains_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    NodeSlot& slot = slots_.emplace_back(
-        root_rng_.substream("node", i),
-        LocalClock(config_.clock_bounds, config_.drift,
-                   root_rng_.substream("clock", i),
-                   config_.clock_segment_mean));
+    slots_.emplace_back(root_rng_.substream("node", i),
+                        LocalClock(config_.clock_bounds, config_.drift,
+                                   root_rng_.substream("clock", i),
+                                   config_.clock_segment_mean));
     contexts_.emplace_back(this, i);
     if (draw_tick_phase) {
-      slot.tick_phase = root_rng_.substream("tick-phase", i).uniform01() *
-                        config_.tick_local_period;
+      trains_[i].phase = root_rng_.substream("tick-phase", i).uniform01() *
+                         config_.tick_local_period;
     }
   }
 }
@@ -198,39 +199,154 @@ void Network::start() {
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       current_cause_ = -1;  // on_start is a causal root: no trace record
       slots_[i].node->on_start(contexts_[i]);
+      if (config_.enable_ticks) rearm_ticks(i);
     }
   });
   if (config_.enable_ticks) {
+    // kEvery trains start here, so their first ticks keep the sequence
+    // numbers of a per-tick train; the others arm after on_start.
     for (std::size_t i = 0; i < slots_.size(); ++i) {
-      slots_[i].ticking = true;
-      schedule_next_tick(i);
+      if (slots_[i].node->tick_demand().kind != TickDemand::Kind::kEvery) {
+        continue;
+      }
+      trains_[i].state = Train::kEvery;
+      trains_[i].event = scheduler_.schedule_at(lattice_time(i, 1),
+                                                [this, i] { fire_tick(i); });
     }
   }
 }
 
-void Network::schedule_next_tick(std::size_t node_index) {
-  NodeSlot& slot = slots_[node_index];
-  const double next_local =
-      slot.tick_phase +
-      static_cast<double>(slot.ticks + 1) * config_.tick_local_period;
-  const SimTime fire = slot.clock.real_at(next_local);
-  // The causing event: the tick (or start()) that scheduled this fire.
-  const std::int64_t cause = current_cause_;
-  scheduler_.schedule_at(fire, [this, node_index, cause] {
-    NodeSlot& s = slots_[node_index];
-    ++s.ticks;
-    ++metrics_.ticks_fired;
-    current_cause_ = trace_.record(now(), TraceKind::kTick,
-                                   NodeId{static_cast<std::int64_t>(node_index)},
-                                   static_cast<std::int64_t>(s.ticks),
-                                   cause);
-    s.node->on_tick(contexts_[node_index], s.ticks);
-    if (s.node->is_terminated()) {
-      s.ticking = false;  // terminal nodes stop consuming tick events
-    } else {
-      schedule_next_tick(node_index);
-    }
-  });
+namespace {
+// Lattice ticks one kBernoulli run covers before its checkpoint. Each
+// checkpoint of one idle stretch doubles the next run, up to the cap: a
+// longer run saves checkpoint events but wastes more draws made ahead when
+// a message pauses the train (on ring-election, n = 1024 and 4096, a cap of
+// 1024 beat both 64 and 16384 in wall time).
+constexpr std::uint32_t kLazyHorizon = 64;
+constexpr std::uint32_t kMaxLazyHorizon = 1u << 10;
+}  // namespace
+
+SimTime Network::lattice_time(std::size_t node_index, std::uint64_t k) {
+  return slots_[node_index].clock.real_at(
+      trains_[node_index].phase +
+      static_cast<double>(k) * config_.tick_local_period);
+}
+
+Network::LatticeTick Network::first_tick_at_or_after(std::size_t node_index,
+                                                    std::uint64_t from,
+                                                    SimTime t) {
+  const SimTime first = lattice_time(node_index, from);
+  if (first >= t) return {from, first};
+  // Jump by the local clock, then settle the rounding at the boundary
+  // against the exact lattice times.
+  std::uint64_t k = from;
+  const double x =
+      (slots_[node_index].clock.local_at(t) - trains_[node_index].phase) /
+      config_.tick_local_period;
+  if (x > static_cast<double>(k)) {
+    k = static_cast<std::uint64_t>(std::ceil(x));
+  }
+  while (k > from + 1 && lattice_time(node_index, k - 1) >= t) --k;
+  SimTime at = lattice_time(node_index, k);
+  while (at < t) at = lattice_time(node_index, ++k);
+  return {k, at};
+}
+
+void Network::pause_ticks(std::size_t node_index) {
+  TickTrain& train = trains_[node_index];
+  if (train.state != Train::kLazy) return;
+  scheduler_.cancel(train.event);
+  train.state = Train::kOff;
+  // Replay the failed draws of the lattice ticks strictly before now(); a
+  // tick at exactly now() counts after the handler about to run.
+  const std::uint64_t next =
+      first_tick_at_or_after(node_index, train.ticks + 1, now()).k;
+  Rng& rng = slots_[node_index].rng;
+  for (; train.ticks + 1 < next; ++train.ticks) {
+    const bool fired = rng.bernoulli(train.p);
+    ABE_CHECK(!fired) << "tick train replay diverged at node " << node_index;
+  }
+}
+
+void Network::rearm_ticks(std::size_t node_index, bool after_tick) {
+  const Node& node = *slots_[node_index].node;
+  TickTrain& train = trains_[node_index];
+  if (timeseries_.interval > 0.0 && train.stop == kTimeInfinity &&
+      node.is_terminated()) {
+    // A per-tick train stops after the first tick that sees the node
+    // terminated: this one, or the next lattice tick.
+    train.stop =
+        after_tick
+            ? now()
+            : first_tick_at_or_after(node_index, train.ticks + 1, now()).at;
+  }
+  const TickDemand demand = node.tick_demand();
+  if (demand.kind == TickDemand::Kind::kEvery) {
+    if (train.state == Train::kEvery) return;  // its next tick stays pending
+    const LatticeTick next =
+        first_tick_at_or_after(node_index, train.ticks + 1, now());
+    train.ticks = next.k - 1;
+    train.state = Train::kEvery;
+    train.event = scheduler_.schedule_at(
+        next.at, [this, node_index] { fire_tick(node_index); });
+    return;
+  }
+  if (train.state == Train::kEvery) scheduler_.cancel(train.event);
+  train.state = Train::kOff;
+  // bernoulli(p <= 0) draws nothing and fails: the same as kNone.
+  if (demand.kind == TickDemand::Kind::kBernoulli && demand.p > 0.0) {
+    train.ticks =
+        first_tick_at_or_after(node_index, train.ticks + 1, now()).k - 1;
+    train.p = demand.p;
+    arm_lazy(node_index, kLazyHorizon);
+  }
+}
+
+void Network::arm_lazy(std::size_t node_index, std::uint32_t horizon) {
+  TickTrain& train = trains_[node_index];
+  // Draw ahead on a copy of the node's stream, one bernoulli(p) per lattice
+  // tick, exactly as on_tick would; stop at the first success or after
+  // `horizon` failures (the checkpoint).
+  Rng ahead = slots_[node_index].rng;
+  Rng before = ahead;
+  std::uint64_t k = train.ticks + 1;
+  bool success = false;
+  for (std::uint32_t h = 1;; ++h, ++k) {
+    before = ahead;
+    success = ahead.bernoulli(train.p);
+    if (success || h == horizon) break;
+  }
+  train.rng = success ? before : ahead;
+  train.state = Train::kLazy;
+  train.horizon = horizon;
+  train.event = scheduler_.schedule_at(
+      lattice_time(node_index, k), [this, node_index, k, success] {
+        TickTrain& t = trains_[node_index];
+        t.state = Train::kOff;
+        slots_[node_index].rng = t.rng;
+        if (success) {
+          t.ticks = k - 1;
+          fire_tick(node_index);
+        } else {
+          t.ticks = k;
+          arm_lazy(node_index, std::min(2 * t.horizon, kMaxLazyHorizon));
+        }
+      });
+}
+
+void Network::fire_tick(std::size_t node_index) {
+  TickTrain& train = trains_[node_index];
+  train.state = Train::kOff;
+  ++train.ticks;
+  ++metrics_.ticks_fired;
+  // Each tick record's cause is the node's previous tick record, so a chain
+  // of ticks telescopes from the first one (a causal root).
+  current_cause_ = trace_.record(
+      now(), TraceKind::kTick, NodeId{static_cast<std::int64_t>(node_index)},
+      static_cast<std::int64_t>(train.ticks), train.last_record);
+  train.last_record = current_cause_;
+  slots_[node_index].node->on_tick(contexts_[node_index], train.ticks);
+  rearm_ticks(node_index, /*after_tick=*/true);
 }
 
 TimerId Network::set_timer(std::size_t node_index, double local_delay,
@@ -246,6 +362,7 @@ TimerId Network::set_timer(std::size_t node_index, double local_delay,
   const std::int64_t cause = current_cause_;
   scheduler_.schedule_at(
       std::max(fire, now()), [this, node_index, tag, timer_id, cause] {
+        if (config_.enable_ticks) pause_ticks(node_index);
         ++metrics_.timers_fired;
         current_cause_ =
             trace_.record(now(), TraceKind::kTimer,
@@ -253,6 +370,7 @@ TimerId Network::set_timer(std::size_t node_index, double local_delay,
                           static_cast<std::int64_t>(tag), cause);
         slots_[node_index].node->on_timer(contexts_[node_index], timer_id,
                                           tag);
+        if (config_.enable_ticks) rearm_ticks(node_index);
       });
   return timer_id;
 }
@@ -336,9 +454,17 @@ void Network::deliver(std::size_t edge_index, PayloadPtr payload,
     return;
   }
   // Definition 1(3): handling occupies the node; queue behind earlier work.
-  NodeSlot& slot = slots_[channels_[edge_index].to];
+  const std::size_t to = channels_[edge_index].to;
+  NodeSlot& slot = slots_[to];
   const SimTime start = std::max(now(), slot.busy_until);
+  // The processing draw comes from the node's own stream, so a lazy tick
+  // train must catch up first and re-arm after.
+  const bool draws =
+      config_.enable_ticks &&
+      config_.processing.kind == ProcessingModel::Kind::kExponential;
+  if (draws) pause_ticks(to);
   const double ptime = config_.processing.sample(slot.rng);
+  if (draws) rearm_ticks(to);
   const SimTime finish = start + ptime;
   slot.busy_until = finish;
   if (finish <= now()) {
@@ -380,7 +506,27 @@ void Network::finish_delivery(std::size_t edge_index, const Payload& payload,
                                    static_cast<std::int64_t>(edge_index),
                                    send_id, channel_delay, work);
   }
-  slots_[to].node->on_message(contexts_[to], ch.in_index, payload);
+  if (config_.enable_ticks) {
+    pause_ticks(to);
+    slots_[to].node->on_message(contexts_[to], ch.in_index, payload);
+    rearm_ticks(to);
+  } else {
+    slots_[to].node->on_message(contexts_[to], ch.in_index, payload);
+  }
+}
+
+void Network::take_sample() {
+  TimeSeriesSample sample;
+  sample.t = next_sample_;
+  sample.pending = static_cast<double>(scheduler_.pending());
+  sample.in_flight = static_cast<double>(metrics_.in_flight());
+  std::uint64_t live = 0;
+  for (const NodeSlot& slot : slots_) {
+    if (slot.node != nullptr && !slot.node->is_terminated()) ++live;
+  }
+  sample.live = static_cast<double>(live);
+  timeseries_.samples.push_back(sample);
+  next_sample_ += timeseries_.interval;
 }
 
 void Network::sample_timeseries() {
@@ -390,28 +536,48 @@ void Network::sample_timeseries() {
   // it cannot change any aggregate.
   while (next_sample_ <= now() &&
          timeseries_.samples.size() < TimeSeries::kMaxSamples) {
-    TimeSeriesSample sample;
-    sample.t = next_sample_;
-    sample.pending = static_cast<double>(scheduler_.pending());
-    sample.in_flight = static_cast<double>(metrics_.in_flight());
-    std::uint64_t live = 0;
-    for (const NodeSlot& slot : slots_) {
-      if (slot.node != nullptr && !slot.node->is_terminated()) ++live;
+    take_sample();
+  }
+}
+
+bool Network::skipped_tick_in(SimTime from, SimTime limit, bool inclusive) {
+  for (std::size_t i = 0; i < trains_.size(); ++i) {
+    const TickTrain& train = trains_[i];
+    if (train.stop < from) continue;
+    const SimTime at = first_tick_at_or_after(i, train.ticks + 1, from).at;
+    if (at <= train.stop && (at < limit || (inclusive && at == limit))) {
+      return true;
     }
-    sample.live = static_cast<double>(live);
-    timeseries_.samples.push_back(sample);
-    next_sample_ += timeseries_.interval;
+  }
+  return false;
+}
+
+void Network::sample_skipped_ticks(SimTime limit, bool inclusive) {
+  // The grid stays where a per-tick train put it. There, a lattice tick
+  // with no on_tick call was an event too, and the sampler ran after it:
+  // a grid point followed by such a tick before the next real event (or
+  // before the deadline) is sampled now, with the state that tick saw.
+  while ((next_sample_ < limit || (inclusive && next_sample_ == limit)) &&
+         timeseries_.samples.size() < TimeSeries::kMaxSamples &&
+         skipped_tick_in(next_sample_, limit, inclusive)) {
+    take_sample();
   }
 }
 
 bool Network::run_until(const std::function<bool()>& pred, SimTime deadline) {
   ABE_CHECK(started_) << "run before start()";
+  const bool sampling = timeseries_.interval > 0.0;
+  const bool skipped_ticks = sampling && config_.enable_ticks;
   while (!pred()) {
     // Peek so no event beyond the deadline is ever executed.
     const SimTime next = scheduler_.next_event_time();
-    if (next == kTimeInfinity || next > deadline) return false;
+    if (next == kTimeInfinity || next > deadline) {
+      if (skipped_ticks) sample_skipped_ticks(deadline, /*inclusive=*/true);
+      return false;
+    }
+    if (skipped_ticks) sample_skipped_ticks(next, /*inclusive=*/false);
     scheduler_.run_steps(1);
-    if (timeseries_.interval > 0.0) sample_timeseries();
+    if (sampling) sample_timeseries();
   }
   return true;
 }

@@ -10,6 +10,52 @@
 // Setting a FixedDelay model, ideal clocks, and zero processing recovers the
 // classic ABD model; an exponential/Lomax delay gives a genuine ABE network
 // where no worst-case delay bound exists.
+//
+// Tick trains. With ticks enabled, node i's lattice tick k falls at local
+// time phase_i + k * tick_local_period. Each node has at most one pending
+// tick-train event, chosen by its Node::tick_demand() (net/node.h), which
+// the network asks after every handler of that node:
+//   kEvery      one event per lattice tick, each calling on_tick: the
+//               per-tick train (the default until a node terminates);
+//   kNone       no event; the lattice ticks pass unseen;
+//   kBernoulli  the network copies the node's Rng, replays bernoulli(p) on
+//               the copy tick by tick, and schedules one event: at the
+//               first success, where it installs the copy's state from just
+//               before that draw and calls on_tick (which redraws it and
+//               succeeds), or at a checkpoint 64 ticks on (doubling per
+//               checkpoint of one idle stretch, up to 1024), where it
+//               installs the state after the failures and draws ahead again.
+// Before anything else touches a node with a kBernoulli train — its
+// processing-time draw, on_message, on_timer — the train pauses: the failed
+// draws of the lattice ticks strictly before now() are replayed on the
+// node's own Rng and the pending event is cancelled; after the handler the
+// train re-arms from the next lattice tick. The node's stream therefore sees
+// exactly the draws a per-tick train would make, in the same order, and a
+// seeded run is the same — messages, times, states — while an idle node
+// costs O(1) events per activation instead of one per period.
+//
+// What changes against a per-tick train:
+//   * net.ticks (NetworkMetrics::ticks_fired) counts on_tick calls, not
+//     lattice ticks; sched.* counts and trace.recorded shrink accordingly.
+//     A kTick record's cause is the node's previous kTick record, so tick
+//     chains still telescope back to the node's first tick.
+//   * Ties. A lattice tick at the same instant as another event of the
+//     same node counts after that event (a per-tick train orders them by
+//     sequence number). Across nodes, a lazy event keeps the sequence
+//     number it got when armed, not the one a per-tick train gives it when
+//     the previous tick fires, so same-instant events of different nodes
+//     can pop in another order. With random phases (the default) ties need
+//     a delay law commensurate with the tick period on ideal clocks (fixed,
+//     georetx); they are rare there, and reordered runs keep the same
+//     distribution. Under TickPhase::kAligned ties are the rule: the order
+//     is not reproduced, and tests check safety and the distribution there
+//     instead (tests/test_lazy_ticks.cpp).
+//   * The time-series sampler (obs/timeseries.h) still samples as if every
+//     lattice tick were an event: a grid point followed by a skipped tick
+//     before the next event is sampled at once (sample_skipped_ticks). Only
+//     its pending gauge differs.
+// The thread and UDP substrates ignore tick_demand and keep waking every
+// node once per period.
 #pragma once
 
 #include <cstdint>
@@ -76,9 +122,9 @@ struct NetworkConfig {
   double clock_segment_mean = 10.0;
   // Processing model (Definition 1(3)).
   ProcessingModel processing = ProcessingModel::zero();
-  // Tick generation: when enabled, Node::on_tick fires once per
-  // `tick_local_period` of the node's local clock, at local times
-  // phase + k·tick_local_period.
+  // Tick generation: when enabled, every node has a tick lattice at local
+  // times phase + k·tick_local_period, k >= 1, and Node::on_tick fires on
+  // the lattice ticks its tick_demand() asks for (see the file comment).
   bool enable_ticks = false;
   double tick_local_period = 1.0;
   // Nodes in an asynchronous network share no time origin, so by default
@@ -118,7 +164,7 @@ struct NetworkMetrics {
   std::uint64_t messages_sent = 0;
   std::uint64_t messages_delivered = 0;
   std::uint64_t messages_dropped = 0;
-  std::uint64_t ticks_fired = 0;
+  std::uint64_t ticks_fired = 0;  // on_tick calls
   std::uint64_t timers_fired = 0;
   double total_channel_delay = 0.0;  // summed over delivered messages
   double max_channel_delay = 0.0;
@@ -151,9 +197,11 @@ class Network {
   void set_channel_loss(std::size_t edge_index, double loss_probability);
 
   // Schedules ONE event at t = 0 that calls on_start on every node in index
-  // order (each a causal root: no trace record, current cause -1), then the
-  // first tick of every node in index order when ticks are on. Requires
-  // exactly topology.n nodes installed. Must be called exactly once.
+  // order (each a causal root: no trace record, current cause -1), then,
+  // when ticks are on, the first tick of every node whose tick_demand() is
+  // kEvery, in index order; the other tick trains arm inside the start
+  // event, right after their node's on_start. Requires exactly topology.n
+  // nodes installed. Must be called exactly once.
   //
   // This is the same execution as one start event per node: on_start
   // records nothing, every event an on_start schedules sorts after the
@@ -174,8 +222,8 @@ class Network {
   bool run_until(const std::function<bool()>& pred,
                  SimTime deadline = kTimeInfinity);
 
-  // Runs until no events remain or `deadline` passes. With ticks enabled the
-  // queue never drains, so a finite deadline is required then.
+  // Runs until no events remain or `deadline` passes. A kEvery tick train
+  // never drains, so with ticks enabled a finite deadline is required.
   void run_until_quiescent(SimTime deadline = kTimeInfinity);
 
   // --- introspection ----------------------------------------------------
@@ -248,9 +296,34 @@ class Network {
     LocalClock clock;
     Rng rng;
     SimTime busy_until = 0.0;
+  };
+  // What a node's one pending tick-train event stands for.
+  enum class Train : std::uint8_t {
+    kOff,    // no event: the demand is kNone
+    kEvery,  // the next lattice tick, delivered as in a per-tick train
+    kLazy,   // a kBernoulli run: the first success, or a checkpoint
+  };
+  // Per-node tick-train state (see the file comment), in its own array
+  // (trains_), which stays empty when ticks are off.
+  struct TickTrain {
+    // Lattice index of the last tick accounted for: delivered, replayed as
+    // a failed draw, or skipped under kNone.
     std::uint64_t ticks = 0;
-    double tick_phase = 0.0;  // local-time offset of the tick train
-    bool ticking = false;
+    double phase = 0.0;  // local-time offset of the lattice
+    Train state = Train::kOff;
+    EventId event;
+    // kLazy only: the Bernoulli parameter, the length of the pending run,
+    // and the node's stream at the pending event (just before the
+    // successful draw, or after the checkpoint's failed draws).
+    double p = 0.0;
+    std::uint32_t horizon = 0;
+    Rng rng;
+    // Trace id of this node's last kTick record: the cause of its next one.
+    std::int64_t last_record = -1;
+    // Time of the last lattice tick a per-tick train would have popped: the
+    // first one at or after the node terminated. Kept for the time-series
+    // sampler only (sample_skipped_ticks).
+    SimTime stop = kTimeInfinity;
   };
 
   // Message path. The payload has one owner at every step — send_from, the
@@ -267,8 +340,25 @@ class Network {
   // One count field of every channel record, in edge order.
   std::vector<std::uint64_t> channel_counts(
       std::uint64_t ChannelState::*count) const;
-  void schedule_next_tick(std::size_t node_index);
+  // Tick trains. pause_ticks runs before anything else touches a node (a
+  // processing-time draw, on_message, on_timer; nothing is armed before
+  // on_start); rearm_ticks after, with the node's new demand.
+  SimTime lattice_time(std::size_t node_index, std::uint64_t k);
+  struct LatticeTick {
+    std::uint64_t k;  // lattice index
+    SimTime at;       // its real time
+  };
+  // The first lattice tick at or after real time `t`, from index `from` on.
+  LatticeTick first_tick_at_or_after(std::size_t node_index,
+                                     std::uint64_t from, SimTime t);
+  void pause_ticks(std::size_t node_index);
+  void rearm_ticks(std::size_t node_index, bool after_tick = false);
+  void arm_lazy(std::size_t node_index, std::uint32_t horizon);
+  void fire_tick(std::size_t node_index);
   void sample_timeseries();
+  void sample_skipped_ticks(SimTime limit, bool inclusive);
+  bool skipped_tick_in(SimTime from, SimTime limit, bool inclusive);
+  void take_sample();
   TimerId set_timer(std::size_t node_index, double local_delay,
                     std::uint64_t tag);
   bool cancel_timer_impl(TimerId id);
@@ -285,6 +375,7 @@ class Network {
   MetricsRegistry registry_;
   FixedHistogram* delay_hist_ = nullptr;
   std::vector<NodeSlot> slots_;
+  std::vector<TickTrain> trains_;  // one per node when ticks are on
   // contexts_[i] is node i's Context; like slots_, sized once in the
   // constructor so the references handed to nodes stay valid.
   std::vector<ContextImpl> contexts_;

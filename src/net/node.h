@@ -61,6 +61,30 @@ class Context {
   virtual void log(const std::string& detail) = 0;
 };
 
+// What a node's next local-clock ticks are worth to it, asked by the
+// simulator after every handler of the node (Node::tick_demand). A runtime
+// that honours it may skip ticks whose on_tick call it can prove to be a
+// no-op, so the contract is strict:
+//   kEvery      — on_tick may do anything; every tick is delivered.
+//   kNone       — on_tick would be a no-op (no draw, no send, no state
+//                 change) on every tick until the node's next handler runs.
+//   kBernoulli  — on_tick first draws ctx.rng().bernoulli(p) and does
+//                 nothing else when that draw fails; p stays fixed until
+//                 the node's next handler runs.
+// The answer may depend only on the node's own state, which only its own
+// handlers change. A runtime may also ignore it and deliver every tick (the
+// thread and UDP substrates do), so on_tick must keep honouring the promise
+// itself rather than rely on being skipped.
+struct TickDemand {
+  enum class Kind : std::uint8_t { kEvery, kNone, kBernoulli };
+  Kind kind = Kind::kEvery;
+  double p = 0.0;  // kBernoulli only
+
+  static TickDemand every() { return {Kind::kEvery, 0.0}; }
+  static TickDemand none() { return {Kind::kNone, 0.0}; }
+  static TickDemand bernoulli(double p) { return {Kind::kBernoulli, p}; }
+};
+
 class Node {
  public:
   virtual ~Node() = default;
@@ -85,6 +109,12 @@ class Node {
   // True when this node has reached a terminal state; runtimes may use this
   // to stop tick generation for the node.
   virtual bool is_terminated() const { return false; }
+
+  // The node's demand for its next ticks (see TickDemand). The default
+  // keeps every tick until the node terminates.
+  virtual TickDemand tick_demand() const {
+    return is_terminated() ? TickDemand::none() : TickDemand::every();
+  }
 
   // The algorithm node answering result-extraction queries. Decorators that
   // wrap an algorithm node (adversary/faulty_node.h) forward this to the

@@ -604,9 +604,10 @@ std::vector<ScenarioSpec> build_registry() {
         ScenarioAlgorithm::kRingElection,
         TopologySpec{TopologyFamily::kRingUni, 16, 0.0});
     s.failure = FailureProfile::loss(0.005);
-    // Loss opens a deadlock corner (every node passive, every token lost),
-    // so stuck trials must fail fast: elections normally finish by t ≈ 50,
-    // and a deadline in the 1e7 default would burn ~1e8 tick events.
+    // Loss opens a deadlock corner (every node passive, every token lost).
+    // Passive nodes demand no ticks, so such a trial drains the scheduler
+    // as soon as its last token dies and is classified stalled; elections
+    // normally finish by t ≈ 50, and the deadline bounds everything else.
     s.deadline = 2e4;
     reg.push_back(std::move(s));
   }
@@ -751,7 +752,7 @@ std::vector<ScenarioMatrix> build_sweeps() {
     m.failures = {FailureProfile::none(), FailureProfile::loss(0.005),
                   FailureProfile::degrade(0.1, 20.0)};
     // Same fail-fast deadline as the ring-lossy scenario: lossy cells can
-    // deadlock, and a stuck ring trial ticks until the deadline.
+    // deadlock.
     m.base.deadline = 2e4;
     sweeps.push_back(std::move(m));
   }
