@@ -40,32 +40,39 @@ std::string PollPayload::describe() const {
   return os.str();
 }
 
-std::vector<PollingWiring> build_polling_wiring(const Topology& topology,
-                                                std::size_t root) {
+PollingWiringTable build_polling_wiring(const Topology& topology,
+                                        std::size_t root) {
   const Adjacency out = out_adjacency(topology);
   const OutChannelIndex chan(topology, out);
   const SpanningTree tree = bfs_spanning_tree(topology, root, out, chan);
-  std::vector<PollingWiring> wiring(topology.n);
+  PollingWiringTable wiring;
+  wiring.channels.assign(topology.n, OutChannelIndex::kNone);
+  for (std::size_t k = 1; k < topology.n; ++k) {
+    const std::size_t c = tree.order[k];
+    const std::size_t down = chan.channel(tree.parent[c], c);
+    ABE_CHECK_NE(down, OutChannelIndex::kNone);
+    wiring.channels[k] = down;
+  }
+  wiring.nodes.resize(topology.n);
   for (std::size_t i = 0; i < topology.n; ++i) {
-    wiring[i].is_root = (i == root);
+    PollingWiring& w = wiring.nodes[i];
+    w.is_root = (i == root);
     if (i != root) {
       const std::size_t up = chan.channel(i, tree.parent[i]);
       ABE_CHECK_NE(up, OutChannelIndex::kNone)
           << "tree edge lacks a reverse channel";
-      wiring[i].parent_out = up;
+      w.parent_out = up;
     }
-    for (std::size_t c : tree.children[i]) {
-      const std::size_t down = chan.channel(i, c);
-      ABE_CHECK_NE(down, OutChannelIndex::kNone);
-      wiring[i].children_out.push_back(down);
-    }
+    w.children_out =
+        Adjacency::Span(wiring.channels.data() + tree.children_begin[i],
+                        wiring.channels.data() + tree.children_end[i]);
   }
   return wiring;
 }
 
 PollingElectionNode::PollingElectionNode(PollingWiring wiring,
                                          PollingOptions options)
-    : wiring_(std::move(wiring)), options_(std::move(options)) {
+    : wiring_(wiring), options_(std::move(options)) {
   ABE_CHECK_GE(options_.id_bits, 1u);
   ABE_CHECK_LE(options_.id_bits, 64u);
 }
@@ -188,8 +195,9 @@ class PollingDriver final : public AlgorithmDriver {
                                std::memory_order_relaxed);
       watch->leader_count.fetch_add(1, std::memory_order_release);
     };
-    // Each index is built once, so the node takes its wiring by move.
-    return std::make_unique<PollingElectionNode>(std::move(wiring_[index]),
+    // The node's children_out is a view into wiring_, which this driver
+    // keeps until after the runtime has destroyed its nodes.
+    return std::make_unique<PollingElectionNode>(wiring_.nodes[index],
                                                  std::move(options));
   }
 
@@ -297,7 +305,7 @@ class PollingDriver final : public AlgorithmDriver {
   double loss_probability_;
   PollingRunResult* sink_;
   PollingWatch watch_;
-  std::vector<PollingWiring> wiring_;
+  PollingWiringTable wiring_;
 };
 
 }  // namespace

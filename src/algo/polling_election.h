@@ -79,16 +79,37 @@ class PollPayload final : public Payload {
 };
 
 // Static per-node wiring derived from the spanning tree (cf. BetaWiring).
+// children_out is a view into the PollingWiringTable that built it, so a
+// node holding this wiring must not outlive that table.
 struct PollingWiring {
   bool is_root = false;
-  std::size_t parent_out = 0;  // out-channel toward the parent (non-root)
-  std::vector<std::size_t> children_out;
+  std::size_t parent_out = 0;    // out-channel toward the parent (non-root)
+  Adjacency::Span children_out;  // out-channels toward each child
+};
+
+// The wiring of every node in one flat channel array instead of one vector
+// per node. nodes[i] is node i's wiring; every children_out view points into
+// `channels`, which is CSR over the tree's BFS order like the tree's
+// children (net/spanning_tree.h): channels[k] is the out-channel from the
+// parent of order[k] to order[k], and slot 0, the root's, is unused.
+// Move-only, so the views stay valid. The polling driver owns its table and
+// outlives its nodes (run_algorithm_trial destroys the runtime, and with it
+// the nodes, before it returns), which is the lifetime the views need.
+struct PollingWiringTable {
+  PollingWiringTable() = default;
+  PollingWiringTable(PollingWiringTable&&) = default;
+  PollingWiringTable& operator=(PollingWiringTable&&) = default;
+  PollingWiringTable(const PollingWiringTable&) = delete;
+  PollingWiringTable& operator=(const PollingWiringTable&) = delete;
+
+  std::vector<std::size_t> channels;
+  std::vector<PollingWiring> nodes;
 };
 
 // Builds the wiring for every node from a BFS tree rooted at `root`.
 // Requires every tree edge to have a reverse channel.
-std::vector<PollingWiring> build_polling_wiring(const Topology& topology,
-                                                std::size_t root = 0);
+PollingWiringTable build_polling_wiring(const Topology& topology,
+                                        std::size_t root = 0);
 
 struct PollingOptions {
   // Ids are drawn uniformly from [0, 2^id_bits). 64 makes ties negligible;

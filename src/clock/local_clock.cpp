@@ -21,13 +21,13 @@ LocalClock::LocalClock(ClockBounds bounds, DriftModel model, Rng rng,
     : bounds_(bounds), model_(model), rng_(rng), segment_mean_(segment_mean) {
   bounds_.validate();
   ABE_CHECK_GT(segment_mean_, 0.0);
+  rate_ = draw_rate();
+  if (model_ != DriftModel::kPiecewiseRandom) return;
   Segment first;
   first.real_start = 0.0;
   first.local_start = 0.0;
-  first.rate = draw_rate();
-  first.real_end = model_ == DriftModel::kPiecewiseRandom
-                       ? rng_.exponential(segment_mean_)
-                       : kTimeInfinity;
+  first.rate = rate_;
+  first.real_end = rng_.exponential(segment_mean_);
   segments_.push_back(first);
 }
 
@@ -57,6 +57,9 @@ void LocalClock::extend_to(SimTime real) {
 
 double LocalClock::local_at(SimTime real) {
   ABE_CHECK_GE(real, 0.0);
+  // The single-rate models: the one open segment from (0, 0), evaluated
+  // with the same expression as below so results are bit-identical.
+  if (segments_.empty()) return 0.0 + rate_ * (real - 0.0);
   extend_to(real);
   // Binary search for the covering segment (queries are mostly at the end,
   // so check the last segment first).
@@ -74,6 +77,7 @@ double LocalClock::local_at(SimTime real) {
 
 SimTime LocalClock::real_at(double local) {
   ABE_CHECK_GE(local, 0.0);
+  if (segments_.empty()) return 0.0 + (local - 0.0) / rate_;
   // Extend until the local reading at the last segment start exceeds local.
   // Rates are >= s_low > 0, so local time diverges and this terminates.
   while (true) {
@@ -94,6 +98,7 @@ SimTime LocalClock::real_at(double local) {
 
 double LocalClock::rate_at(SimTime real) {
   ABE_CHECK_GE(real, 0.0);
+  if (segments_.empty()) return rate_;
   extend_to(real);
   auto it = std::upper_bound(
       segments_.begin(), segments_.end(), real,

@@ -42,7 +42,10 @@ enum class DriftModel : std::uint8_t {
 const char* drift_model_name(DriftModel model);
 
 // Monotone map between real simulated time and one node's local time.
-// Built lazily: segments are appended as real time advances.
+// Only kPiecewiseRandom keeps segments, built lazily: they are appended as
+// real time advances. kNone and kFixedRandomRate keep just their one rate
+// and no heap storage; their maps are the one-segment expressions
+// 0 + rate·(t − 0) and 0 + (l − 0) / rate.
 class LocalClock {
  public:
   // `rng` seeds the per-clock rate draws; `segment_mean` is the expected real
@@ -70,7 +73,7 @@ class LocalClock {
     SimTime real_start;
     double local_start;
     double rate;
-    SimTime real_end;  // +inf for the open last segment
+    SimTime real_end;  // where the next segment starts
   };
 
   // Ensures segments cover real time `real`.
@@ -81,6 +84,9 @@ class LocalClock {
   DriftModel model_;
   Rng rng_;
   double segment_mean_;
+  // The whole-run rate; for kPiecewiseRandom, the first segment's.
+  double rate_ = 1.0;
+  // kPiecewiseRandom only; empty for the single-rate models.
   std::vector<Segment> segments_;
 };
 

@@ -29,15 +29,19 @@ SpanningTree bfs_spanning_tree(const Topology& topology, std::size_t root,
   SpanningTree tree;
   tree.root = root;
   tree.parent.assign(topology.n, std::numeric_limits<std::size_t>::max());
-  tree.children.assign(topology.n, {});
   tree.depth.assign(topology.n, 0);
+  tree.children_begin.assign(topology.n, 0);
+  tree.children_end.assign(topology.n, 0);
   tree.parent[root] = root;
 
-  // The visit order doubles as the BFS queue: [head, order.size()).
-  std::vector<std::size_t> order{root};
+  // The visit order doubles as the BFS queue: [head, order.size()). The
+  // children of order[head] are exactly what its scan appends.
+  std::vector<std::size_t>& order = tree.order;
   order.reserve(topology.n);
+  order.push_back(root);
   for (std::size_t head = 0; head < order.size(); ++head) {
     const std::size_t u = order[head];
+    tree.children_begin[u] = order.size();
     for (std::size_t e : out.of(u)) {
       const std::size_t v = topology.edges[e].to;
       if (tree.parent[v] != std::numeric_limits<std::size_t>::max()) {
@@ -47,10 +51,10 @@ SpanningTree bfs_spanning_tree(const Topology& topology, std::size_t root,
           << "tree edge " << u << "->" << v
           << " lacks the reverse channel the β protocol needs";
       tree.parent[v] = u;
-      tree.children[u].push_back(v);
       tree.depth[v] = tree.depth[u] + 1;
       order.push_back(v);
     }
+    tree.children_end[u] = order.size();
   }
   for (std::size_t v = 0; v < topology.n; ++v) {
     ABE_CHECK(tree.parent[v] != std::numeric_limits<std::size_t>::max())

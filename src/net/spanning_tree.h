@@ -15,15 +15,31 @@
 
 namespace abe {
 
+// The children lists are CSR over the BFS visit order, not one vector per
+// node: BFS appends all of a node's children in one go, so they form one
+// contiguous run of `order`, and node u's children are
+// order[children_begin[u], children_end[u]). The runs partition
+// order[1, n) (position 0 is the root), so the whole tree costs five flat
+// arrays however large n is.
 struct SpanningTree {
   std::size_t root = 0;
   // parent[i] = parent node of i (root points at itself).
   std::vector<std::size_t> parent;
-  // children[i] = child nodes of i.
-  std::vector<std::vector<std::size_t>> children;
   // depth[i] = hops from the root.
   std::vector<std::size_t> depth;
+  // BFS visit order, root first.
+  std::vector<std::size_t> order;
+  // Positions in `order` of node i's children: [children_begin[i],
+  // children_end[i]).
+  std::vector<std::size_t> children_begin;
+  std::vector<std::size_t> children_end;
 
+  // Child nodes of u in BFS order: a view into `order`, valid while this
+  // tree lives.
+  Adjacency::Span children(std::size_t u) const {
+    return Adjacency::Span(order.data() + children_begin[u],
+                           order.data() + children_end[u]);
+  }
   std::size_t height() const;
   std::size_t edge_count() const { return parent.empty() ? 0 : parent.size() - 1; }
 };

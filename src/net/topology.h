@@ -83,9 +83,13 @@ Topology random_geometric(std::size_t n, double radius, Rng& rng,
 // is a counting pass plus a fill pass: O(n + E) time, two allocations.
 class Adjacency {
  public:
-  // A read-only view of one node's list (contiguous edge indices).
+  // A read-only view of one node's list (contiguous indices). Also the
+  // per-node view into the other flat index arrays: spanning-tree children
+  // (net/spanning_tree.h) and the polling and β wirings. A view never owns
+  // its storage; it is valid while the array it points into lives.
   class Span {
    public:
+    Span() = default;
     Span(const std::size_t* first, const std::size_t* last)
         : first_(first), last_(last) {}
     const std::size_t* begin() const { return first_; }
@@ -93,11 +97,12 @@ class Adjacency {
     std::size_t size() const {
       return static_cast<std::size_t>(last_ - first_);
     }
+    bool empty() const { return first_ == last_; }
     std::size_t operator[](std::size_t k) const { return first_[k]; }
 
    private:
-    const std::size_t* first_;
-    const std::size_t* last_;
+    const std::size_t* first_ = nullptr;
+    const std::size_t* last_ = nullptr;
   };
 
   Adjacency() = default;

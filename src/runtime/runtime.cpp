@@ -97,10 +97,6 @@ RunStats SimRuntime::stats() const {
   stats.messages_dropped = m.messages_dropped;
   stats.ticks_fired = m.ticks_fired;
   stats.now = net_.now();
-  stats.terminated.resize(net_.size());
-  for (std::size_t i = 0; i < net_.size(); ++i) {
-    stats.terminated[i] = terminated(i);
-  }
   return stats;
 }
 
@@ -215,10 +211,6 @@ RunStats ThreadRuntime::stats() const {
   stats.messages_dropped = net_.messages_dropped();
   stats.ticks_fired = net_.ticks_fired();
   stats.now = now();
-  stats.terminated.resize(net_.size());
-  for (std::size_t i = 0; i < net_.size(); ++i) {
-    stats.terminated[i] = net_.terminated(i);
-  }
   return stats;
 }
 

@@ -16,7 +16,7 @@
 //       - UdpRuntime    wrapping UdpNetwork         (runtime/udp_runtime.h,
 //         real loopback datagrams with measured delays);
 //   * RunStats — the uniform harvest (messages sent/delivered/dropped, ticks,
-//     clock reading, per-node terminated flags);
+//     clock reading); per-node terminated flags come from terminated(i);
 //   * AlgorithmDriver — what an algorithm must provide to run on either
 //     substrate: a node factory, a done-predicate, and result extraction.
 //     run_algorithm_trial() executes a driver on either runtime.
@@ -128,7 +128,6 @@ struct RunStats {
   std::uint64_t messages_dropped = 0;  // failure injection
   std::uint64_t ticks_fired = 0;
   SimTime now = 0.0;  // runtime clock at the moment of sampling
-  std::vector<bool> terminated;  // per-node snapshot
 
   // On a RUNNING thread runtime the three counters are sampled by separate
   // atomic loads — no consistent snapshot — so cross-counter arithmetic

@@ -815,10 +815,6 @@ RunStats UdpRuntime::stats() const {
   stats.messages_dropped = net_.messages_dropped();
   stats.ticks_fired = net_.ticks_fired();
   stats.now = now();
-  stats.terminated.resize(net_.size());
-  for (std::size_t i = 0; i < net_.size(); ++i) {
-    stats.terminated[i] = net_.terminated(i);
-  }
   return stats;
 }
 

@@ -16,46 +16,55 @@ std::string BetaControl::describe() const {
   return os.str();
 }
 
-std::vector<BetaWiring> build_beta_wiring(const Topology& topology,
-                                          const SpanningTree& tree) {
+BetaWiringTable build_beta_wiring(const Topology& topology,
+                                  const SpanningTree& tree) {
   const Adjacency in_adj = in_adjacency(topology);
   const OutChannelIndex to_nbr(topology);
   constexpr std::size_t kNone = OutChannelIndex::kNone;
+  const std::size_t n = topology.n;
 
-  std::vector<BetaWiring> wiring(topology.n);
-  for (std::size_t v = 0; v < topology.n; ++v) {
-    BetaWiring& w = wiring[v];
+  BetaWiringTable wiring;
+  wiring.channels.assign(n + topology.edges.size(), kNone);
+  std::size_t* const channels = wiring.channels.data();
+  for (std::size_t k = 1; k < n; ++k) {
+    const std::size_t child = tree.order[k];
+    const std::size_t parent = tree.parent[child];
+    const std::size_t out = to_nbr.channel(parent, child);
+    ABE_CHECK(out != kNone)
+        << "no channel from " << parent << " to child " << child;
+    channels[k] = out;
+  }
+  wiring.nodes.resize(n);
+  std::size_t ack = n;  // start of v's ack routes in `channels`
+  for (std::size_t v = 0; v < n; ++v) {
+    BetaWiring& w = wiring.nodes[v];
     w.is_root = v == tree.root;
     if (!w.is_root) {
       w.parent_out = to_nbr.channel(v, tree.parent[v]);
       ABE_CHECK(w.parent_out != kNone)
           << "no channel from " << v << " to parent " << tree.parent[v];
     }
-    for (std::size_t child : tree.children[v]) {
-      const std::size_t out = to_nbr.channel(v, child);
-      ABE_CHECK(out != kNone)
-          << "no channel from " << v << " to child " << child;
-      w.children_out.push_back(out);
-    }
+    w.children_out = Adjacency::Span(channels + tree.children_begin[v],
+                                     channels + tree.children_end[v]);
     // Ack routes: for each incoming channel, the channel back to its sender.
     const Adjacency::Span in = in_adj.of(v);
-    w.reverse_of_in.resize(in.size());
     for (std::size_t k = 0; k < in.size(); ++k) {
       const std::size_t sender = topology.edges[in[k]].from;
       const std::size_t back = to_nbr.channel(v, sender);
       ABE_CHECK(back != kNone) << "edge " << sender << "->" << v
                                << " lacks the reverse ack channel";
-      w.reverse_of_in[k] = back;
+      channels[ack + k] = back;
     }
+    w.reverse_of_in =
+        Adjacency::Span(channels + ack, channels + ack + in.size());
+    ack += in.size();
   }
   return wiring;
 }
 
 BetaSyncNode::BetaSyncNode(std::unique_ptr<SyncApp> app,
                            std::uint64_t max_rounds, BetaWiring wiring)
-    : app_(std::move(app)),
-      max_rounds_(max_rounds),
-      wiring_(std::move(wiring)) {
+    : app_(std::move(app)), max_rounds_(max_rounds), wiring_(wiring) {
   ABE_CHECK(static_cast<bool>(app_));
   ABE_CHECK_GT(max_rounds, 0u);
 }
@@ -198,8 +207,10 @@ class BetaSyncDriver final : public AlgorithmDriver {
   }
 
   NodePtr make_node(std::size_t index) override {
+    // The node's views point into wiring_, which this driver keeps until
+    // after the runtime has destroyed its nodes.
     return std::make_unique<BetaSyncNode>(factory_(index), rounds_,
-                                          wiring_[index]);
+                                          wiring_.nodes[index]);
   }
 
   bool done(const Runtime& rt) override {
@@ -240,7 +251,7 @@ class BetaSyncDriver final : public AlgorithmDriver {
   const SyncAppFactory& factory_;
   std::uint64_t rounds_;
   BetaRunResult* sink_;
-  std::vector<BetaWiring> wiring_;
+  BetaWiringTable wiring_;
 };
 
 }  // namespace

@@ -45,19 +45,44 @@ class BetaControl final : public Payload {
 };
 
 // Static per-node wiring derived from the topology and the spanning tree.
+// The two lists are views into the BetaWiringTable that built them, so a
+// node holding this wiring must not outlive that table.
 struct BetaWiring {
   bool is_root = false;
   // Out-channel toward the parent (unused for the root).
   std::size_t parent_out = 0;
   // Out-channels toward each child.
-  std::vector<std::size_t> children_out;
+  Adjacency::Span children_out;
   // For each in-channel, the out-channel back to that sender (ack route).
-  std::vector<std::size_t> reverse_of_in;
+  Adjacency::Span reverse_of_in;
+};
+
+// The wiring of every node in one flat channel array instead of two vectors
+// per node. nodes[i] is node i's wiring; every view points into `channels`,
+// which holds two CSR blocks:
+//   [0, n)      the down channels over the tree's BFS order, like the
+//               tree's children (net/spanning_tree.h): slot k is the
+//               out-channel from the parent of order[k] to order[k]; slot
+//               0, the root's, is unused;
+//   [n, n + E)  the ack routes over in_adjacency(topology): slot n + j is
+//               the reverse channel of the j-th in-channel entry.
+// Move-only, so the views stay valid. The β driver owns its table and
+// outlives its nodes (run_algorithm_trial destroys the runtime, and with it
+// the nodes, before it returns), which is the lifetime the views need.
+struct BetaWiringTable {
+  BetaWiringTable() = default;
+  BetaWiringTable(BetaWiringTable&&) = default;
+  BetaWiringTable& operator=(BetaWiringTable&&) = default;
+  BetaWiringTable(const BetaWiringTable&) = delete;
+  BetaWiringTable& operator=(const BetaWiringTable&) = delete;
+
+  std::vector<std::size_t> channels;
+  std::vector<BetaWiring> nodes;
 };
 
 // Builds the wiring for every node. Requires every edge to have a reverse.
-std::vector<BetaWiring> build_beta_wiring(const Topology& topology,
-                                          const SpanningTree& tree);
+BetaWiringTable build_beta_wiring(const Topology& topology,
+                                  const SpanningTree& tree);
 
 class BetaSyncNode final : public Node {
  public:

@@ -1,0 +1,105 @@
+// Heap-allocation budget of one polling trial.
+//
+// This binary replaces the global operator new/delete with counting
+// wrappers, so it is built without sanitizers (they install their own
+// allocator). The polling trial's setup keeps every per-node list in flat
+// arrays: the spanning tree's children are CSR over the BFS order, the
+// wiring is one channel array with per-node views, and single-rate clocks
+// hold no segment vector. What remains is one allocation per message
+// payload and one per node object, plus a per-trial constant that does not
+// grow with n. A per-node vector creeping back onto the trial path adds n
+// allocations and fails the budget.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+#include "scenario/scenario.h"
+#include "scenario/sweep.h"
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_alloc(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(align);
+  // aligned_alloc wants a size that is a multiple of the alignment.
+  const std::size_t rounded = (size + a - 1) / a * a;
+  if (void* p = std::aligned_alloc(a, rounded == 0 ? a : rounded)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return counted_aligned_alloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return counted_aligned_alloc(size, align);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+
+namespace abe {
+namespace {
+
+// Allocations of one trial beyond one per message and one per node: 99 at
+// n = 1024, and 96 to 111 for n from 256 to 4096, on x86-64 Linux with
+// gcc 12 and libstdc++. The slack absorbs standard-library differences; a
+// per-node vector would add hundreds.
+constexpr std::uint64_t kPerTrialConstant = 160;
+
+TEST(AllocBudget, PollingTorusTrialIsMessagesPlusNodesPlusConstant) {
+  const ScenarioSpec* registered = find_scenario("polling-torus");
+  ASSERT_NE(registered, nullptr);
+  ScenarioSpec spec = *registered;
+  spec.topology = TopologySpec{TopologyFamily::kTorus, 1024, 0.0};
+  ASSERT_EQ(runtime_cell_problem(spec), "");
+  const std::uint64_t n = spec.topology.n;
+
+  // A first trial pays any one-time lazy initialisation (registries,
+  // locale, iostream state) so the counted trial sees only its own cost.
+  ASSERT_TRUE(run_scenario_trial(spec, /*seed=*/1).completed);
+
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const ScenarioTrialResult trial = run_scenario_trial(spec, /*seed=*/2);
+  const std::uint64_t allocations =
+      g_allocations.load(std::memory_order_relaxed) - before;
+
+  ASSERT_TRUE(trial.completed);
+  ASSERT_TRUE(trial.safety_ok) << trial.safety_detail;
+  ASSERT_TRUE(trial.has_metrics);
+  const auto sent =
+      static_cast<std::uint64_t>(trial.metrics.value_of("net.sent"));
+  EXPECT_GE(sent, 3 * (n - 1));  // WAKE, ECHO and RESULT on every tree edge
+  EXPECT_LE(allocations, sent + n + kPerTrialConstant)
+      << "net.sent = " << sent << ", n = " << n << ": "
+      << allocations - sent - n << " allocations beyond one per message "
+      << "and one per node";
+  // The budget is tight enough to catch a single per-node vector.
+  EXPECT_LT(kPerTrialConstant, n);
+}
+
+}  // namespace
+}  // namespace abe

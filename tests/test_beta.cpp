@@ -115,7 +115,8 @@ TEST(Beta, SingleNode) {
 TEST(BetaWiring, RoutesAreSane) {
   const Topology t = grid(2, 3);
   const SpanningTree tree = bfs_spanning_tree(t, 0);
-  const auto wiring = build_beta_wiring(t, tree);
+  const BetaWiringTable table = build_beta_wiring(t, tree);
+  const std::vector<BetaWiring>& wiring = table.nodes;
   ASSERT_EQ(wiring.size(), 6u);
   EXPECT_TRUE(wiring[0].is_root);
   std::size_t total_children = 0;

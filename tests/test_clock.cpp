@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 namespace abe {
 namespace {
@@ -38,6 +41,35 @@ TEST(LocalClock, FixedRateWithinBounds) {
     // Fixed model: same rate everywhere.
     EXPECT_DOUBLE_EQ(c.rate_at(100.0), rate);
     EXPECT_NEAR(c.local_at(10.0), 10.0 * rate, 1e-9);
+  }
+}
+
+TEST(LocalClock, SingleRateMapsAreExactProductAndQuotient) {
+  // kNone and kFixedRandomRate keep one rate and no segments; the maps must
+  // be exactly rate·t and l/rate, bit for bit, out to t = 1e7, and the rate
+  // must be the clock rng's first draw.
+  const ClockBounds bounds{0.8, 1.3};
+  for (DriftModel model : {DriftModel::kNone, DriftModel::kFixedRandomRate}) {
+    for (std::uint64_t seed = 0; seed < 20; ++seed) {
+      SCOPED_TRACE(std::string(drift_model_name(model)) + " seed " +
+                   std::to_string(seed));
+      LocalClock c(bounds, model, Rng(seed));
+      Rng draw(seed);
+      const double rate = model == DriftModel::kNone
+                              ? 1.0
+                              : draw.uniform(bounds.s_low, bounds.s_high);
+      EXPECT_EQ(c.rate_at(0.0), rate);
+      std::vector<double> grid{0.0};
+      for (double t = 1e-3; t <= 1e7; t *= 1.37) grid.push_back(t);
+      for (double t = 1.0; t <= 1e7; t *= 10.0) grid.push_back(t + 0.25);
+      grid.push_back(1e7);
+      std::sort(grid.begin(), grid.end());
+      for (double t : grid) {
+        EXPECT_EQ(c.local_at(t), rate * t) << "t = " << t;
+        EXPECT_EQ(c.real_at(t), t / rate) << "l = " << t;
+        EXPECT_EQ(c.rate_at(t), rate) << "t = " << t;
+      }
+    }
   }
 }
 

@@ -15,6 +15,10 @@
 namespace abe {
 namespace {
 
+std::vector<std::size_t> to_vector(Adjacency::Span span) {
+  return std::vector<std::size_t>(span.begin(), span.end());
+}
+
 void expect_valid_tree(const SpanningTree& tree, std::size_t n) {
   ASSERT_EQ(tree.parent.size(), n);
   EXPECT_EQ(tree.parent[tree.root], tree.root);
@@ -25,8 +29,8 @@ void expect_valid_tree(const SpanningTree& tree, std::size_t n) {
     if (v != tree.root) {
       EXPECT_EQ(tree.depth[v], tree.depth[tree.parent[v]] + 1);
     }
-    child_links += tree.children[v].size();
-    for (std::size_t c : tree.children[v]) {
+    child_links += tree.children(v).size();
+    for (std::size_t c : tree.children(v)) {
       EXPECT_EQ(tree.parent[c], v);
     }
   }
@@ -48,7 +52,7 @@ TEST(SpanningTree, StarFromHubHasHeightOne) {
   const SpanningTree tree = bfs_spanning_tree(star(9), 0);
   expect_valid_tree(tree, 9);
   EXPECT_EQ(tree.height(), 1u);
-  EXPECT_EQ(tree.children[0].size(), 8u);
+  EXPECT_EQ(tree.children(0).size(), 8u);
 }
 
 TEST(SpanningTree, StarFromSpokeHasHeightTwo) {
@@ -165,10 +169,18 @@ TEST(SpanningTree, OutChannelIndexParallelEdgesLastWins) {
 }
 
 // Reference BFS straight over topology.edges (a node's out-edges in edge
-// order, as out_adjacency lists them), without any adjacency structure.
-SpanningTree reference_bfs_tree(const Topology& t, std::size_t root) {
+// order, as out_adjacency lists them), without any adjacency structure and
+// with one children vector per node rather than bfs_spanning_tree's CSR.
+struct ReferenceTree {
+  std::size_t root = 0;
+  std::vector<std::size_t> parent;
+  std::vector<std::vector<std::size_t>> children;
+  std::vector<std::size_t> depth;
+};
+
+ReferenceTree reference_bfs_tree(const Topology& t, std::size_t root) {
   constexpr std::size_t kUnset = static_cast<std::size_t>(-1);
-  SpanningTree tree;
+  ReferenceTree tree;
   tree.root = root;
   tree.parent.assign(t.n, kUnset);
   tree.children.assign(t.n, {});
@@ -218,12 +230,47 @@ TEST(SpanningTree, SharedAdjacencyMatchesStandaloneForEveryFamily) {
       const std::size_t root = n / 2;
       const SpanningTree a = bfs_spanning_tree(t, root, out, shared);
       const SpanningTree b = bfs_spanning_tree(t, root);
-      const SpanningTree ref = reference_bfs_tree(t, root);
+      const ReferenceTree ref = reference_bfs_tree(t, root);
       for (const SpanningTree* tree : {&a, &b}) {
         EXPECT_EQ(tree->root, ref.root);
         EXPECT_EQ(tree->parent, ref.parent);
-        EXPECT_EQ(tree->children, ref.children);
+        for (std::size_t v = 0; v < t.n; ++v) {
+          EXPECT_EQ(to_vector(tree->children(v)), ref.children[v])
+              << "node " << v;
+        }
         EXPECT_EQ(tree->depth, ref.depth);
+      }
+    }
+  }
+}
+
+TEST(SpanningTree, ChildrenSpansPartitionNonRootNodes) {
+  // The CSR children runs must cover every non-root node exactly once and
+  // never the root, for every family and root.
+  for (TopologyFamily family :
+       {TopologyFamily::kRingUni, TopologyFamily::kRingBi,
+        TopologyFamily::kLine, TopologyFamily::kStar,
+        TopologyFamily::kComplete, TopologyFamily::kGrid,
+        TopologyFamily::kTorus, TopologyFamily::kHypercube,
+        TopologyFamily::kGnp, TopologyFamily::kGeometric}) {
+    for (std::size_t n : {1u, 4u, 12u, 16u}) {
+      const TopologySpec spec{family, n, 0.0};
+      if (!spec.problem().empty()) continue;
+      if (family == TopologyFamily::kRingUni && n > 1) continue;
+      Rng rng(n + 7);
+      const Topology t = spec.build(rng);
+      SCOPED_TRACE(std::string(topology_family_name(family)) + " n=" +
+                   std::to_string(n));
+      for (std::size_t root = 0; root < t.n; ++root) {
+        const SpanningTree tree = bfs_spanning_tree(t, root);
+        std::vector<std::size_t> covered(t.n, 0);
+        for (std::size_t v = 0; v < t.n; ++v) {
+          for (std::size_t c : tree.children(v)) ++covered[c];
+        }
+        for (std::size_t v = 0; v < t.n; ++v) {
+          EXPECT_EQ(covered[v], v == root ? 0u : 1u)
+              << "root " << root << " node " << v;
+        }
       }
     }
   }
@@ -235,7 +282,8 @@ TEST(SpanningTree, SharedAdjacencyMatchesStandaloneForEveryFamily) {
 // channel scan, must equal what build_polling_wiring and build_beta_wiring
 // produce with OutChannelIndex.
 void expect_polling_wiring_matches_reference(const Topology& t) {
-  const std::vector<PollingWiring> got = build_polling_wiring(t, 0);
+  const PollingWiringTable table = build_polling_wiring(t, 0);
+  const std::vector<PollingWiring>& got = table.nodes;
   const SpanningTree tree = bfs_spanning_tree(t, 0);
   const auto out = out_adjacency(t);
   ASSERT_EQ(got.size(), t.n);
@@ -247,16 +295,18 @@ void expect_polling_wiring_matches_reference(const Topology& t) {
           << t.name << " node " << v;
     }
     std::vector<std::size_t> children;
-    for (std::size_t c : tree.children[v]) {
+    for (std::size_t c : tree.children(v)) {
       children.push_back(brute_force_channel(t, out, v, c));
     }
-    EXPECT_EQ(got[v].children_out, children) << t.name << " node " << v;
+    EXPECT_EQ(to_vector(got[v].children_out), children)
+        << t.name << " node " << v;
   }
 }
 
 void expect_beta_wiring_matches_reference(const Topology& t) {
   const SpanningTree tree = bfs_spanning_tree(t, 0);
-  const std::vector<BetaWiring> got = build_beta_wiring(t, tree);
+  const BetaWiringTable table = build_beta_wiring(t, tree);
+  const std::vector<BetaWiring>& got = table.nodes;
   const auto out = out_adjacency(t);
   const auto in = in_adjacency(t);
   ASSERT_EQ(got.size(), t.n);
@@ -267,15 +317,17 @@ void expect_beta_wiring_matches_reference(const Topology& t) {
                 brute_force_channel(t, out, v, tree.parent[v]));
     }
     std::vector<std::size_t> children;
-    for (std::size_t c : tree.children[v]) {
+    for (std::size_t c : tree.children(v)) {
       children.push_back(brute_force_channel(t, out, v, c));
     }
-    EXPECT_EQ(got[v].children_out, children) << t.name << " node " << v;
+    EXPECT_EQ(to_vector(got[v].children_out), children)
+        << t.name << " node " << v;
     std::vector<std::size_t> reverse;
     for (std::size_t e : in.of(v)) {
       reverse.push_back(brute_force_channel(t, out, v, t.edges[e].from));
     }
-    EXPECT_EQ(got[v].reverse_of_in, reverse) << t.name << " node " << v;
+    EXPECT_EQ(to_vector(got[v].reverse_of_in), reverse)
+        << t.name << " node " << v;
   }
 }
 
