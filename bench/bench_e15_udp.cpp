@@ -1,7 +1,7 @@
 // E15 — Real-socket transport: what bounded expected delay costs when the
 // datagrams are real.
 //
-// The udp runtime (runtime/udp_runtime.h) replaces the simulator's sampled
+// The udp runtime (runtime/udp_transport.h) replaces the simulator's sampled
 // DelayModel with measured loopback transit. This bench prices that
 // substrate and publishes the numbers the ROADMAP records:
 //
@@ -32,8 +32,9 @@
 #include "net/node.h"
 #include "net/topology.h"
 #include "obs/metrics.h"
-#include "runtime/udp_runtime.h"
 #include "runtime/udp_socket.h"
+#include "runtime/udp_transport.h"
+#include "runtime/wall_net.h"
 #include "stats/table.h"
 
 namespace abe {
@@ -87,14 +88,15 @@ struct ArqRun {
 // One reliable two-node burst under per-attempt loss `loss`: wall time
 // from start() to quiescence (every message ACKed and handled).
 ArqRun arq_burst(double loss, std::uint64_t messages, std::uint64_t seed) {
-  UdpNetConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(2);
   config.delay = fixed_delay(0.05);
   config.time_scale_us = 50.0;
+  config.drift = DriftModel::kFixedRandomRate;
   config.loss_probability = loss;
-  config.reliable = true;
+  config.udp_reliable = true;
   config.seed = seed;
-  UdpNetwork net(std::move(config));
+  WallNetwork net(RuntimeKind::kUdp, std::move(config));
   net.build_nodes([&](std::size_t i) -> NodePtr {
     if (i == 0) return std::make_unique<Burster>(messages);
     return std::make_unique<Sink>();

@@ -6,15 +6,15 @@
 // realised as wall-clock due times sampled from the same exponential model.
 // The identical ElectionNode code that runs on the discrete-event simulator
 // runs here unchanged — a fidelity check that nothing in the results depends
-// on simulator artefacts. Since the Runtime redesign the harness below is a
-// thin shim over the unified contract: the ring-election AlgorithmDriver
-// (core/harness.h) executed by ThreadRuntime (runtime/runtime.h), with
-// optional failure injection (--loss) that the thread runtime now honors
-// and counts.
+// on simulator artefacts. The trial is one ring-election scenario cell on
+// the thread runtime (scenario/sweep.h), with optional failure injection
+// (--loss) that the thread runtime honors and counts.
 #include <cstdio>
 
 #include "core/election.h"
 #include "runtime/runtime.h"
+#include "scenario/scenario.h"
+#include "scenario/sweep.h"
 #include "util/cli.h"
 
 int main(int argc, char** argv) {
@@ -41,20 +41,29 @@ int main(int argc, char** argv) {
               n, a0, scale_us,
               loss > 0.0 ? " (lossy channels)" : "");
 
-  const auto result = abe::run_threaded_election(
-      n, a0, /*mean_delay=*/1.0, seed, scale_us,
-      std::chrono::milliseconds(30000), abe::ClockBounds{}, loss);
+  abe::ScenarioSpec spec;
+  spec.algorithm = abe::ScenarioAlgorithm::kRingElection;
+  spec.topology = abe::TopologySpec{abe::TopologyFamily::kRingUni, n, 0.0};
+  spec.runtime = abe::RuntimeKind::kThread;
+  spec.a0 = a0;
+  spec.drift = abe::DriftModel::kFixedRandomRate;
+  spec.failure = loss > 0.0 ? abe::FailureProfile::loss(loss)
+                            : abe::FailureProfile::none();
+  spec.settle_time = 1.0;
+  spec.thread_time_scale_us = scale_us;
+  spec.thread_wall_timeout_ms = 30000.0;
+  const abe::TrialOutcome result = abe::run_scenario_trial(spec, seed);
 
-  if (!result.elected) {
-    std::printf("no leader within the wall-clock budget (%llu messages "
-                "sent by ~t=%.1f)\n",
-                static_cast<unsigned long long>(result.messages),
-                result.election_time_sim);
+  if (!result.completed) {
+    const abe::MetricValue* sent = result.metrics.find("net.sent");
+    std::printf("no leader within the wall-clock budget (%.0f messages "
+                "sent)\n",
+                sent != nullptr ? sent->value : 0.0);
     return 1;
   }
-  std::printf("leader: node %zu after ~%.1f sim units (wall time), "
+  std::printf("leader: node %lld after ~%.1f sim units (wall time), "
               "%llu messages\n",
-              result.leader_index, result.election_time_sim,
+              static_cast<long long>(result.decision_node), result.time,
               static_cast<unsigned long long>(result.messages));
   std::printf("safety: %s\n", result.safety_ok
                                   ? "exactly one leader, others passive"

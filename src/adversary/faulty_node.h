@@ -4,7 +4,7 @@
 // inbound delivery (on_message/on_tick/on_timer) and outbound sends (via a
 // Context shim) — so crash, equivocation and reordering faults are injected
 // WITHOUT touching algorithm or runtime code. Because the decorator is just
-// another Node, it runs identically on SimRuntime and ThreadRuntime.
+// another Node, it runs identically on SimRuntime and WallRuntime.
 //
 // Thread-safety: all FaultyNode state is confined to the node's own thread
 // (the runtime delivers every callback of one node sequentially, on the

@@ -1,12 +1,13 @@
 // Node and Context: the runtime-agnostic algorithm interface.
 //
 // Algorithms (the ABE election, baselines, synchronizers) implement Node and
-// interact with the world only through Context. Two runtimes provide
-// Context: the discrete-event simulator (net/network.h) and the real-thread
-// runtime (runtime/thread_net.h), so the same algorithm object runs on both.
-// The `Runtime` contract (runtime/runtime.h) unifies the two behind one
-// lifecycle — algorithms packaged as AlgorithmDrivers execute on either
-// substrate, and the scenario engine sweeps them across both.
+// interact with the world only through Context. Two networks provide
+// Context: the discrete-event simulator (net/network.h) and the wall-clock
+// network (runtime/wall_net.h, threads or udp), so the same algorithm
+// object runs on both. The `Runtime` contract (runtime/runtime.h) unifies
+// them behind one lifecycle — algorithms packaged as AlgorithmDrivers
+// execute on either substrate, and the scenario engine sweeps them across
+// both.
 //
 // Anonymity: a node never learns a global identifier through this interface —
 // it sees only its local in/out channel indices — matching the anonymous-ring

@@ -8,7 +8,8 @@ void Mailbox::push(MailItem item) {
   {
     MutexLock lock(mutex_);
     item.sequence = next_sequence_++;
-    queue_.push(std::move(item));
+    queue_.push_back(std::move(item));
+    std::push_heap(queue_.begin(), queue_.end(), Later{});
     high_water_ = std::max(high_water_, queue_.size());
   }
   cv_.notify_one();
@@ -17,32 +18,23 @@ void Mailbox::push(MailItem item) {
 bool Mailbox::pop(MailItem& out) {
   MutexLock lock(mutex_);
   for (;;) {
-    // Drop cancelled timers eagerly while they are at the front.
-    while (!queue_.empty() && queue_.top().kind == MailItem::Kind::kTimer &&
-           std::find(cancelled_timers_.begin(), cancelled_timers_.end(),
-                     queue_.top().timer_id) != cancelled_timers_.end()) {
-      cancelled_timers_.erase(
-          std::find(cancelled_timers_.begin(), cancelled_timers_.end(),
-                    queue_.top().timer_id));
-      queue_.pop();
-    }
     if (queue_.empty()) {
       if (closed_) return false;
       cv_.wait(mutex_);
       continue;
     }
     const auto now = MailItem::Clock::now();
-    if (queue_.top().due <= now) {
-      out = queue_.top();
-      queue_.pop();
+    if (queue_.front().due <= now) {
+      std::pop_heap(queue_.begin(), queue_.end(), Later{});
+      out = std::move(queue_.back());
+      queue_.pop_back();
       return out.kind != MailItem::Kind::kStop;
     }
     // Copy the deadline out of the queue before waiting: wait_until takes
     // it by const reference and releases mutex_ for the duration of the
-    // wait, so a reference into the priority_queue's vector would dangle
-    // the moment a concurrent push() reallocates it (TSan-caught
-    // use-after-free).
-    const auto deadline = queue_.top().due;
+    // wait, so a reference into the heap's vector would dangle the moment
+    // a concurrent push() reallocates it (TSan-caught use-after-free).
+    const auto deadline = queue_.front().due;
     cv_.wait_until(mutex_, deadline);
   }
 }
@@ -55,19 +47,23 @@ void Mailbox::close() {
     stop.kind = MailItem::Kind::kStop;
     stop.due = MailItem::Clock::now();
     stop.sequence = next_sequence_++;
-    queue_.push(std::move(stop));
+    queue_.push_back(std::move(stop));
+    std::push_heap(queue_.begin(), queue_.end(), Later{});
   }
   cv_.notify_all();
 }
 
-void Mailbox::cancel_timer(std::int64_t timer_id) {
+bool Mailbox::cancel_timer(std::int64_t timer_id) {
   MutexLock lock(mutex_);
-  cancelled_timers_.push_back(timer_id);
-}
-
-std::size_t Mailbox::approximate_size() const {
-  MutexLock lock(mutex_);
-  return queue_.size();
+  const auto it =
+      std::find_if(queue_.begin(), queue_.end(), [&](const MailItem& item) {
+        return item.kind == MailItem::Kind::kTimer &&
+               item.timer_id == timer_id;
+      });
+  if (it == queue_.end()) return false;
+  queue_.erase(it);
+  std::make_heap(queue_.begin(), queue_.end(), Later{});
+  return true;
 }
 
 std::size_t Mailbox::high_water() const {

@@ -1,4 +1,4 @@
-// Blocking per-node mailbox for the thread runtime.
+// Blocking per-node mailbox for the wall-clock runtimes (runtime/wall_net.h).
 //
 // Items carry a due time (monotonic clock): channel delay is realised by
 // enqueueing with a future due time; pop() blocks until the earliest item is
@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "net/message.h"
@@ -56,10 +55,10 @@ class Mailbox {
   // Wakes the consumer and makes pop() return false once the queue empties.
   void close() EXCLUDES(mutex_);
 
-  // Marks a timer id cancelled; the matching kTimer item is dropped on pop.
-  void cancel_timer(std::int64_t timer_id) EXCLUDES(mutex_);
-
-  std::size_t approximate_size() const EXCLUDES(mutex_);
+  // Removes the queued kTimer item with this id and returns true; returns
+  // false when no such timer is queued (it already fired, is firing now,
+  // or was cancelled before) — the answer Scheduler::cancel gives.
+  bool cancel_timer(std::int64_t timer_id) EXCLUDES(mutex_);
 
   // Largest queue depth ever observed after a push — the mailbox-backlog
   // gauge of the obs metrics snapshot. Updated under the mutex the push
@@ -76,9 +75,9 @@ class Mailbox {
 
   mutable AnnotatedMutex mutex_;
   AnnotatedCondVar cv_;
-  std::priority_queue<MailItem, std::vector<MailItem>, Later> queue_
-      GUARDED_BY(mutex_);
-  std::vector<std::int64_t> cancelled_timers_ GUARDED_BY(mutex_);
+  // Binary heap under Later (front = earliest due); a plain vector rather
+  // than std::priority_queue so cancel_timer can find and remove a timer.
+  std::vector<MailItem> queue_ GUARDED_BY(mutex_);
   bool closed_ GUARDED_BY(mutex_) = false;
   std::uint64_t next_sequence_ GUARDED_BY(mutex_) = 0;
   std::size_t high_water_ GUARDED_BY(mutex_) = 0;

@@ -1,11 +1,9 @@
 #include "runtime/runtime.h"
 
-#include <algorithm>
-#include <thread>
+#include <chrono>
 #include <utility>
 
-#include "core/harness.h"
-#include "runtime/udp_runtime.h"
+#include "runtime/wall_net.h"
 #include "util/check.h"
 
 namespace abe {
@@ -101,120 +99,6 @@ RunStats SimRuntime::stats() const {
 }
 
 // ---------------------------------------------------------------------------
-// ThreadRuntime
-
-ThreadNetConfig ThreadRuntime::to_thread_config(const RuntimeConfig& config) {
-  ABE_CHECK_LE(config.topology.n, kMaxThreadRuntimeNodes)
-      << "thread runtime spawns one OS thread per node";
-  ThreadNetConfig net;
-  net.topology = config.topology;
-  net.delay = config.delay;
-  net.adversary_delay = config.adversary_delay;
-  net.time_scale_us = config.time_scale_us;
-  net.clock_bounds = config.clock_bounds;
-  net.drift = config.drift;
-  net.processing = config.processing;
-  net.loss_probability = config.loss_probability;
-  net.enable_ticks = config.enable_ticks;
-  net.tick_local_period = config.tick_local_period;
-  net.seed = config.seed;
-  net.trace = config.trace;
-  net.metrics = config.metrics;
-  net.causal_history = config.causal_history;
-  return net;
-}
-
-ThreadRuntime::ThreadRuntime(RuntimeConfig config)
-    : time_scale_us_(config.time_scale_us),
-      wall_timeout_ms_(config.wall_timeout_ms),
-      net_(to_thread_config(config)) {
-  ABE_CHECK_GT(wall_timeout_ms_, 0.0);
-}
-
-void ThreadRuntime::build_nodes(
-    const std::function<NodePtr(std::size_t)>& factory) {
-  net_.build_nodes(factory);
-}
-
-void ThreadRuntime::start() {
-  net_.start();
-  // Single clock read point: derive the wall deadline from the same
-  // start_time_ read net_.start() took, rather than a second now() — so
-  // the budget and now_sim() share one origin and cross-substrate wall
-  // accounting lines up (ISSUE 10 small fix).
-  wall_deadline_ =
-      net_.start_time() +
-      std::chrono::microseconds(
-          static_cast<std::int64_t>(wall_timeout_ms_ * 1000.0));
-  started_ = true;
-}
-
-double ThreadRuntime::remaining_budget_ms() const {
-  if (!started_) return wall_timeout_ms_;
-  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-      wall_deadline_ - std::chrono::steady_clock::now());
-  return std::max<double>(1.0, static_cast<double>(left.count()));
-}
-
-bool ThreadRuntime::run_until_done(const std::function<bool()>& done,
-                                   SimTime deadline) {
-  // The deadline is absolute sim time (contract shared with SimRuntime),
-  // so only the remainder beyond the current clock converts to wall time;
-  // the per-trial wall budget caps it so a deadline meant for the
-  // simulator (often 1e7 units) cannot turn into an hours-long wall hang.
-  double budget_ms = remaining_budget_ms();
-  if (deadline < kTimeInfinity) {
-    const SimTime sim_left = std::max(0.0, deadline - net_.now_sim());
-    budget_ms = std::min(budget_ms, sim_left * time_scale_us_ / 1000.0);
-  }
-  return net_.wait_until(
-      done, std::chrono::milliseconds(
-                std::max<std::int64_t>(1, static_cast<std::int64_t>(budget_ms))));
-}
-
-void ThreadRuntime::run_for(SimTime duration) {
-  // Wall-clock floor: below ~kMinSettleWallMs of wall time, OS scheduling
-  // jitter dominates and the requested settle window is not actually
-  // realised (in-flight wakeups land later than any sim-unit conversion
-  // suggests).
-  const double ms =
-      std::max(kMinSettleWallMs, duration * time_scale_us_ / 1000.0);
-  std::this_thread::sleep_for(
-      std::chrono::milliseconds(static_cast<std::int64_t>(ms)));
-}
-
-bool ThreadRuntime::drain(SimTime max_wait) {
-  double budget_ms = remaining_budget_ms();
-  if (max_wait < kTimeInfinity) {
-    budget_ms = std::min(budget_ms, max_wait * time_scale_us_ / 1000.0);
-  }
-  return net_.wait_quiescent(std::chrono::milliseconds(
-      std::max<std::int64_t>(1, static_cast<std::int64_t>(budget_ms))));
-}
-
-void ThreadRuntime::stop() {
-  if (!stopped_) {
-    stop_time_ = net_.now_sim();
-    stopped_ = true;
-  }
-  net_.stop();
-}
-
-SimTime ThreadRuntime::now() const {
-  return stopped_ ? stop_time_ : net_.now_sim();
-}
-
-RunStats ThreadRuntime::stats() const {
-  RunStats stats;
-  stats.messages_sent = net_.messages_sent();
-  stats.messages_delivered = net_.messages_delivered();
-  stats.messages_dropped = net_.messages_dropped();
-  stats.ticks_fired = net_.ticks_fired();
-  stats.now = now();
-  return stats;
-}
-
-// ---------------------------------------------------------------------------
 // Factory and trial loop
 
 std::unique_ptr<Runtime> make_runtime(RuntimeKind kind,
@@ -223,9 +107,8 @@ std::unique_ptr<Runtime> make_runtime(RuntimeKind kind,
     case RuntimeKind::kSim:
       return std::make_unique<SimRuntime>(std::move(config));
     case RuntimeKind::kThread:
-      return std::make_unique<ThreadRuntime>(std::move(config));
     case RuntimeKind::kUdp:
-      return std::make_unique<UdpRuntime>(std::move(config));
+      return std::make_unique<WallRuntime>(kind, std::move(config));
   }
   ABE_CHECK(false) << "unhandled runtime kind";
   return nullptr;
@@ -296,43 +179,6 @@ TrialOutcome run_algorithm_trial(RuntimeKind kind, RuntimeConfig config,
     outcome.flight_tail = rt->trace_snapshot().events();
   }
   return outcome;
-}
-
-// ---------------------------------------------------------------------------
-// Threaded election harness (shim over ThreadRuntime + the ring driver)
-
-ThreadedElectionResult run_threaded_election(
-    std::size_t n, double a0, double mean_delay, std::uint64_t seed,
-    double time_scale_us, std::chrono::milliseconds timeout,
-    ClockBounds clock_bounds, double loss_probability) {
-  ElectionExperiment experiment;
-  experiment.n = n;
-  experiment.election.a0 = a0;
-  experiment.delay = exponential_delay(mean_delay);
-  experiment.clock_bounds = clock_bounds;
-  experiment.drift = DriftModel::kFixedRandomRate;
-  experiment.loss_probability = loss_probability;
-  experiment.seed = seed;
-  // The old harness always slept 100 ms before freezing state; a positive
-  // settle_time hits ThreadRuntime::run_for's kMinSettleWallMs floor, which
-  // realises exactly that window.
-  experiment.settle_time = 1.0;
-
-  RuntimeConfig config = election_runtime_config(experiment);
-  config.time_scale_us = time_scale_us;
-  config.wall_timeout_ms = static_cast<double>(timeout.count());
-
-  ElectionRunResult run;
-  const auto driver = make_ring_election_driver(experiment, &run);
-  run_algorithm_trial(RuntimeKind::kThread, std::move(config), *driver);
-
-  ThreadedElectionResult result;
-  result.elected = run.elected;
-  result.leader_index = run.leader_index;
-  result.election_time_sim = run.election_time;
-  result.messages = run.messages_total > 0 ? run.messages_total : run.messages;
-  result.safety_ok = run.safety_ok;
-  return result;
 }
 
 }  // namespace abe

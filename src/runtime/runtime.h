@@ -1,35 +1,35 @@
-// The unified Runtime contract: one execution API over both substrates.
+// The unified Runtime contract: one execution API over every substrate.
 //
 // The paper's ABE model sits *between* pure asynchrony and real networks, so
 // conclusions drawn from the discrete-event simulator should be checkable
-// against a real-thread execution of the very same algorithm code, on the
+// against wall-clock executions of the very same algorithm code, on the
 // same scenario matrix. This header is that seam:
 //
 //   * RuntimeConfig — the runtime-agnostic experiment environment (topology,
 //     delay model, clock bounds/drift, processing, failure injection, ticks,
 //     seed) plus the per-substrate realisation knobs (equeue backend for the
-//     simulator; wall time scale and budget for threads);
+//     simulator; wall time scale and budget for threads and udp);
 //   * Runtime — one lifecycle (build nodes → start → run to a completion
 //     predicate or deadline → settle/drain → stop → inspect), implemented by
-//       - SimRuntime    wrapping Scheduler+Network  (net/network.h),
-//       - ThreadRuntime wrapping ThreadNetwork      (runtime/thread_net.h),
-//       - UdpRuntime    wrapping UdpNetwork         (runtime/udp_runtime.h,
-//         real loopback datagrams with measured delays);
+//       - SimRuntime  wrapping Scheduler+Network  (net/network.h),
+//       - WallRuntime wrapping WallNetwork        (runtime/wall_net.h) for
+//         both wall-clock kinds: kThread (mailbox delivery, emulated
+//         delays) and kUdp (real loopback datagrams with measured delays,
+//         runtime/udp_transport.h);
 //   * RunStats — the uniform harvest (messages sent/delivered/dropped, ticks,
 //     clock reading); per-node terminated flags come from terminated(i);
-//   * AlgorithmDriver — what an algorithm must provide to run on either
+//   * AlgorithmDriver — what an algorithm must provide to run on any
 //     substrate: a node factory, a done-predicate, and result extraction.
-//     run_algorithm_trial() executes a driver on either runtime.
+//     run_algorithm_trial() executes a driver on any runtime.
 //
 // Determinism contract: on the simulator the driver lifecycle makes the
 // exact same Network calls the pre-Runtime per-algorithm runners made, so
-// seeded aggregates are bit-identical across the redesign. The thread
-// runtime is wall-clock driven and intentionally nondeterministic — parity
-// there means model-level postconditions (leader uniqueness, dissemination,
-// message counts in the same regime), never traces.
+// seeded aggregates are bit-identical across the redesign. The wall-clock
+// runtimes are intentionally nondeterministic — parity there means
+// model-level postconditions (leader uniqueness, dissemination, message
+// counts in the same regime), never traces.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -40,7 +40,6 @@
 #include "obs/causal.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
-#include "runtime/thread_net.h"
 #include "trace/trace.h"
 
 namespace abe {
@@ -51,7 +50,7 @@ namespace abe {
 enum class RuntimeKind : std::uint8_t {
   kSim,     // discrete-event simulator (deterministic, any n)
   kThread,  // one OS thread per node, wall-clock delays (fidelity check)
-  kUdp,     // real loopback UDP datagrams, measured delays (udp_runtime.h)
+  kUdp,     // real loopback UDP datagrams, measured delays (udp_transport.h)
 };
 
 const char* runtime_kind_name(RuntimeKind kind);
@@ -63,8 +62,9 @@ bool runtime_kind_from_name(const std::string& name, RuntimeKind* out);
 // Configuration
 
 // Everything a runtime needs to realise one trial environment. Field-level
-// comments live with the originating structs (NetworkConfig,
-// ThreadNetConfig); this is their union, with substrate-only knobs marked.
+// comments for the simulator live with NetworkConfig; the wall-clock
+// runtimes (runtime/wall_net.h) read this struct directly. Substrate-only
+// knobs are marked.
 struct RuntimeConfig {
   Topology topology;
   DelayModelPtr delay;  // failure-degrade wrapping already applied
@@ -114,7 +114,7 @@ struct RuntimeConfig {
   double wall_timeout_ms = 30000.0;
   // --- udp-runtime realisation (ignored elsewhere) -----------------------
   // Per-channel ARQ reliable mode: sequence numbers, ACKs, timeout
-  // retransmission, receiver dedup (runtime/udp_runtime.h). Injected loss
+  // retransmission, receiver dedup (runtime/udp_transport.h). Injected loss
   // then degrades goodput instead of dropping messages.
   bool udp_reliable = false;
 };
@@ -261,7 +261,7 @@ class Runtime {
   virtual TimeSeries timeseries_snapshot() const { return TimeSeries{}; }
 };
 
-// Minimum wall window ThreadRuntime::run_for realises (see run_for).
+// Minimum wall window WallRuntime::run_for realises (see run_for).
 constexpr double kMinSettleWallMs = 100.0;
 
 // Node cap for the thread runtime: one OS thread per node.
@@ -311,49 +311,10 @@ class SimRuntime final : public Runtime {
   Network net_;
 };
 
-class ThreadRuntime final : public Runtime {
- public:
-  explicit ThreadRuntime(RuntimeConfig config);
-
-  RuntimeKind kind() const override { return RuntimeKind::kThread; }
-  std::size_t size() const override { return net_.size(); }
-  void build_nodes(
-      const std::function<NodePtr(std::size_t)>& factory) override;
-  void start() override;
-  bool run_until_done(const std::function<bool()>& done,
-                      SimTime deadline) override;
-  void run_for(SimTime duration) override;
-  bool drain(SimTime max_wait) override;
-  void stop() override;
-  SimTime now() const override;
-  bool terminated(std::size_t i) const override { return net_.terminated(i); }
-  Node& node(std::size_t i) override { return net_.node(i); }
-  RunStats stats() const override;
-  MetricsSnapshot metrics_snapshot() const override {
-    return net_.metrics_snapshot();
-  }
-  Trace trace_snapshot() const override { return net_.trace_copy(); }
-
-  ThreadNetwork& thread_network() { return net_; }
-
- private:
-  static ThreadNetConfig to_thread_config(const RuntimeConfig& config);
-  // Wall milliseconds left of the per-trial budget (≥ 1 so waits with an
-  // exhausted budget still poll the predicate once).
-  double remaining_budget_ms() const;
-
-  double time_scale_us_;
-  double wall_timeout_ms_;
-  ThreadNetwork net_;
-  std::chrono::steady_clock::time_point wall_deadline_{};
-  bool started_ = false;
-  bool stopped_ = false;
-  SimTime stop_time_ = 0.0;
-};
-
-// Constructs the runtime for `kind`. Thread-runtime structural limits
-// (piecewise drift, node cap) abort here — gate user input with
-// runtime_cell_problem (scenario/scenario.h) first.
+// Constructs the runtime for `kind`: SimRuntime for kSim, WallRuntime for
+// kThread and kUdp. Wall-clock structural limits (piecewise drift, node
+// caps) abort here — gate user input with runtime_cell_problem
+// (scenario/scenario.h) first.
 std::unique_ptr<Runtime> make_runtime(RuntimeKind kind, RuntimeConfig config);
 
 // ---------------------------------------------------------------------------

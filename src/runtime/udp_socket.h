@@ -4,7 +4,7 @@
 // datagram the udp runtime moves goes through this class.
 //
 // Scope is deliberately narrow: IPv4 loopback only, ephemeral ports,
-// datagrams up to a small fixed header size (runtime/udp_runtime.cpp keeps
+// datagrams up to a small fixed header size (runtime/udp_transport.cpp keeps
 // payload objects in-process and ships headers only). receive() polls with
 // a short kernel timeout (SO_RCVTIMEO) instead of blocking forever, so a
 // reader thread can observe a stop flag without needing self-addressed

@@ -1,20 +1,32 @@
-// Real-thread runtime: one std::thread per node, blocking mailboxes,
-// wall-clock delays. This is the substrate behind ThreadRuntime — the
-// real-thread half of the unified Runtime contract (runtime/runtime.h);
-// algorithm code reaches it through the same Node/Context interface the
-// simulator provides, so the exact same node objects run on both.
+// Wall-clock runtime: one dispatcher thread per node, blocking mailboxes,
+// wall-clock delays. WallRuntime adapts it to the unified Runtime contract
+// (runtime/runtime.h) for both wall-clock kinds; algorithm code reaches it
+// through the same Node/Context interface the simulator provides, so the
+// exact same node objects run on every substrate.
 //
 // One simulated time unit maps to `time_scale_us` microseconds of wall
-// time; channel delays are sampled from the same DelayModel and realised by
-// due-time enqueueing. Local clocks are wall clocks scaled by a per-node
-// fixed drift rate within the configured bounds — an honest (if
-// small-scale) physical realisation of the ABE model, used as a fidelity
-// check on the simulator's conclusions. Failure injection mirrors the
-// simulator: per-attempt silent loss (`loss_probability`, drops counted in
-// messages_dropped()) and congestion-degraded delays (wrap the DelayModel
-// with FailureProfile::apply before handing it in). Definition 1(3)
-// processing time is realised literally: the node's thread sleeps for the
-// sampled handling time before processing a delivered message.
+// time. Local clocks are wall clocks scaled by a per-node fixed drift rate
+// within the configured bounds. Failure injection mirrors the simulator:
+// per-attempt silent loss (drops counted in messages_dropped()) and
+// congestion-degraded delays (wrap the DelayModel with FailureProfile::apply
+// before handing it in). Definition 1(3) processing time is realised
+// literally: the dispatcher sleeps for the sampled handling time before
+// processing a delivered message.
+//
+// The two kinds differ only in how a sent message reaches the receiver's
+// mailbox:
+//   * kThread EMULATES bounded expected delay: the sender pushes the
+//     message straight into the receiver's mailbox, due one sampled delay
+//     from now — an honest (if small-scale) physical realisation of the ABE
+//     model, used as a fidelity check on the simulator's conclusions;
+//   * kUdp MEASURES it: the message crosses a real loopback datagram
+//     (runtime/udp_transport.h — sockets, reader threads, wire header, ARQ
+//     reliable mode) and every transit lands in the `udp.transit_us`
+//     histogram that fit_udp_calibration() fits back into a DelayModel.
+// Everything else — contexts, clocks, the dispatcher loop, causal trace
+// links, net.* counters, waits and the metrics harvest — is shared, so
+// AlgorithmDrivers, `abe_scenarios trace` and critical-path extraction work
+// identically on both.
 #pragma once
 
 #include <atomic>
@@ -22,69 +34,41 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
-#include "clock/local_clock.h"
-#include "net/delay.h"
-#include "net/network.h"
 #include "net/node.h"
 #include "net/topology.h"
 #include "obs/metrics.h"
 #include "runtime/mailbox.h"
+#include "runtime/runtime.h"
 #include "trace/trace.h"
 #include "util/thread_annotations.h"
 
 namespace abe {
 
-struct ThreadNetConfig {
-  Topology topology;
-  DelayModelPtr delay;               // per-channel delay (sim units)
-  // When set, the adversary chooses every message's delay instead of
-  // sampling `delay` (net/delay.h). Policies are called concurrently from
-  // node threads and synchronise internally (make_bounded_adversary).
-  AdversaryPolicyPtr adversary_delay;
-  double time_scale_us = 1000.0;     // wall microseconds per sim unit
-  // Clock-drift band [s_low, s_high] (Definition 1(2)), mirroring the
-  // simulator's NetworkConfig. kNone pins every rate to exactly 1;
-  // kFixedRandomRate draws one rate per node within the bounds (the
-  // default, and the only wandering model a wall-clock-scaled runtime can
-  // realise — kPiecewiseRandom is rejected).
-  ClockBounds clock_bounds{};
-  DriftModel drift = DriftModel::kFixedRandomRate;
-  // Definition 1(3): handling a delivered message occupies the node — the
-  // thread sleeps for the sampled time before invoking on_message.
-  ProcessingModel processing = ProcessingModel::zero();
-  // Per-attempt silent drop (failure injection; scenario engine). Dropped
-  // sends still count as sent, mirroring NetworkMetrics.
-  double loss_probability = 0.0;
-  bool enable_ticks = false;
-  double tick_local_period = 1.0;    // in sim units, on the local clock
-  std::uint64_t seed = 1;
-  // Full-detail tracing (payload strings in every record). The flight
-  // recorder itself is always on — see ThreadNetwork::trace_copy().
-  bool trace = false;
-  // Causal-history mode (mirrors NetworkConfig::causal_history): widen the
-  // flight ring to full capacity while keeping records lite, so cause
-  // chains (obs/causal.h) reach their roots.
-  bool causal_history = false;
-  // Extended observability: per-node handler-time accounting, harvested by
-  // metrics_snapshot(). Off by default.
-  bool metrics = false;
-};
+class UdpTransport;
 
-class ThreadNetwork {
+class WallNetwork {
  public:
-  explicit ThreadNetwork(ThreadNetConfig config);
-  ~ThreadNetwork();
-  ThreadNetwork(const ThreadNetwork&) = delete;
-  ThreadNetwork& operator=(const ThreadNetwork&) = delete;
+  // `kind` is kThread or kUdp. Reads the environment straight from
+  // RuntimeConfig; the simulator-only knobs (ordering, equeue, timeseries)
+  // and the adapter's budget (deadline, wall_timeout_ms) are ignored here,
+  // and udp_reliable only applies to kUdp.
+  WallNetwork(RuntimeKind kind, RuntimeConfig config);
+  ~WallNetwork();
+  WallNetwork(const WallNetwork&) = delete;
+  WallNetwork& operator=(const WallNetwork&) = delete;
+
+  RuntimeKind kind() const { return kind_; }
 
   // Installs nodes (same contract as Network).
   void add_node(NodePtr node);
   void build_nodes(const std::function<NodePtr(std::size_t)>& factory);
 
-  // Spawns the node threads and delivers on_start on each node's thread.
+  // Spawns the dispatcher threads (after the udp readers) and delivers
+  // on_start on each node's dispatcher thread.
   void start();
 
   // Blocks until `pred()` holds or the wall timeout expires, and returns
@@ -119,45 +103,54 @@ class ThreadNetwork {
   std::uint64_t ticks_fired() const { return ticks_fired_.load(); }
   // Wall time since start(), in sim units.
   double now_sim() const;
-  // The single monotonic-clock read start() took; ThreadRuntime derives
-  // its wall deadline from it so budget arithmetic and now_sim() share one
+  // The single monotonic-clock read start() took; WallRuntime derives its
+  // wall deadline from it so budget arithmetic and now_sim() share one
   // origin (one clock read point per phase).
   MailItem::Clock::time_point start_time() const { return start_time_; }
 
   // Copy of the flight recorder (trace/trace.h): always-on ring of recent
   // events, stamped with mailbox DELIVERY time (now_sim() at pop), so the
   // transcript orders events the way the node experienced them, not the
-  // way producers enqueued them. ThreadNetConfig::trace switches it to the
+  // way producers enqueued them. RuntimeConfig::trace switches it to the
   // full-detail ring the CrossRuntimeParity transcript checks read.
   Trace trace_copy() const EXCLUDES(trace_mutex_);
 
   // Deterministic-by-name harvest mirroring Network::metrics_snapshot():
-  // net.* counters shared with the simulator plus thread.* rows (CV
-  // wakeups, mailbox high-water, per-node handler time when
-  // ThreadNetConfig::metrics is on). Values are wall-clock facts, so unlike
-  // simulator snapshots they are not bit-reproducible across runs.
+  // net.* counters shared with the simulator plus `thread.*` or `udp.*`
+  // rows (CV wakeups, mailbox high-water, per-node handler time when
+  // RuntimeConfig::metrics is on) and, on kUdp, the transport rows. Values
+  // are wall-clock facts, so unlike simulator snapshots they are not
+  // bit-reproducible across runs.
   MetricsSnapshot metrics_snapshot() const EXCLUDES(trace_mutex_);
 
  private:
-  class ThreadContext;
+  friend class UdpTransport;
+  class WallContext;
+
+  // Mailbox timer_id sentinels (user timers are nonnegative): the local
+  // tick generator, and the udp ARQ retransmission timer whose tag carries
+  // the pending message id.
+  static constexpr std::int64_t kTickTimerId = -1;
+  static constexpr std::int64_t kRetransmitTimerId = -2;
+
   struct Slot {
     NodePtr node;
     std::unique_ptr<Mailbox> mailbox;
-    std::unique_ptr<ThreadContext> context;
-    std::thread thread;
-    Rng rng;
+    std::unique_ptr<WallContext> context;
+    std::thread dispatcher;
+    Rng rng;  // dispatcher-thread substream (delay/loss/processing draws)
     double clock_rate = 1.0;
-    // Trace id of the event this node's thread is currently handling (-1
-    // outside handlers). Like `rng`, touched only by the owning thread:
+    // Trace id of the event this node's dispatcher is currently handling
+    // (-1 outside handlers). Like `rng`, touched only by the dispatcher:
     // sends stamp it as their cause, pops overwrite it.
     std::int64_t current_cause = -1;
     std::atomic<bool> terminated{false};
     // Nanoseconds spent inside event handlers (metrics mode only). Written
-    // by the owning node thread, read by metrics_snapshot().
+    // by the dispatcher, read by metrics_snapshot().
     std::atomic<std::uint64_t> handler_ns{0};
   };
 
-  void thread_main(std::size_t index);
+  void dispatcher_main(std::size_t index);
   // Wakes wait_until/wait_quiescent callers after a state change.
   void signal_progress() EXCLUDES(progress_mutex_);
   MailItem::Clock::time_point sim_to_wall(double sim_delay_from_now) const;
@@ -173,13 +166,16 @@ class ThreadNetwork {
   // sends never pay for string formatting.
   std::string trace_detail(const Payload& payload, std::size_t edge) const;
 
-  ThreadNetConfig config_;
+  RuntimeKind kind_;
+  RuntimeConfig config_;
   Rng root_rng_;
   std::vector<Slot> slots_;
   std::size_t next_slot_ = 0;  // add_node fills slots_ in index order
   Adjacency out_channels_;     // node -> edge indices
   Adjacency in_channels_;
   std::vector<std::size_t> in_index_of_edge_;
+  // The datagram path (kUdp only); null for kThread.
+  std::unique_ptr<UdpTransport> udp_;
   MailItem::Clock::time_point start_time_{};
   std::atomic<std::uint64_t> messages_sent_{0};
   std::atomic<std::uint64_t> messages_delivered_{0};
@@ -209,24 +205,45 @@ class ThreadNetwork {
   Trace trace_ GUARDED_BY(trace_mutex_);
 };
 
-// Convenience harness mirroring core/harness.h on the thread runtime.
-// (Thin shim over ThreadRuntime + the ring-election AlgorithmDriver; see
-// runtime/runtime.h.)
-struct ThreadedElectionResult {
-  bool elected = false;
-  std::size_t leader_index = 0;
-  double election_time_sim = 0.0;
-  std::uint64_t messages = 0;
-  bool safety_ok = false;
-};
+// ---------------------------------------------------------------------------
+// Runtime adapter (kThread and kUdp)
 
-// `clock_bounds` realises the drift band on real threads (one fixed rate
-// per node drawn within the bounds); the default is ideal clocks.
-// `loss_probability` injects per-attempt silent message loss.
-ThreadedElectionResult run_threaded_election(
-    std::size_t n, double a0, double mean_delay, std::uint64_t seed,
-    double time_scale_us = 200.0,
-    std::chrono::milliseconds timeout = std::chrono::milliseconds(30000),
-    ClockBounds clock_bounds = {}, double loss_probability = 0.0);
+class WallRuntime final : public Runtime {
+ public:
+  WallRuntime(RuntimeKind kind, RuntimeConfig config);
+
+  RuntimeKind kind() const override { return net_.kind(); }
+  std::size_t size() const override { return net_.size(); }
+  void build_nodes(
+      const std::function<NodePtr(std::size_t)>& factory) override;
+  void start() override;
+  bool run_until_done(const std::function<bool()>& done,
+                      SimTime deadline) override;
+  void run_for(SimTime duration) override;
+  bool drain(SimTime max_wait) override;
+  void stop() override;
+  SimTime now() const override;
+  bool terminated(std::size_t i) const override { return net_.terminated(i); }
+  Node& node(std::size_t i) override { return net_.node(i); }
+  RunStats stats() const override;
+  MetricsSnapshot metrics_snapshot() const override {
+    return net_.metrics_snapshot();
+  }
+  Trace trace_snapshot() const override { return net_.trace_copy(); }
+
+ private:
+  // Wall time for a wait of `sim` more units (kTimeInfinity: unbounded),
+  // capped by what is left of the per-trial budget and floored at 1 ms so
+  // waits with an exhausted budget still poll the predicate once.
+  std::chrono::milliseconds budget_for(SimTime sim) const;
+
+  double time_scale_us_;
+  double wall_timeout_ms_;
+  WallNetwork net_;
+  std::chrono::steady_clock::time_point wall_deadline_{};
+  bool started_ = false;
+  bool stopped_ = false;
+  SimTime stop_time_ = 0.0;
+};
 
 }  // namespace abe

@@ -199,7 +199,7 @@ struct ScenarioSpec {
   // simulator deadlines like 1e7 units verbatim).
   double thread_time_scale_us = 200.0;
   double thread_wall_timeout_ms = 30000.0;
-  // Udp cells only: per-channel ARQ reliable mode (runtime/udp_runtime.h —
+  // Udp cells only: per-channel ARQ reliable mode (runtime/udp_transport.h —
   // sequence numbers, ACKs, timeout retransmission, receiver dedup), so
   // injected loss degrades goodput instead of dropping messages. Part of
   // cell_id() ("/arq") because it changes what the cell measures.

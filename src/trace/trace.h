@@ -23,8 +23,8 @@
 // the lite flight-recorder mode stays allocation-free.
 //
 // Thread safety: none here. The simulator records single-threaded; the
-// thread runtime wraps its Trace in an AnnotatedMutex (runtime/thread_net.h)
-// and stamps records with mailbox delivery time.
+// wall-clock runtimes wrap their Trace in an AnnotatedMutex
+// (runtime/wall_net.h) and stamp records with mailbox delivery time.
 #pragma once
 
 #include <cstddef>

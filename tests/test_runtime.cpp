@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,7 +14,7 @@
 #include "core/harness.h"
 #include "runtime/mailbox.h"
 #include "runtime/runtime.h"
-#include "runtime/thread_net.h"
+#include "runtime/wall_net.h"
 #include "scenario/drivers.h"
 #include "scenario/scenario.h"
 #include "scenario/sweep.h"
@@ -121,36 +122,55 @@ TEST(Mailbox, EarlierItemPreemptsWait) {
 
 // ---------------------------------------------------------------------
 
+// The ring election on real threads through the scenario driver stack:
+// fixed-rate clocks, the full wall budget, one settle window.
+ScenarioSpec thread_ring_spec(std::size_t n, double a0, double mean_delay,
+                              double time_scale_us) {
+  ScenarioSpec spec;
+  spec.algorithm = ScenarioAlgorithm::kRingElection;
+  spec.topology = TopologySpec{TopologyFamily::kRingUni, n, 0.0};
+  spec.runtime = RuntimeKind::kThread;
+  spec.a0 = a0;
+  spec.mean_delay = mean_delay;
+  spec.drift = DriftModel::kFixedRandomRate;
+  spec.settle_time = 1.0;
+  spec.thread_time_scale_us = time_scale_us;
+  spec.thread_wall_timeout_ms = 30000.0;
+  return spec;
+}
+
 TEST(ThreadNet, ElectsExactlyOneLeader) {
-  const auto result = run_threaded_election(
-      /*n=*/8, /*a0=*/0.4, /*mean_delay=*/1.0, /*seed=*/1,
-      /*time_scale_us=*/200.0);
-  ASSERT_TRUE(result.elected);
+  const TrialOutcome result = run_scenario_trial(
+      thread_ring_spec(/*n=*/8, /*a0=*/0.4, /*mean_delay=*/1.0,
+                       /*time_scale_us=*/200.0),
+      /*seed=*/1);
+  ASSERT_TRUE(result.completed);
   EXPECT_TRUE(result.safety_ok);
   EXPECT_GE(result.messages, 8u);
 }
 
 TEST(ThreadNet, RepeatedRunsStaySafe) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    const auto result =
-        run_threaded_election(6, 0.4, 0.5, seed, /*time_scale_us=*/150.0);
-    ASSERT_TRUE(result.elected) << "seed=" << seed;
+    const TrialOutcome result = run_scenario_trial(
+        thread_ring_spec(6, 0.4, 0.5, /*time_scale_us=*/150.0), seed);
+    ASSERT_TRUE(result.completed) << "seed=" << seed;
     EXPECT_TRUE(result.safety_ok) << "seed=" << seed;
   }
 }
 
 TEST(ThreadNet, LargerRingStillElects) {
-  const auto result =
-      run_threaded_election(16, 0.3, 0.5, 5, /*time_scale_us=*/100.0);
-  ASSERT_TRUE(result.elected);
+  const TrialOutcome result = run_scenario_trial(
+      thread_ring_spec(16, 0.3, 0.5, /*time_scale_us=*/100.0), 5);
+  ASSERT_TRUE(result.completed);
   EXPECT_TRUE(result.safety_ok);
 }
 
 TEST(ThreadNet, PiecewiseDriftRejected) {
-  ThreadNetConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(3);
   config.drift = DriftModel::kPiecewiseRandom;
-  EXPECT_DEATH(ThreadNetwork net(std::move(config)), "thread runtime");
+  EXPECT_DEATH(WallNetwork net(RuntimeKind::kThread, std::move(config)),
+               "thread runtime");
 }
 
 // Simulator-vs-thread parity smoke (ROADMAP "thread runtime parity"): the
@@ -175,10 +195,11 @@ TEST(ThreadNet, DriftBandParityWithSimulatorOnSmallRing) {
   ASSERT_TRUE(sim_result.elected);
   EXPECT_TRUE(sim_result.safety_ok) << sim_result.safety_detail;
 
-  const ThreadedElectionResult threaded = run_threaded_election(
-      kN, kA0, /*mean_delay=*/1.0, /*seed=*/11, /*time_scale_us=*/150.0,
-      std::chrono::milliseconds(30000), band);
-  ASSERT_TRUE(threaded.elected);
+  ScenarioSpec thread_spec =
+      thread_ring_spec(kN, kA0, /*mean_delay=*/1.0, /*time_scale_us=*/150.0);
+  thread_spec.clock_bounds = band;
+  const TrialOutcome threaded = run_scenario_trial(thread_spec, /*seed=*/11);
+  ASSERT_TRUE(threaded.completed);
   EXPECT_TRUE(threaded.safety_ok);
 
   // Both runtimes drive the same algorithm: a ring election needs at least
@@ -206,8 +227,8 @@ class TimerTerminator final : public Node {
   bool done_ = false;
 };
 
-ThreadNetConfig two_node_config(double time_scale_us = 1000.0) {
-  ThreadNetConfig config;
+RuntimeConfig two_node_config(double time_scale_us = 1000.0) {
+  RuntimeConfig config;
   config.topology = bidirectional_ring(2);
   config.time_scale_us = time_scale_us;
   config.drift = DriftModel::kNone;
@@ -215,7 +236,7 @@ ThreadNetConfig two_node_config(double time_scale_us = 1000.0) {
 }
 
 TEST(ThreadNet, AddNodeFillsSlotsInOrderAndRejectsExtra) {
-  ThreadNetwork net(two_node_config());
+  WallNetwork net(RuntimeKind::kThread, two_node_config());
   std::vector<const Node*> made;
   for (std::size_t i = 0; i < 2; ++i) {
     auto node = std::make_unique<TimerTerminator>(1.0);
@@ -229,7 +250,7 @@ TEST(ThreadNet, AddNodeFillsSlotsInOrderAndRejectsExtra) {
 }
 
 TEST(ThreadNet, WaitUntilAlreadyTruePredicateReturnsImmediately) {
-  ThreadNetwork net(two_node_config());
+  WallNetwork net(RuntimeKind::kThread, two_node_config());
   net.build_nodes([](std::size_t) -> NodePtr {
     return std::make_unique<TimerTerminator>(1e9);
   });
@@ -245,7 +266,7 @@ TEST(ThreadNet, WaitUntilAlreadyTruePredicateReturnsImmediately) {
 // The regression the condition variable fixes: a predicate satisfied by a
 // node event must wake the waiter promptly, not after the wall timeout.
 TEST(ThreadNet, WaitUntilSatisfiedMidWaitReturnsPromptly) {
-  ThreadNetwork net(two_node_config());
+  WallNetwork net(RuntimeKind::kThread, two_node_config());
   net.build_nodes([](std::size_t) -> NodePtr {
     // Timer fires at ~50 ms wall (50 sim units at 1000 us/unit).
     return std::make_unique<TimerTerminator>(50.0);
@@ -282,10 +303,10 @@ class Flooder final : public Node {
 };
 
 TEST(ThreadNet, LossInjectionCountsDropsAndConservesMessages) {
-  ThreadNetConfig config = two_node_config(/*time_scale_us=*/100.0);
+  RuntimeConfig config = two_node_config(/*time_scale_us=*/100.0);
   config.loss_probability = 0.3;
   config.delay = fixed_delay(0.1);
-  ThreadNetwork net(std::move(config));
+  WallNetwork net(RuntimeKind::kThread, std::move(config));
   net.build_nodes([](std::size_t i) -> NodePtr {
     return std::make_unique<Flooder>(i == 0 ? 400 : 0);
   });
@@ -298,6 +319,130 @@ TEST(ThreadNet, LossInjectionCountsDropsAndConservesMessages) {
   EXPECT_LT(net.messages_dropped(), 400u);
   EXPECT_EQ(net.messages_sent(),
             net.messages_delivered() + net.messages_dropped());
+}
+
+// ---------------------------------------------------------------------
+// Context::cancel_timer on both wall-clock kinds answers like the
+// simulator's Scheduler::cancel: true only while the timer is still queued.
+
+class CancelProbe final : public Node {
+ public:
+  static constexpr std::uint64_t kFirst = 1;
+  static constexpr std::uint64_t kDoomed = 2;
+  static constexpr std::uint64_t kLast = 3;
+
+  void on_start(Context& ctx) override {
+    ctx.set_timer_local(1.0, kFirst);
+    doomed_ = ctx.set_timer_local(3.0, kDoomed);
+  }
+  void on_message(Context&, std::size_t, const Payload&) override {}
+  void on_timer(Context& ctx, TimerId id, std::uint64_t tag) override {
+    if (tag == kFirst) {
+      self_cancel_ = ctx.cancel_timer(id);
+      early_cancel_ = ctx.cancel_timer(doomed_);
+      repeat_cancel_ = ctx.cancel_timer(doomed_);
+      // Due well after the doomed timer would have fired.
+      ctx.set_timer_local(6.0, kLast);
+    } else if (tag == kDoomed) {
+      doomed_fired_ = true;
+    } else {
+      done_ = true;
+    }
+  }
+  bool is_terminated() const override { return done_; }
+
+  bool self_cancel_ = true;
+  bool early_cancel_ = false;
+  bool repeat_cancel_ = true;
+  bool doomed_fired_ = false;
+
+ private:
+  TimerId doomed_{};
+  bool done_ = false;
+};
+
+class WallCancelTimer : public ::testing::TestWithParam<RuntimeKind> {};
+
+TEST_P(WallCancelTimer, AnswersWhetherTheTimerWasStillQueued) {
+  WallNetwork net(GetParam(), two_node_config());
+  net.build_nodes(
+      [](std::size_t) -> NodePtr { return std::make_unique<CancelProbe>(); });
+  net.start();
+  ASSERT_TRUE(
+      net.wait_until([&] { return net.terminated(0) && net.terminated(1); },
+                     std::chrono::milliseconds(10000)));
+  net.stop();
+  for (std::size_t i = 0; i < 2; ++i) {
+    const auto& probe = static_cast<const CancelProbe&>(net.node(i));
+    EXPECT_FALSE(probe.self_cancel_) << "a fired timer is no longer queued";
+    EXPECT_TRUE(probe.early_cancel_);
+    EXPECT_FALSE(probe.repeat_cancel_) << "already cancelled";
+    EXPECT_FALSE(probe.doomed_fired_) << "a cancelled timer fired";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ThreadAndUdp, WallCancelTimer,
+    ::testing::Values(RuntimeKind::kThread, RuntimeKind::kUdp),
+    [](const ::testing::TestParamInfo<RuntimeKind>& info) {
+      return std::string(runtime_kind_name(info.param));
+    });
+
+// ---------------------------------------------------------------------
+// The wall-clock metric rows: the harvested name set of each kind is part
+// of the JSON surface, so a rename must fail here.
+
+std::set<std::string> metric_names(const TrialOutcome& trial) {
+  std::set<std::string> names;
+  for (const MetricValue& entry : trial.metrics.entries()) {
+    names.insert(entry.name);
+  }
+  return names;
+}
+
+TEST(WallMetricRows, EachKindHarvestsExactlyItsRows) {
+  ScenarioSpec spec;
+  spec.algorithm = ScenarioAlgorithm::kRingElection;
+  spec.topology = TopologySpec{TopologyFamily::kRingUni, 6, 0.0};
+  spec.settle_time = 5.0;
+  spec.deadline = 2e4;
+  spec.thread_time_scale_us = 100.0;
+  spec.thread_wall_timeout_ms = 10000.0;
+
+  const std::set<std::string> shared = {
+      "net.sent",  "net.delivered", "net.dropped",
+      "net.ticks", "net.timers",    "trace.recorded"};
+  const auto rows = [&](const std::string& prefix) {
+    std::set<std::string> names = shared;
+    for (const char* row : {"cv_wakeups", "mailbox_high_water",
+                            "handler_us.sum", "handler_us.max"}) {
+      names.insert(prefix + row);
+    }
+    return names;
+  };
+
+  spec.runtime = RuntimeKind::kThread;
+  const TrialOutcome thread = run_scenario_trial(spec, 1);
+  ASSERT_TRUE(thread.has_metrics);
+  EXPECT_EQ(metric_names(thread), rows("thread."));
+
+  std::set<std::string> udp_rows = rows("udp.");
+  for (const char* row :
+       {"udp.datagrams_tx", "udp.datagrams_rx", "udp.acks_tx", "udp.acks_rx",
+        "udp.retransmits", "udp.duplicates", "udp.attempt_drops",
+        "udp.giveups", "udp.orphans", "udp.transit_us"}) {
+    udp_rows.insert(row);
+  }
+  spec.runtime = RuntimeKind::kUdp;
+  const TrialOutcome udp = run_scenario_trial(spec, 1);
+  ASSERT_TRUE(udp.has_metrics);
+  EXPECT_EQ(metric_names(udp), udp_rows);
+
+  spec.udp_reliable = true;
+  udp_rows.insert("arq.rtt");
+  const TrialOutcome reliable = run_scenario_trial(spec, 1);
+  ASSERT_TRUE(reliable.has_metrics);
+  EXPECT_EQ(metric_names(reliable), udp_rows);
 }
 
 // ---------------------------------------------------------------------
@@ -498,8 +643,8 @@ TEST(CrossRuntimeParity, TraceSendDeliverCountsMatchStats) {
 // read shared by the phase before and after it, and total_ms is measured
 // between the first and last of those same reads — so build + run +
 // settle must equal total up to floating-point summation on every
-// substrate. (The regression this pins: ThreadRuntime::start() used to
-// take a second clock read for its wall deadline, and total was not
+// substrate. (The regression this pins: the thread runtime's start() used
+// to take a second clock read for its wall deadline, and total was not
 // measured at all.)
 TEST(CrossRuntimeParity, WallPhaseTimesSumToTotal) {
   ScenarioSpec spec;

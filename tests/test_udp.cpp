@@ -1,4 +1,4 @@
-// Tests for the real-socket runtime (runtime/udp_runtime.h): the UdpSocket
+// Tests for the real-socket runtime (runtime/udp_transport.h): the UdpSocket
 // wrapper, datagram elections through the scenario driver stack, the ARQ
 // reliable layer under injected per-attempt loss (exactly-once delivery),
 // the measured-transit histogram, and the measured-delay -> DelayModel
@@ -17,8 +17,9 @@
 #include "net/topology.h"
 #include "obs/metrics.h"
 #include "runtime/runtime.h"
-#include "runtime/udp_runtime.h"
 #include "runtime/udp_socket.h"
+#include "runtime/udp_transport.h"
+#include "runtime/wall_net.h"
 #include "scenario/drivers.h"
 #include "scenario/scenario.h"
 #include "scenario/sweep.h"
@@ -126,14 +127,15 @@ class CountingSink final : public Node {
 
 TEST(UdpNet, ArqOverRealLossDeliversExactlyOnce) {
   constexpr std::uint64_t kMessages = 300;
-  UdpNetConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(2);
   config.delay = fixed_delay(0.05);
   config.time_scale_us = 100.0;
+  config.drift = DriftModel::kFixedRandomRate;
   config.loss_probability = 0.3;  // drawn per ATTEMPT, masked by ARQ
-  config.reliable = true;
+  config.udp_reliable = true;
   config.seed = 3;  // pinned: the attempt-loss coin sequence is replayable
-  UdpNetwork net(std::move(config));
+  WallNetwork net(RuntimeKind::kUdp, std::move(config));
   net.build_nodes([&](std::size_t i) -> NodePtr {
     if (i == 0) return std::make_unique<Burster>(kMessages);
     return std::make_unique<CountingSink>();
@@ -230,9 +232,9 @@ TEST(UdpNet, OverSocketBudgetCellIsRejectedStructurally) {
 }
 
 TEST(UdpNet, AddNodeFillsSlotsInOrderAndRejectsExtra) {
-  UdpNetConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(3);
-  UdpNetwork net(std::move(config));
+  WallNetwork net(RuntimeKind::kUdp, std::move(config));
   std::vector<const Node*> made;
   for (std::size_t i = 0; i < 3; ++i) {
     auto node = std::make_unique<CountingSink>();
@@ -245,10 +247,11 @@ TEST(UdpNet, AddNodeFillsSlotsInOrderAndRejectsExtra) {
 }
 
 TEST(UdpNet, PiecewiseDriftRejected) {
-  UdpNetConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(3);
   config.drift = DriftModel::kPiecewiseRandom;
-  EXPECT_DEATH(UdpNetwork net(std::move(config)), "udp runtime");
+  EXPECT_DEATH(WallNetwork net(RuntimeKind::kUdp, std::move(config)),
+               "udp runtime");
 }
 
 TEST(UdpNet, ArqSuffixAppearsOnlyOnReliableUdpCells) {
