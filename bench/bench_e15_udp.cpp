@@ -89,7 +89,7 @@ struct ArqRun {
 // from start() to quiescence (every message ACKed and handled).
 ArqRun arq_burst(double loss, std::uint64_t messages, std::uint64_t seed) {
   RuntimeConfig config;
-  config.topology = unidirectional_ring(2);
+  config.plan = make_plan(unidirectional_ring(2));
   config.delay = fixed_delay(0.05);
   config.time_scale_us = 50.0;
   config.drift = DriftModel::kFixedRandomRate;

@@ -45,8 +45,8 @@ class GossipDriver final : public AlgorithmDriver {
   }
 
   void configure(RuntimeConfig& config) override {
-    ABE_CHECK_LT(source_, config.topology.n);
-    n_ = config.topology.n;
+    ABE_CHECK_LT(source_, config.plan->size());
+    n_ = config.plan->size();
     config.enable_ticks = true;  // informed nodes push on local ticks
   }
 
@@ -108,9 +108,8 @@ class GossipDriver final : public AlgorithmDriver {
 }  // namespace
 
 RuntimeConfig gossip_runtime_config(const GossipExperiment& experiment) {
-  validate_topology(experiment.topology);
   RuntimeConfig config;
-  config.topology = experiment.topology;
+  config.plan = make_plan(experiment.topology);
   config.delay = experiment.delay
                      ? experiment.delay
                      : make_delay_model(experiment.delay_name,

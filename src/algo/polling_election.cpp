@@ -40,34 +40,13 @@ std::string PollPayload::describe() const {
   return os.str();
 }
 
-PollingWiringTable build_polling_wiring(const Topology& topology,
-                                        std::size_t root) {
-  const Adjacency out = out_adjacency(topology);
-  const OutChannelIndex chan(topology, out);
-  const SpanningTree tree = bfs_spanning_tree(topology, root, out, chan);
-  PollingWiringTable wiring;
-  wiring.channels.assign(topology.n, OutChannelIndex::kNone);
-  for (std::size_t k = 1; k < topology.n; ++k) {
-    const std::size_t c = tree.order[k];
-    const std::size_t down = chan.channel(tree.parent[c], c);
-    ABE_CHECK_NE(down, OutChannelIndex::kNone);
-    wiring.channels[k] = down;
-  }
-  wiring.nodes.resize(topology.n);
-  for (std::size_t i = 0; i < topology.n; ++i) {
-    PollingWiring& w = wiring.nodes[i];
-    w.is_root = (i == root);
-    if (i != root) {
-      const std::size_t up = chan.channel(i, tree.parent[i]);
-      ABE_CHECK_NE(up, OutChannelIndex::kNone)
-          << "tree edge lacks a reverse channel";
-      w.parent_out = up;
-    }
-    w.children_out =
-        Adjacency::Span(wiring.channels.data() + tree.children_begin[i],
-                        wiring.channels.data() + tree.children_end[i]);
-  }
-  return wiring;
+PollingWiring polling_wiring(const NetworkPlan& plan, std::size_t node) {
+  const PlanTree& tree = plan.tree();
+  PollingWiring w;
+  w.is_root = node == tree.root;
+  if (!w.is_root) w.parent_out = tree.up[node];
+  w.children_out = tree.children_out(node);
+  return w;
 }
 
 PollingElectionNode::PollingElectionNode(PollingWiring wiring,
@@ -182,8 +161,10 @@ class PollingDriver final : public AlgorithmDriver {
 
   void configure(RuntimeConfig& config) override {
     // Coordination structure is infrastructure, not anonymous algorithm
-    // state: the tree is precomputed from the topology (cf. BetaWiring).
-    wiring_ = build_polling_wiring(config.topology);
+    // state: the tree comes precomputed with the plan (cf. BetaWiring),
+    // built here on the plan's first trial.
+    plan_ = config.plan;
+    plan_->tree();
   }
 
   NodePtr make_node(std::size_t index) override {
@@ -195,10 +176,10 @@ class PollingDriver final : public AlgorithmDriver {
                                std::memory_order_relaxed);
       watch->leader_count.fetch_add(1, std::memory_order_release);
     };
-    // The node's children_out is a view into wiring_, which this driver
+    // The node's children_out is a view into plan_, which this driver
     // keeps until after the runtime has destroyed its nodes.
-    return std::make_unique<PollingElectionNode>(wiring_.nodes[index],
-                                                 std::move(options));
+    return std::make_unique<PollingElectionNode>(
+        polling_wiring(*plan_, index), std::move(options));
   }
 
   bool done(const Runtime& /*rt*/) override {
@@ -305,15 +286,14 @@ class PollingDriver final : public AlgorithmDriver {
   double loss_probability_;
   PollingRunResult* sink_;
   PollingWatch watch_;
-  PollingWiringTable wiring_;
+  std::shared_ptr<const NetworkPlan> plan_;
 };
 
 }  // namespace
 
 RuntimeConfig polling_runtime_config(const PollingExperiment& experiment) {
-  validate_topology(experiment.topology);
   RuntimeConfig config;
-  config.topology = experiment.topology;
+  config.plan = make_plan(experiment.topology);
   config.delay = experiment.delay
                      ? experiment.delay
                      : make_delay_model(experiment.delay_name,

@@ -40,7 +40,7 @@
 
 #include "net/network.h"
 #include "net/node.h"
-#include "net/spanning_tree.h"
+#include "net/plan.h"
 #include "runtime/runtime.h"
 #include "stats/summary.h"
 
@@ -78,38 +78,18 @@ class PollPayload final : public Payload {
   std::uint64_t count_;
 };
 
-// Static per-node wiring derived from the spanning tree (cf. BetaWiring).
-// children_out is a view into the PollingWiringTable that built it, so a
-// node holding this wiring must not outlive that table.
+// Static per-node wiring derived from the plan's spanning tree (cf.
+// BetaWiring). children_out is a view into the plan (net/plan.h), so a node
+// holding this wiring must not outlive the plan.
 struct PollingWiring {
   bool is_root = false;
   std::size_t parent_out = 0;    // out-channel toward the parent (non-root)
   Adjacency::Span children_out;  // out-channels toward each child
 };
 
-// The wiring of every node in one flat channel array instead of one vector
-// per node. nodes[i] is node i's wiring; every children_out view points into
-// `channels`, which is CSR over the tree's BFS order like the tree's
-// children (net/spanning_tree.h): channels[k] is the out-channel from the
-// parent of order[k] to order[k], and slot 0, the root's, is unused.
-// Move-only, so the views stay valid. The polling driver owns its table and
-// outlives its nodes (run_algorithm_trial destroys the runtime, and with it
-// the nodes, before it returns), which is the lifetime the views need.
-struct PollingWiringTable {
-  PollingWiringTable() = default;
-  PollingWiringTable(PollingWiringTable&&) = default;
-  PollingWiringTable& operator=(PollingWiringTable&&) = default;
-  PollingWiringTable(const PollingWiringTable&) = delete;
-  PollingWiringTable& operator=(const PollingWiringTable&) = delete;
-
-  std::vector<std::size_t> channels;
-  std::vector<PollingWiring> nodes;
-};
-
-// Builds the wiring for every node from a BFS tree rooted at `root`.
-// Requires every tree edge to have a reverse channel.
-PollingWiringTable build_polling_wiring(const Topology& topology,
-                                        std::size_t root = 0);
+// Node `node`'s wiring on the plan's BFS tree from node 0 (NetworkPlan::
+// tree). Aborts when a tree edge has no reverse channel.
+PollingWiring polling_wiring(const NetworkPlan& plan, std::size_t node);
 
 struct PollingOptions {
   // Ids are drawn uniformly from [0, 2^id_bits). 64 makes ties negligible;
@@ -208,7 +188,7 @@ PollingRunResult run_polling_election(const PollingExperiment& experiment);
 RuntimeConfig polling_runtime_config(const PollingExperiment& experiment);
 
 // The polling election as an AlgorithmDriver (runtime/runtime.h): tree
-// wiring derived from config.topology in configure(), done once a leader
+// wiring read from config.plan in configure(), done once a leader
 // exists, post-completion drain to quiescence, full PollingRunResult into
 // `*sink`. One driver instance per trial.
 std::unique_ptr<AlgorithmDriver> make_polling_driver(

@@ -212,7 +212,7 @@ class RingElectionDriver final : public AlgorithmDriver {
 RuntimeConfig election_runtime_config(const ElectionExperiment& experiment) {
   ABE_CHECK_GE(experiment.n, 1u);
   RuntimeConfig config;
-  config.topology = unidirectional_ring(experiment.n);
+  config.plan = make_plan(unidirectional_ring(experiment.n));
   config.delay = experiment.delay
                      ? experiment.delay
                      : make_delay_model(experiment.delay_name,

@@ -41,19 +41,21 @@ double ProcessingModel::sample(Rng& rng) const {
   return 0.0;
 }
 
-// Per-node Context implementation; a thin forwarding shim into the Network.
-class Network::ContextImpl final : public Context {
+// The Context every handler call gets: a thin forwarding shim into the
+// Network, pointed at the node about to run by context_for. The simulator
+// runs one handler at a time and never re-enters one, so one suffices.
+class Network::SimContext final : public Context {
  public:
-  ContextImpl(Network* net, std::size_t index) : net_(net), index_(index) {}
+  explicit SimContext(Network* net) : net_(net) {}
 
   NodeId self() const override {
     return NodeId{static_cast<std::int64_t>(index_)};
   }
   std::size_t out_degree() const override {
-    return net_->out_channels_.degree(index_);
+    return net_->plan_->out().degree(index_);
   }
   std::size_t in_degree() const override {
-    return net_->in_channels_.degree(index_);
+    return net_->plan_->in().degree(index_);
   }
   std::size_t network_size() const override { return net_->size(); }
 
@@ -81,8 +83,9 @@ class Network::ContextImpl final : public Context {
   }
 
  private:
+  friend class Network;
   Network* net_;
-  std::size_t index_;
+  std::size_t index_ = 0;
 };
 
 Network::Network(NetworkConfig config)
@@ -90,7 +93,13 @@ Network::Network(NetworkConfig config)
       scheduler_(config_.equeue),
       root_rng_(config_.seed),
       channel_rng_(root_rng_.substream("channels")) {
-  validate_topology(config_.topology);
+  if (config_.plan) {
+    ABE_CHECK_EQ(config_.topology.n, 0u)
+        << "NetworkConfig takes a plan or a topology, not both";
+    plan_ = std::move(config_.plan);
+  } else {
+    plan_ = make_plan(std::move(config_.topology));
+  }
   config_.clock_bounds.validate();
   if (!config_.delay) {
     config_.delay = exponential_delay(1.0);
@@ -109,22 +118,11 @@ Network::Network(NetworkConfig config)
   timeseries_.interval = config_.timeseries_interval;
   next_sample_ = config_.timeseries_interval;
 
-  const std::size_t n = config_.topology.n;
-  const std::size_t edge_count = config_.topology.edges.size();
-  ABE_CHECK_LE(std::max(n, edge_count), std::size_t{UINT32_MAX})
-      << "channel records hold node and in-channel indices in 32 bits";
-  out_channels_ = out_adjacency(config_.topology);
-  in_channels_ = in_adjacency(config_.topology);
-  channels_.resize(edge_count);
-  for (std::size_t v = 0; v < n; ++v) {
-    const Adjacency::Span in = in_channels_.of(v);
-    for (std::size_t k = 0; k < in.size(); ++k) {
-      ChannelState& ch = channels_[in[k]];
-      ch.delay = config_.delay.get();
-      ch.loss_probability = config_.loss_probability;
-      ch.to = static_cast<std::uint32_t>(v);
-      ch.in_index = static_cast<std::uint32_t>(k);
-    }
+  const std::size_t n = plan_->size();
+  const std::size_t edge_count = plan_->edge_count();
+  traffic_.resize(edge_count);
+  if (config_.ordering == ChannelOrdering::kFifo) {
+    last_arrival_.assign(edge_count, 0.0);
   }
   if (config_.metrics) {
     // Geometric buckets around the configured mean delay δ — the scale the
@@ -135,8 +133,9 @@ Network::Network(NetworkConfig config)
         "net.delay", FixedHistogram::log2_bounds(mean > 0.0 ? mean : 1.0,
                                                  /*below=*/3, /*above=*/6));
   }
+  nodes_.reserve(n);
   slots_.reserve(n);
-  contexts_.reserve(n);
+  context_ = std::make_unique<SimContext>(this);
   // Tick phases are read only by tick events; each is its own substream, so
   // skipping them when ticks are off leaves every other stream unchanged.
   const bool draw_tick_phase = config_.enable_ticks &&
@@ -147,7 +146,6 @@ Network::Network(NetworkConfig config)
                         LocalClock(config_.clock_bounds, config_.drift,
                                    root_rng_.substream("clock", i),
                                    config_.clock_segment_mean));
-    contexts_.emplace_back(this, i);
     if (draw_tick_phase) {
       trains_[i].phase = root_rng_.substream("tick-phase", i).uniform01() *
                          config_.tick_local_period;
@@ -160,9 +158,9 @@ Network::~Network() = default;
 void Network::add_node(NodePtr node) {
   ABE_CHECK(!started_) << "nodes must be added before start()";
   ABE_CHECK(static_cast<bool>(node));
-  ABE_CHECK_LT(next_slot_, slots_.size())
+  ABE_CHECK_LT(nodes_.size(), size())
       << "more nodes than topology slots (" << size() << ")";
-  slots_[next_slot_++].node = std::move(node);
+  nodes_.push_back(std::move(node));
 }
 
 void Network::build_nodes(const std::function<NodePtr(std::size_t)>& factory) {
@@ -173,40 +171,47 @@ void Network::build_nodes(const std::function<NodePtr(std::size_t)>& factory) {
 
 void Network::set_channel_delay(std::size_t edge_index, DelayModelPtr delay) {
   ABE_CHECK(!started_);
-  ABE_CHECK_LT(edge_index, channels_.size());
+  ABE_CHECK_LT(edge_index, traffic_.size());
   ABE_CHECK(static_cast<bool>(delay));
-  channels_[edge_index].delay = delay.get();
+  if (delay_of_.empty()) delay_of_.assign(traffic_.size(), config_.delay.get());
+  delay_of_[edge_index] = delay.get();
   delay_overrides_.push_back(std::move(delay));
 }
 
 void Network::set_channel_loss(std::size_t edge_index,
                                double loss_probability) {
   ABE_CHECK(!started_);
-  ABE_CHECK_LT(edge_index, channels_.size());
+  ABE_CHECK_LT(edge_index, traffic_.size());
   ABE_CHECK_GE(loss_probability, 0.0);
   ABE_CHECK_LT(loss_probability, 1.0);
-  channels_[edge_index].loss_probability = loss_probability;
+  if (loss_of_.empty()) {
+    loss_of_.assign(traffic_.size(), config_.loss_probability);
+  }
+  loss_of_[edge_index] = loss_probability;
+}
+
+Context& Network::context_for(std::size_t node_index) {
+  context_->index_ = node_index;
+  return *context_;
 }
 
 void Network::start() {
   ABE_CHECK(!started_) << "start() called twice";
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    ABE_CHECK(static_cast<bool>(slots_[i].node))
-        << "node " << i << " missing before start()";
-  }
+  ABE_CHECK_EQ(nodes_.size(), size())
+      << "node " << nodes_.size() << " missing before start()";
   started_ = true;
   scheduler_.schedule_at(0.0, [this] {
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
       current_cause_ = -1;  // on_start is a causal root: no trace record
-      slots_[i].node->on_start(contexts_[i]);
+      nodes_[i]->on_start(context_for(i));
       if (config_.enable_ticks) rearm_ticks(i);
     }
   });
   if (config_.enable_ticks) {
     // kEvery trains start here, so their first ticks keep the sequence
     // numbers of a per-tick train; the others arm after on_start.
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (slots_[i].node->tick_demand().kind != TickDemand::Kind::kEvery) {
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      if (nodes_[i]->tick_demand().kind != TickDemand::Kind::kEvery) {
         continue;
       }
       trains_[i].state = Train::kEvery;
@@ -269,7 +274,7 @@ void Network::pause_ticks(std::size_t node_index) {
 }
 
 void Network::rearm_ticks(std::size_t node_index, bool after_tick) {
-  const Node& node = *slots_[node_index].node;
+  const Node& node = *nodes_[node_index];
   TickTrain& train = trains_[node_index];
   if (timeseries_.interval > 0.0 && train.stop == kTimeInfinity &&
       node.is_terminated()) {
@@ -345,7 +350,7 @@ void Network::fire_tick(std::size_t node_index) {
       now(), TraceKind::kTick, NodeId{static_cast<std::int64_t>(node_index)},
       static_cast<std::int64_t>(train.ticks), train.last_record);
   train.last_record = current_cause_;
-  slots_[node_index].node->on_tick(contexts_[node_index], train.ticks);
+  nodes_[node_index]->on_tick(context_for(node_index), train.ticks);
   rearm_ticks(node_index, /*after_tick=*/true);
 }
 
@@ -368,8 +373,7 @@ TimerId Network::set_timer(std::size_t node_index, double local_delay,
             trace_.record(now(), TraceKind::kTimer,
                           NodeId{static_cast<std::int64_t>(node_index)},
                           static_cast<std::int64_t>(tag), cause);
-        slots_[node_index].node->on_timer(contexts_[node_index], timer_id,
-                                          tag);
+        nodes_[node_index]->on_timer(context_for(node_index), timer_id, tag);
         if (config_.enable_ticks) rearm_ticks(node_index);
       });
   return timer_id;
@@ -383,12 +387,12 @@ void Network::send_from(std::size_t node_index, std::size_t out_index,
                         PayloadPtr payload) {
   ABE_CHECK(started_) << "send before start()";
   ABE_CHECK(static_cast<bool>(payload));
-  ABE_CHECK_LT(out_index, out_channels_.degree(node_index));
-  const std::size_t edge_index = out_channels_.of(node_index)[out_index];
-  ChannelState& ch = channels_[edge_index];
+  const Adjacency& out = plan_->out();
+  ABE_CHECK_LT(out_index, out.degree(node_index));
+  const std::size_t edge_index = out.of(node_index)[out_index];
 
   ++metrics_.messages_sent;
-  ++ch.sent;
+  ++traffic_[edge_index].sent;
   // Flight recorder: the lite record (numeric edge arg) is always on; the
   // payload string is formatted only in full trace mode. The send's cause is
   // the handler that issued it.
@@ -408,33 +412,39 @@ void Network::send_from(std::size_t node_index, std::size_t out_index,
   }
 
   // Silent loss (ARQ substrate): the message vanishes in transit.
-  if (ch.loss_probability > 0.0 &&
-      channel_rng_.bernoulli(ch.loss_probability)) {
+  const double loss =
+      loss_of_.empty() ? config_.loss_probability : loss_of_[edge_index];
+  if (loss > 0.0 && channel_rng_.bernoulli(loss)) {
     ++metrics_.messages_dropped;
-    ++ch.dropped;
+    if (dropped_.empty()) dropped_.assign(traffic_.size(), 0);
+    ++dropped_[edge_index];
+    const NodeId to{static_cast<std::int64_t>(plan_->end(edge_index).to)};
     if (trace_.enabled()) {
-      trace_.record(now(), TraceKind::kDrop,
-                    NodeId{static_cast<std::int64_t>(ch.to)},
+      trace_.record(now(), TraceKind::kDrop, to,
                     "edge=" + std::to_string(edge_index) + " " +
                         payload->describe(),
                     static_cast<std::int64_t>(edge_index), send_id);
     } else {
-      trace_.record(now(), TraceKind::kDrop,
-                    NodeId{static_cast<std::int64_t>(ch.to)},
+      trace_.record(now(), TraceKind::kDrop, to,
                     static_cast<std::int64_t>(edge_index), send_id);
     }
     return;  // `payload` is freed here
   }
 
-  const double delay =
-      config_.adversary_delay != nullptr
-          ? config_.adversary_delay->next_delay(node_index, ch.to)
-          : ch.delay->sample(channel_rng_);
+  double delay;
+  if (config_.adversary_delay != nullptr) {
+    delay = config_.adversary_delay->next_delay(node_index,
+                                                plan_->end(edge_index).to);
+  } else {
+    const DelayModel& model =
+        delay_of_.empty() ? *config_.delay : *delay_of_[edge_index];
+    delay = model.sample(channel_rng_);
+  }
   ABE_CHECK_GE(delay, 0.0);
   SimTime arrival = now() + delay;
   if (config_.ordering == ChannelOrdering::kFifo) {
-    arrival = std::max(arrival, ch.last_arrival);
-    ch.last_arrival = arrival;
+    arrival = std::max(arrival, last_arrival_[edge_index]);
+    last_arrival_[edge_index] = arrival;
   }
   const SimTime sent_at = now();
   auto on_arrival = [this, edge_index, payload = std::move(payload), sent_at,
@@ -454,7 +464,7 @@ void Network::deliver(std::size_t edge_index, PayloadPtr payload,
     return;
   }
   // Definition 1(3): handling occupies the node; queue behind earlier work.
-  const std::size_t to = channels_[edge_index].to;
+  const std::size_t to = plan_->end(edge_index).to;
   NodeSlot& slot = slots_[to];
   const SimTime start = std::max(now(), slot.busy_until);
   // The processing draw comes from the node's own stream, so a lazy tick
@@ -483,9 +493,9 @@ void Network::deliver(std::size_t edge_index, PayloadPtr payload,
 void Network::finish_delivery(std::size_t edge_index, const Payload& payload,
                               double channel_delay, std::int64_t send_id,
                               double work) {
-  ChannelState& ch = channels_[edge_index];
-  const std::size_t to = ch.to;
-  ++ch.delivered;
+  const NetworkPlan::EdgeEnd end = plan_->end(edge_index);
+  const std::size_t to = end.to;
+  ++traffic_[edge_index].delivered;
   ++metrics_.messages_delivered;
   metrics_.total_channel_delay += channel_delay;
   metrics_.max_channel_delay =
@@ -508,10 +518,10 @@ void Network::finish_delivery(std::size_t edge_index, const Payload& payload,
   }
   if (config_.enable_ticks) {
     pause_ticks(to);
-    slots_[to].node->on_message(contexts_[to], ch.in_index, payload);
+    nodes_[to]->on_message(context_for(to), end.in_index, payload);
     rearm_ticks(to);
   } else {
-    slots_[to].node->on_message(contexts_[to], ch.in_index, payload);
+    nodes_[to]->on_message(context_for(to), end.in_index, payload);
   }
 }
 
@@ -521,8 +531,8 @@ void Network::take_sample() {
   sample.pending = static_cast<double>(scheduler_.pending());
   sample.in_flight = static_cast<double>(metrics_.in_flight());
   std::uint64_t live = 0;
-  for (const NodeSlot& slot : slots_) {
-    if (slot.node != nullptr && !slot.node->is_terminated()) ++live;
+  for (const NodePtr& node : nodes_) {
+    if (!node->is_terminated()) ++live;
   }
   sample.live = static_cast<double>(live);
   timeseries_.samples.push_back(sample);
@@ -594,13 +604,13 @@ void Network::run_until_quiescent(SimTime deadline) {
 }
 
 Node& Network::node(std::size_t i) {
-  ABE_CHECK_LT(i, slots_.size());
-  return *slots_[i].node;
+  ABE_CHECK_LT(i, nodes_.size());
+  return *nodes_[i];
 }
 
 const Node& Network::node(std::size_t i) const {
-  ABE_CHECK_LT(i, slots_.size());
-  return *slots_[i].node;
+  ABE_CHECK_LT(i, nodes_.size());
+  return *nodes_[i];
 }
 
 LocalClock& Network::clock(std::size_t i) {
@@ -609,25 +619,33 @@ LocalClock& Network::clock(std::size_t i) {
 }
 
 std::vector<std::uint64_t> Network::channel_counts(
-    std::uint64_t ChannelState::*count) const {
+    std::uint64_t ChannelTraffic::*count) const {
   std::vector<std::uint64_t> out;
-  out.reserve(channels_.size());
-  for (const ChannelState& ch : channels_) out.push_back(ch.*count);
+  out.reserve(traffic_.size());
+  for (const ChannelTraffic& ch : traffic_) out.push_back(ch.*count);
   return out;
+}
+
+std::vector<std::uint64_t> Network::dropped_by_channel() const {
+  if (dropped_.empty()) return std::vector<std::uint64_t>(traffic_.size(), 0);
+  return dropped_;
 }
 
 std::vector<std::uint64_t> Network::sent_by_node() const {
   std::vector<std::uint64_t> out(size(), 0);
-  for (std::size_t e = 0; e < channels_.size(); ++e) {
-    out[config_.topology.edges[e].from] += channels_[e].sent;
+  const std::vector<Edge>& edges = plan_->topology().edges;
+  for (std::size_t e = 0; e < traffic_.size(); ++e) {
+    out[edges[e].from] += traffic_[e].sent;
   }
   return out;
 }
 
 double Network::expected_delay_bound() const {
+  if (traffic_.empty()) return 0.0;
+  if (delay_of_.empty()) return config_.delay->mean_delay();
   double bound = 0.0;
-  for (const auto& ch : channels_) {
-    bound = std::max(bound, ch.delay->mean_delay());
+  for (const DelayModel* delay : delay_of_) {
+    bound = std::max(bound, delay->mean_delay());
   }
   return bound;
 }
@@ -662,14 +680,12 @@ MetricsSnapshot Network::metrics_snapshot() const {
   if (config_.metrics) {
     // Scalar rollups of the per-channel drop counts (the vectors themselves
     // are exposed via dropped_by_channel(); at n = 10^4 they would dwarf the
-    // rest of the sweep JSON). Without a drop both are 0: skip the scan.
+    // rest of the sweep JSON). Without a drop dropped_ is empty: both are 0.
     std::uint64_t lossy = 0;
     std::uint64_t worst = 0;
-    if (metrics_.messages_dropped > 0) {
-      for (const ChannelState& ch : channels_) {
-        if (ch.dropped > 0) ++lossy;
-        worst = std::max(worst, ch.dropped);
-      }
+    for (std::uint64_t dropped : dropped_) {
+      if (dropped > 0) ++lossy;
+      worst = std::max(worst, dropped);
     }
     snap.add_counter("net.channels.lossy", static_cast<double>(lossy));
     snap.add_gauge("net.channels.max_dropped", static_cast<double>(worst));

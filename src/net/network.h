@@ -11,6 +11,18 @@
 // classic ABD model; an exponential/Lomax delay gives a genuine ABE network
 // where no worst-case delay bound exists.
 //
+// Plan state versus per-trial state. The graph and everything derived from
+// it alone — channel lists, each edge's receiver and in-index, the BFS
+// tree — live in a shared, read-only NetworkPlan (net/plan.h), which many
+// trials may use at once. A Network keeps only what a trial changes, laid
+// out for the message path: one 16-byte sent/delivered record per channel;
+// drop counts, FIFO floors and per-channel delay/loss overrides in cold
+// side arrays that stay empty until a trial needs them (the default path
+// reads config.delay and config.loss_probability); a dense table of node
+// pointers for dispatch beside the per-node slots that keep clock, rng and
+// busy_until; and one Context whose node index is set before each handler
+// call.
+//
 // Tick trains. With ticks enabled, node i's lattice tick k falls at local
 // time phase_i + k * tick_local_period. Each node has at most one pending
 // tick-train event, chosen by its Node::tick_demand() (net/node.h), which
@@ -66,6 +78,7 @@
 #include "clock/local_clock.h"
 #include "net/delay.h"
 #include "net/node.h"
+#include "net/plan.h"
 #include "net/topology.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
@@ -107,6 +120,10 @@ struct ProcessingModel {
 };
 
 struct NetworkConfig {
+  // The graph: a shared plan (net/plan.h), or a caller-built topology
+  // that the constructor wraps with make_plan when `plan` is null. Set one
+  // of the two.
+  std::shared_ptr<const NetworkPlan> plan;
   Topology topology;
   // Delay model applied to every channel (per-channel overrides below).
   DelayModelPtr delay;
@@ -227,10 +244,10 @@ class Network {
   void run_until_quiescent(SimTime deadline = kTimeInfinity);
 
   // --- introspection ----------------------------------------------------
-  std::size_t size() const { return config_.topology.n; }
+  std::size_t size() const { return plan_->size(); }
   Node& node(std::size_t i);
   const Node& node(std::size_t i) const;
-  const Topology& topology() const { return config_.topology; }
+  const Topology& topology() const { return plan_->topology(); }
   const NetworkConfig& config() const { return config_; }
   const NetworkMetrics& metrics() const { return metrics_; }
   LocalClock& clock(std::size_t i);
@@ -243,14 +260,12 @@ class Network {
   // channel records (channel = edge index into topology().edges; node =
   // sender index). Always kept; O(E) to build, so not for hot loops.
   std::vector<std::uint64_t> sent_by_channel() const {
-    return channel_counts(&ChannelState::sent);
+    return channel_counts(&ChannelTraffic::sent);
   }
   std::vector<std::uint64_t> delivered_by_channel() const {
-    return channel_counts(&ChannelState::delivered);
+    return channel_counts(&ChannelTraffic::delivered);
   }
-  std::vector<std::uint64_t> dropped_by_channel() const {
-    return channel_counts(&ChannelState::dropped);
-  }
+  std::vector<std::uint64_t> dropped_by_channel() const;
   std::vector<std::uint64_t> sent_by_node() const;
 
   // Deterministic harvest of scheduler + network instruments, sorted by
@@ -263,36 +278,22 @@ class Network {
   double expected_delay_bound() const;
 
  private:
-  class ContextImpl;
-  // Everything the message path reads or writes about one channel, in one
-  // record per edge (channels_[e] for topology().edges[e]), so a send and
-  // its delivery each touch one 56-byte record instead of several parallel
-  // arrays:
-  //   delay             the channel's delay model: config_.delay, or a
-  //                     per-channel override owned by delay_overrides_;
-  //   loss_probability  per-attempt silent drop probability;
-  //   last_arrival      FIFO floor (ChannelOrdering::kFifo only);
-  //   to, in_index      receiver, and this channel's index among the
-  //                     receiver's in-channels (the in_index on_message gets);
-  //   sent, delivered, dropped   per-channel message counts.
-  struct ChannelState {
-    const DelayModel* delay = nullptr;
-    double loss_probability = 0.0;
-    SimTime last_arrival = 0.0;
-    std::uint32_t to = 0;
-    std::uint32_t in_index = 0;
+  class SimContext;
+  // The per-trial message counts of one channel (traffic_[e] for
+  // topology().edges[e]): the only per-channel state a default send and
+  // its delivery write.
+  struct ChannelTraffic {
     std::uint64_t sent = 0;
     std::uint64_t delivered = 0;
-    std::uint64_t dropped = 0;
   };
-  static_assert(sizeof(ChannelState) == 56, "one packed record per channel");
-  // Per-node state, held by value in one array (slots_): no per-node heap
-  // object besides the node itself and its clock's segment list.
+  static_assert(sizeof(ChannelTraffic) == 16, "one hot record per channel");
+  // Per-node state, held by value in one array (slots_) beside the node
+  // pointers (nodes_): no per-node heap object besides the node itself and
+  // its clock's segment list.
   struct NodeSlot {
     NodeSlot(Rng node_rng, LocalClock node_clock)
         : clock(std::move(node_clock)), rng(node_rng) {}
 
-    NodePtr node;
     LocalClock clock;
     Rng rng;
     SimTime busy_until = 0.0;
@@ -339,7 +340,9 @@ class Network {
                        double work);
   // One count field of every channel record, in edge order.
   std::vector<std::uint64_t> channel_counts(
-      std::uint64_t ChannelState::*count) const;
+      std::uint64_t ChannelTraffic::*count) const;
+  // The context handed to node `node_index`'s next handler call.
+  Context& context_for(std::size_t node_index);
   // Tick trains. pause_ticks runs before anything else touches a node (a
   // processing-time draw, on_message, on_timer; nothing is armed before
   // on_start); rearm_ticks after, with the node's new demand.
@@ -374,16 +377,24 @@ class Network {
   // single null test when metrics are off (the obs cost contract).
   MetricsRegistry registry_;
   FixedHistogram* delay_hist_ = nullptr;
+  std::shared_ptr<const NetworkPlan> plan_;
+  // nodes_[i] is node i (add_node appends in index order): the dispatch
+  // table every handler call goes through.
+  std::vector<NodePtr> nodes_;
   std::vector<NodeSlot> slots_;
   std::vector<TickTrain> trains_;  // one per node when ticks are on
-  // contexts_[i] is node i's Context; like slots_, sized once in the
-  // constructor so the references handed to nodes stay valid.
-  std::vector<ContextImpl> contexts_;
-  std::size_t next_slot_ = 0;  // add_node fills slots_ in index order
-  std::vector<ChannelState> channels_;
-  std::vector<DelayModelPtr> delay_overrides_;  // owners of set_channel_delay
-  Adjacency out_channels_;  // node -> edge indices
-  Adjacency in_channels_;
+  // The one Context every handler gets; context_for sets its node.
+  std::unique_ptr<SimContext> context_;
+  std::vector<ChannelTraffic> traffic_;
+  // Cold per-channel state, each empty until first needed: drop counts
+  // (sized at the first drop), FIFO floors (ChannelOrdering::kFifo), and
+  // the set_channel_delay / set_channel_loss overrides (sized at the first
+  // override, filled with the config's model and probability).
+  std::vector<std::uint64_t> dropped_;
+  std::vector<SimTime> last_arrival_;
+  std::vector<const DelayModel*> delay_of_;
+  std::vector<double> loss_of_;
+  std::vector<DelayModelPtr> delay_overrides_;  // owners of delay_of_ entries
   // Causality: the trace id of the event whose handler is currently running
   // (-1 between handlers / inside on_start). Every record made from inside a
   // handler — sends, drops, scheduled timer/tick fires — links back to it.

@@ -26,6 +26,11 @@
 
 namespace abe {
 
+// A Context& is valid only for the handler call that receives it: a
+// runtime may hand every node the same object, re-pointed before each call
+// (the simulator does), so a node must not keep the reference, or a pointer
+// to it, past the call. What it returns may be kept: rng() stays this
+// node's stream for the whole run.
 class Context {
  public:
   virtual ~Context() = default;

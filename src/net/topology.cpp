@@ -24,6 +24,7 @@ Topology bidirectional_ring(std::size_t n) {
   t.n = n;
   t.name = "ring-bi";
   if (n == 1) return t;
+  t.edges.reserve(2 * n);
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t j = (i + 1) % n;
     t.edges.push_back(Edge{i, j});
@@ -37,6 +38,7 @@ Topology line(std::size_t n) {
   Topology t;
   t.n = n;
   t.name = "line";
+  t.edges.reserve(2 * (n - 1));
   for (std::size_t i = 0; i + 1 < n; ++i) {
     t.edges.push_back(Edge{i, i + 1});
     t.edges.push_back(Edge{i + 1, i});
@@ -49,6 +51,7 @@ Topology star(std::size_t n) {
   Topology t;
   t.n = n;
   t.name = "star";
+  t.edges.reserve(2 * (n - 1));
   for (std::size_t i = 1; i < n; ++i) {
     t.edges.push_back(Edge{0, i});
     t.edges.push_back(Edge{i, 0});
@@ -61,6 +64,7 @@ Topology complete(std::size_t n) {
   Topology t;
   t.n = n;
   t.name = "complete";
+  t.edges.reserve(n * (n - 1));
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
       if (i != j) t.edges.push_back(Edge{i, j});
@@ -75,6 +79,7 @@ Topology grid(std::size_t rows, std::size_t cols) {
   Topology t;
   t.n = rows * cols;
   t.name = "grid";
+  t.edges.reserve(2 * (rows * (cols - 1) + cols * (rows - 1)));
   auto id = [cols](std::size_t r, std::size_t c) { return r * cols + c; };
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {
@@ -124,6 +129,7 @@ Topology hypercube(std::size_t dim) {
   Topology t;
   t.n = std::size_t{1} << dim;
   t.name = "hypercube";
+  t.edges.reserve(t.n * dim);
   for (std::size_t i = 0; i < t.n; ++i) {
     for (std::size_t b = 0; b < dim; ++b) {
       t.edges.push_back(Edge{i, i ^ (std::size_t{1} << b)});

@@ -16,6 +16,10 @@ namespace abe {
 struct Edge {
   std::size_t from = 0;
   std::size_t to = 0;
+
+  bool operator==(const Edge& other) const {
+    return from == other.from && to == other.to;
+  }
 };
 
 struct Topology {
@@ -24,6 +28,9 @@ struct Topology {
   std::string name;
 
   std::size_t edge_count() const { return edges.size(); }
+  bool operator==(const Topology& other) const {
+    return n == other.n && edges == other.edges && name == other.name;
+  }
 };
 
 // n >= 1 nodes; node i sends to (i+1) mod n. The paper's setting.
@@ -116,6 +123,13 @@ class Adjacency {
   }
   Span of(std::size_t u) const {
     return Span(edges_.data() + offsets_[u], edges_.data() + offsets_[u + 1]);
+  }
+
+  // Node u's slice of an array parallel to this adjacency's flat list (one
+  // entry per listed edge, in list order), as a view into `parallel`.
+  Span slice(const std::vector<std::size_t>& parallel, std::size_t u) const {
+    return Span(parallel.data() + offsets_[u],
+                parallel.data() + offsets_[u + 1]);
   }
 
   // For every edge listed here, its position k within its node's list:

@@ -36,7 +36,7 @@ bool runtime_kind_from_name(const std::string& name, RuntimeKind* out) {
 
 NetworkConfig SimRuntime::to_network_config(RuntimeConfig config) {
   NetworkConfig net;
-  net.topology = std::move(config.topology);
+  net.plan = std::move(config.plan);
   net.delay = std::move(config.delay);
   net.adversary_delay = std::move(config.adversary_delay);
   net.ordering = config.ordering;

@@ -5,7 +5,7 @@
 // against wall-clock executions of the very same algorithm code, on the
 // same scenario matrix. This header is that seam:
 //
-//   * RuntimeConfig — the runtime-agnostic experiment environment (topology,
+//   * RuntimeConfig — the runtime-agnostic experiment environment (graph plan,
 //     delay model, clock bounds/drift, processing, failure injection, ticks,
 //     seed) plus the per-substrate realisation knobs (equeue backend for the
 //     simulator; wall time scale and budget for threads and udp);
@@ -66,7 +66,10 @@ bool runtime_kind_from_name(const std::string& name, RuntimeKind* out);
 // runtimes (runtime/wall_net.h) read this struct directly. Substrate-only
 // knobs are marked.
 struct RuntimeConfig {
-  Topology topology;
+  // The graph as a shared, read-only plan (net/plan.h): wrap a built
+  // topology with make_plan, or take a cached one (scenario/scenario.h,
+  // trial_plan). Drivers read channel lists and the BFS tree from it.
+  std::shared_ptr<const NetworkPlan> plan;
   DelayModelPtr delay;  // failure-degrade wrapping already applied
   // When set, overrides `delay` for every channel: the adversary chooses
   // each message's delay (stateful, edge-aware) instead of sampling the
@@ -327,7 +330,7 @@ class AlgorithmDriver {
   virtual ~AlgorithmDriver() = default;
 
   // Adjusts the environment before the runtime is constructed (enable
-  // ticks, derive wiring from config.topology, …).
+  // ticks, derive wiring from config.plan, …).
   virtual void configure(RuntimeConfig& config) { (void)config; }
   // Builds the node for topology slot `index`.
   virtual NodePtr make_node(std::size_t index) = 0;

@@ -59,8 +59,8 @@ UdpTransport::UdpTransport(WallNetwork& net)
   for (std::size_t i = 0; i < n; ++i) {
     endpoints_[i].socket = std::make_unique<UdpSocket>();
     port_of_[i] = endpoints_[i].socket->port();
-    endpoints_[i].next_seq.assign(net_.out_channels_.degree(i), 0);
-    endpoints_[i].rx.resize(net_.in_channels_.degree(i));
+    endpoints_[i].next_seq.assign(net_.config_.plan->out().degree(i), 0);
+    endpoints_[i].rx.resize(net_.config_.plan->in().degree(i));
   }
   transit_hist_ = &registry_.histogram(
       "udp.transit_us", FixedHistogram::log2_bounds(64.0, 4, 10));
@@ -131,7 +131,7 @@ void UdpTransport::send(std::size_t from, std::size_t out_index,
     PendingTx tx;
     tx.edge = edge;
     tx.seq = wire.seq;
-    tx.to = net_.config_.topology.edges[edge].to;
+    tx.to = net_.config_.plan->end(edge).to;
     tx.send_id = send_id;
     tx.delay_sim = delay_sim;
     tx.first_send_ns = wire.first_send_ns;
@@ -153,7 +153,7 @@ void UdpTransport::transmit_data(std::size_t from, const Wire& wire) {
     attempt_drops_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  const std::size_t to = net_.config_.topology.edges[wire.edge].to;
+  const std::size_t to = net_.config_.plan->end(wire.edge).to;
   if (endpoints_[from].socket->send_to(port_of_[to], &out, sizeof(out))) {
     datagrams_tx_.fetch_add(1, std::memory_order_relaxed);
   } else {
@@ -247,7 +247,7 @@ void UdpTransport::handle_data(std::size_t index, const Wire& wire,
   // of this datagram, in wall microseconds.
   transit_hist_->record(static_cast<double>(recv_ns - wire.send_ns) / 1e3);
 
-  const std::size_t in_index = net_.in_index_of_edge_[wire.edge];
+  const std::size_t in_index = net_.config_.plan->end(wire.edge).in_index;
   if (reliable_) {
     // Always ACK — duplicates too (the earlier ACK may have raced the
     // retransmit timer). ACKs are deliberately exempt from injected loss:

@@ -17,19 +17,20 @@ class WallNetwork::WallContext final : public Context {
     return NodeId{static_cast<std::int64_t>(index_)};
   }
   std::size_t out_degree() const override {
-    return net_->out_channels_.degree(index_);
+    return net_->config_.plan->out().degree(index_);
   }
   std::size_t in_degree() const override {
-    return net_->in_channels_.degree(index_);
+    return net_->config_.plan->in().degree(index_);
   }
   std::size_t network_size() const override { return net_->size(); }
 
   void send(std::size_t out_index, PayloadPtr payload) override {
-    ABE_CHECK_LT(out_index, net_->out_channels_.degree(index_));
+    const NetworkPlan& plan = *net_->config_.plan;
+    ABE_CHECK_LT(out_index, plan.out().degree(index_));
     ABE_CHECK(static_cast<bool>(payload));
     Slot& self_slot = net_->slots_[index_];
-    const std::size_t edge = net_->out_channels_.of(index_)[out_index];
-    const std::size_t to = net_->config_.topology.edges[edge].to;
+    const std::size_t edge = plan.out().of(index_)[out_index];
+    const std::size_t to = plan.end(edge).to;
 
     net_->messages_sent_.fetch_add(1, std::memory_order_relaxed);
     // The send's cause is the handler this thread is currently running; the
@@ -68,7 +69,7 @@ class WallNetwork::WallContext final : public Context {
     item.kind = MailItem::Kind::kMessage;
     item.due = net_->sim_to_wall(delay);
     item.cause = send_id;
-    item.in_index = net_->in_index_of_edge_[edge];
+    item.in_index = plan.end(edge).in_index;
     item.edge = edge;
     item.payload = std::move(shared);
     item.delay_sim = delay;
@@ -119,17 +120,17 @@ WallNetwork::WallNetwork(RuntimeKind kind, RuntimeConfig config)
     : kind_(kind), config_(std::move(config)), root_rng_(config_.seed) {
   ABE_CHECK(kind_ == RuntimeKind::kThread || kind_ == RuntimeKind::kUdp)
       << "wall-clock runtimes are thread and udp";
+  ABE_CHECK(config_.plan != nullptr) << "RuntimeConfig::plan is required";
   const bool udp = kind_ == RuntimeKind::kUdp;
   if (udp) {
-    ABE_CHECK_LE(config_.topology.n, kMaxUdpRuntimeNodes)
+    ABE_CHECK_LE(size(), kMaxUdpRuntimeNodes)
         << "udp runtime opens one loopback socket and two OS threads per "
            "node";
   } else {
-    ABE_CHECK_LE(config_.topology.n, kMaxThreadRuntimeNodes)
+    ABE_CHECK_LE(size(), kMaxThreadRuntimeNodes)
         << "thread runtime spawns one OS thread per node";
     config_.udp_reliable = false;  // a udp-realisation knob
   }
-  validate_topology(config_.topology);
   config_.clock_bounds.validate();
   if (!config_.delay) config_.delay = exponential_delay(1.0);
   ABE_CHECK_GT(config_.time_scale_us, 0.0);
@@ -141,10 +142,7 @@ WallNetwork::WallNetwork(RuntimeKind kind, RuntimeConfig config)
       << " runtime realises clocks as scaled wall time; only kNone and "
          "kFixedRandomRate are possible";
 
-  const std::size_t n = config_.topology.n;
-  out_channels_ = out_adjacency(config_.topology);
-  in_channels_ = in_adjacency(config_.topology);
-  in_index_of_edge_ = in_channels_.local_indices();
+  const std::size_t n = size();
 
   slots_ = std::vector<Slot>(n);
   for (std::size_t i = 0; i < n; ++i) {

@@ -89,7 +89,7 @@ class WallNetwork {
   // destruction.
   void stop();
 
-  std::size_t size() const { return config_.topology.n; }
+  std::size_t size() const { return config_.plan->size(); }
   // Only safe after stop(): node state is owned by its thread while running.
   Node& node(std::size_t i);
   // Race-free terminated flag, updated by the node's thread after each event.
@@ -171,9 +171,6 @@ class WallNetwork {
   Rng root_rng_;
   std::vector<Slot> slots_;
   std::size_t next_slot_ = 0;  // add_node fills slots_ in index order
-  Adjacency out_channels_;     // node -> edge indices
-  Adjacency in_channels_;
-  std::vector<std::size_t> in_index_of_edge_;
   // The datagram path (kUdp only); null for kThread.
   std::unique_ptr<UdpTransport> udp_;
   MailItem::Clock::time_point start_time_{};

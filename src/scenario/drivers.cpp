@@ -25,13 +25,6 @@ DelayModelPtr build_delay(const ScenarioSpec& spec) {
       make_delay_model(spec.delay_name, spec.mean_delay));
 }
 
-// Random topology families re-draw per trial; the substream keeps the graph
-// draw independent of the network's own randomness for the same seed.
-Topology build_trial_topology(const ScenarioSpec& spec, std::uint64_t seed) {
-  Rng rng = Rng(seed).substream("scenario-topology");
-  return spec.topology.build(rng);
-}
-
 bool spec_is_adversarial(const ScenarioSpec& spec) {
   return !spec.behavior.is_honest() || !spec.adversary.empty();
 }
@@ -152,13 +145,12 @@ ScenarioTrialDriver make_gossip_binding(const ScenarioSpec& spec) {
   return binding;
 }
 
-ScenarioTrialDriver make_beta_sync_binding(const Topology& topology) {
+ScenarioTrialDriver make_beta_sync_binding(std::size_t n) {
   // Max consensus with values 0…n−1 converges once the maximum's wavefront
-  // crosses the graph: diameter-many β rounds suffice (≥ 1 for n = 1).
-  const std::uint64_t rounds =
-      std::max<std::size_t>(diameter(topology), 1);
-  std::vector<std::int64_t> values(topology.n);
-  for (std::size_t i = 0; i < topology.n; ++i) {
+  // crosses the graph: diameter-many β rounds suffice (≥ 1 for n = 1),
+  // which rounds = 0 asks the driver to read from the trial's plan.
+  std::vector<std::int64_t> values(n);
+  for (std::size_t i = 0; i < n; ++i) {
     values[i] = static_cast<std::int64_t>(i);
   }
 
@@ -166,12 +158,10 @@ ScenarioTrialDriver make_beta_sync_binding(const Topology& topology) {
   auto factory =
       std::make_shared<SyncAppFactory>(max_app_factory(std::move(values)));
   auto sink = std::make_shared<BetaRunResult>();
-  const std::size_t n = topology.n;
 
   ScenarioTrialDriver binding;
-  binding.driver = make_beta_sync_driver(*factory, rounds, sink.get());
-  binding.project = [sink, factory, rounds,
-                     n](const TrialOutcome& outcome) {
+  binding.driver = make_beta_sync_driver(*factory, /*rounds=*/0, sink.get());
+  binding.project = [sink, factory, n](const TrialOutcome& outcome) {
     TrialOutcome out;
     // Preserve the trial loop's observability harvest: this projection
     // rebuilds the outcome from the sink, but metrics/wall/flight-tail
@@ -198,7 +188,7 @@ ScenarioTrialDriver make_beta_sync_binding(const Topology& topology) {
     if (!out.safety_ok) {
       std::ostringstream detail;
       detail << "only " << converged << " of " << n
-             << " nodes reached the global maximum after " << rounds
+             << " nodes reached the global maximum after " << sink->rounds
              << " rounds";
       out.safety_detail = detail.str();
     }
@@ -230,7 +220,7 @@ ScenarioTrialDriver make_scenario_driver(const ScenarioSpec& spec,
       binding = make_gossip_binding(spec);
       break;
     case ScenarioAlgorithm::kBetaSync:
-      binding = make_beta_sync_binding(topology);
+      binding = make_beta_sync_binding(topology.n);
       break;
     case ScenarioAlgorithm::kUnsafeToy:
       binding = make_unsafe_toy_binding();
@@ -247,8 +237,22 @@ ScenarioTrialDriver make_scenario_driver(const ScenarioSpec& spec,
 
 RuntimeConfig scenario_runtime_config(const ScenarioSpec& spec,
                                       Topology topology, std::uint64_t seed) {
+  // A caller that materialised the cell's own graph shares the cell's
+  // cached plan; any other graph gets a plan of its own.
+  std::shared_ptr<const NetworkPlan> plan;
+  if (!spec.topology.is_random()) {
+    plan = trial_plan(spec.topology, seed);
+    if (!(plan->topology() == topology)) plan = nullptr;
+  }
+  if (plan == nullptr) plan = make_plan(std::move(topology));
+  return scenario_runtime_config(spec, std::move(plan), seed);
+}
+
+RuntimeConfig scenario_runtime_config(const ScenarioSpec& spec,
+                                      std::shared_ptr<const NetworkPlan> plan,
+                                      std::uint64_t seed) {
   RuntimeConfig config;
-  config.topology = std::move(topology);
+  config.plan = std::move(plan);
   config.delay = build_delay(spec);
   config.clock_bounds = spec.clock_bounds;
   config.drift = spec.drift;
@@ -288,12 +292,13 @@ ScenarioTrialResult run_scenario_trial(const ScenarioSpec& spec,
       << runtime_kind_name(spec.runtime) << " runtime: " << problem;
 
   // The ring election runs on the unidirectional ring its spec names; all
-  // other algorithms take the materialised (possibly random) graph. It is
-  // built once: the driver is made from it, then it moves into the config.
-  Topology topology = build_trial_topology(spec, seed);
-  ScenarioTrialDriver binding = make_scenario_driver(spec, topology, seed);
+  // other algorithms take the materialised (possibly random) graph. The
+  // driver and the runtime share the trial's plan.
+  std::shared_ptr<const NetworkPlan> plan = trial_plan(spec.topology, seed);
+  ScenarioTrialDriver binding =
+      make_scenario_driver(spec, plan->topology(), seed);
   const TrialOutcome outcome = run_algorithm_trial(
-      spec.runtime, scenario_runtime_config(spec, std::move(topology), seed),
+      spec.runtime, scenario_runtime_config(spec, std::move(plan), seed),
       *binding.driver);
   return binding.project(outcome);
 }
@@ -305,10 +310,10 @@ TrialOutcome replay_scenario_trial(const ScenarioSpec& spec,
       << "only simulator trials are replayable (thread trials are "
          "wall-clock nondeterministic)";
 
-  Topology topology = build_trial_topology(spec, seed);
-  ScenarioTrialDriver binding = make_scenario_driver(spec, topology, seed);
-  RuntimeConfig config =
-      scenario_runtime_config(spec, std::move(topology), seed);
+  std::shared_ptr<const NetworkPlan> plan = trial_plan(spec.topology, seed);
+  ScenarioTrialDriver binding =
+      make_scenario_driver(spec, plan->topology(), seed);
+  RuntimeConfig config = scenario_runtime_config(spec, std::move(plan), seed);
   config.trace = true;
 
   // run_algorithm_trial's exact lifecycle, inlined on a concrete

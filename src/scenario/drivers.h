@@ -57,9 +57,15 @@ TrialOutcome replay_scenario_trial(const ScenarioSpec& spec,
                                    std::uint64_t seed, Trace* trace_out);
 
 // The spec's environment as a runtime-agnostic RuntimeConfig for the given
-// trial seed (failure-degrade wrapping applied to the delay model, channel
-// loss extracted, thread realisation knobs forwarded). Takes the topology by
-// value: pass an rvalue to move the trial graph in without a copy.
+// trial seed and graph plan (failure-degrade wrapping applied to the delay
+// model, channel loss extracted, thread realisation knobs forwarded).
+// run_scenario_trial passes trial_plan(spec.topology, seed).
+RuntimeConfig scenario_runtime_config(const ScenarioSpec& spec,
+                                      std::shared_ptr<const NetworkPlan> plan,
+                                      std::uint64_t seed);
+// The same for a caller-built topology: when it equals the graph
+// trial_plan gives this cell (a deterministic family's cached plan), the
+// config shares that plan; otherwise it is wrapped with make_plan.
 RuntimeConfig scenario_runtime_config(const ScenarioSpec& spec,
                                       Topology topology, std::uint64_t seed);
 

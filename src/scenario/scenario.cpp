@@ -1,12 +1,15 @@
 #include "scenario/scenario.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
+#include <tuple>
 
 #include "adversary/delay_policy.h"
 #include "core/election.h"
 #include "util/check.h"
+#include "util/thread_annotations.h"
 
 namespace abe {
 
@@ -124,6 +127,70 @@ Topology TopologySpec::build(Rng& rng) const {
   ABE_CHECK(false) << "unhandled topology family";
   return Topology{};
 }
+
+bool TopologySpec::is_random() const {
+  return family == TopologyFamily::kGnp ||
+         family == TopologyFamily::kGeometric;
+}
+
+namespace {
+
+// trial_plan's cache: the most recently used plan first.
+class PlanCache {
+ public:
+  std::shared_ptr<const NetworkPlan> get(const TopologySpec& spec) {
+    const Key key{spec.family, spec.n, spec.param};
+    {
+      MutexLock lock(mutex_);
+      for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+        if (it->key == key) {
+          std::rotate(entries_.begin(), it, it + 1);
+          return entries_.front().plan;
+        }
+      }
+    }
+    // Built outside the lock: a deterministic family's rng is never read.
+    Rng unused(0);
+    std::shared_ptr<const NetworkPlan> plan = make_plan(spec.build(unused));
+    MutexLock lock(mutex_);
+    for (const Entry& entry : entries_) {
+      if (entry.key == key) return entry.plan;  // another thread won
+    }
+    if (entries_.size() == kPlanCacheCapacity) entries_.pop_back();
+    entries_.insert(entries_.begin(), Entry{key, plan});
+    return plan;
+  }
+
+  std::size_t size() {
+    MutexLock lock(mutex_);
+    return entries_.size();
+  }
+
+ private:
+  using Key = std::tuple<TopologyFamily, std::size_t, double>;
+  struct Entry {
+    Key key;
+    std::shared_ptr<const NetworkPlan> plan;
+  };
+  AnnotatedMutex mutex_;
+  std::vector<Entry> entries_ GUARDED_BY(mutex_);
+};
+
+PlanCache& plan_cache() {
+  static PlanCache cache;
+  return cache;
+}
+
+}  // namespace
+
+std::shared_ptr<const NetworkPlan> trial_plan(const TopologySpec& topology,
+                                              std::uint64_t seed) {
+  if (!topology.is_random()) return plan_cache().get(topology);
+  Rng rng = Rng(seed).substream("scenario-topology");
+  return make_plan(topology.build(rng));
+}
+
+std::size_t cached_plan_count() { return plan_cache().size(); }
 
 std::string TopologySpec::problem() const {
   if (n < 1) return "topology size must be >= 1";

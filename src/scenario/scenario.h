@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,7 @@
 #include "clock/local_clock.h"
 #include "net/delay.h"
 #include "net/network.h"
+#include "net/plan.h"
 #include "net/topology.h"
 #include "runtime/runtime.h"
 #include "sim/equeue/backend.h"
@@ -76,7 +78,24 @@ struct TopologySpec {
   std::string problem() const;
 
   std::string describe() const;  // "torus-64", "rgg-36(r=0.25)", …
+
+  // True for the families whose graph depends on the rng: gnp, geometric.
+  bool is_random() const;
 };
+
+// The graph of trial `seed` of a cell on `topology`, as a shared plan
+// (net/plan.h). The rng build() gets is the seed's "scenario-topology"
+// substream, so the graph draw is independent of the network's own
+// randomness. Random families build a fresh plan per call. Every other
+// family's graph is the same for every seed: its plan comes from a process
+// cache keyed by (family, n, param) that holds at most kPlanCacheCapacity
+// plans, evicting the least recently used, so the trials of one cell — on
+// any number of trial-pool threads — share one plan. Thread-safe.
+std::shared_ptr<const NetworkPlan> trial_plan(const TopologySpec& topology,
+                                              std::uint64_t seed);
+constexpr std::size_t kPlanCacheCapacity = 8;
+// Plans trial_plan's cache holds now (at most kPlanCacheCapacity).
+std::size_t cached_plan_count();
 
 // ---------------------------------------------------------------------------
 // Failure-injection axis

@@ -1,5 +1,6 @@
 #include "syncr/beta.h"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -16,50 +17,20 @@ std::string BetaControl::describe() const {
   return os.str();
 }
 
-BetaWiringTable build_beta_wiring(const Topology& topology,
-                                  const SpanningTree& tree) {
-  const Adjacency in_adj = in_adjacency(topology);
-  const OutChannelIndex to_nbr(topology);
-  constexpr std::size_t kNone = OutChannelIndex::kNone;
-  const std::size_t n = topology.n;
-
-  BetaWiringTable wiring;
-  wiring.channels.assign(n + topology.edges.size(), kNone);
-  std::size_t* const channels = wiring.channels.data();
-  for (std::size_t k = 1; k < n; ++k) {
-    const std::size_t child = tree.order[k];
-    const std::size_t parent = tree.parent[child];
-    const std::size_t out = to_nbr.channel(parent, child);
-    ABE_CHECK(out != kNone)
-        << "no channel from " << parent << " to child " << child;
-    channels[k] = out;
+BetaWiring beta_wiring(const NetworkPlan& plan, std::size_t node) {
+  const PlanTree& tree = plan.tree();
+  BetaWiring w;
+  w.is_root = node == tree.root;
+  if (!w.is_root) w.parent_out = tree.up[node];
+  w.children_out = tree.children_out(node);
+  w.reverse_of_in = plan.reverse_of_in(node);
+  const Adjacency::Span in = plan.in().of(node);
+  for (std::size_t k = 0; k < in.size(); ++k) {
+    ABE_CHECK(w.reverse_of_in[k] != OutChannelIndex::kNone)
+        << "edge " << plan.topology().edges[in[k]].from << "->" << node
+        << " lacks the reverse ack channel";
   }
-  wiring.nodes.resize(n);
-  std::size_t ack = n;  // start of v's ack routes in `channels`
-  for (std::size_t v = 0; v < n; ++v) {
-    BetaWiring& w = wiring.nodes[v];
-    w.is_root = v == tree.root;
-    if (!w.is_root) {
-      w.parent_out = to_nbr.channel(v, tree.parent[v]);
-      ABE_CHECK(w.parent_out != kNone)
-          << "no channel from " << v << " to parent " << tree.parent[v];
-    }
-    w.children_out = Adjacency::Span(channels + tree.children_begin[v],
-                                     channels + tree.children_end[v]);
-    // Ack routes: for each incoming channel, the channel back to its sender.
-    const Adjacency::Span in = in_adj.of(v);
-    for (std::size_t k = 0; k < in.size(); ++k) {
-      const std::size_t sender = topology.edges[in[k]].from;
-      const std::size_t back = to_nbr.channel(v, sender);
-      ABE_CHECK(back != kNone) << "edge " << sender << "->" << v
-                               << " lacks the reverse ack channel";
-      channels[ack + k] = back;
-    }
-    w.reverse_of_in =
-        Adjacency::Span(channels + ack, channels + ack + in.size());
-    ack += in.size();
-  }
-  return wiring;
+  return w;
 }
 
 BetaSyncNode::BetaSyncNode(std::unique_ptr<SyncApp> app,
@@ -202,15 +173,18 @@ class BetaSyncDriver final : public AlgorithmDriver {
   }
 
   void configure(RuntimeConfig& config) override {
-    const SpanningTree tree = bfs_spanning_tree(config.topology, 0);
-    wiring_ = build_beta_wiring(config.topology, tree);
+    plan_ = config.plan;
+    plan_->tree();  // built here on the plan's first trial
+    if (rounds_ == 0) {
+      rounds_ = std::max<std::uint64_t>(plan_->diameter(), 1);
+    }
   }
 
   NodePtr make_node(std::size_t index) override {
-    // The node's views point into wiring_, which this driver keeps until
+    // The node's views point into plan_, which this driver keeps until
     // after the runtime has destroyed its nodes.
     return std::make_unique<BetaSyncNode>(factory_(index), rounds_,
-                                          wiring_.nodes[index]);
+                                          beta_wiring(*plan_, index));
   }
 
   bool done(const Runtime& rt) override {
@@ -251,7 +225,7 @@ class BetaSyncDriver final : public AlgorithmDriver {
   const SyncAppFactory& factory_;
   std::uint64_t rounds_;
   BetaRunResult* sink_;
-  BetaWiringTable wiring_;
+  std::shared_ptr<const NetworkPlan> plan_;
 };
 
 }  // namespace
@@ -261,7 +235,7 @@ RuntimeConfig beta_runtime_config(const Topology& topology,
                                   std::uint64_t seed, SimTime deadline,
                                   const BetaEnvironment& environment) {
   RuntimeConfig config;
-  config.topology = topology;
+  config.plan = make_plan(topology);
   config.delay = delay;
   config.ordering = ChannelOrdering::kArbitrary;
   config.clock_bounds = environment.clock_bounds;

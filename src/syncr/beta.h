@@ -20,7 +20,7 @@
 
 #include "net/network.h"
 #include "net/node.h"
-#include "net/spanning_tree.h"
+#include "net/plan.h"
 #include "runtime/runtime.h"
 #include "syncr/sync_app.h"
 
@@ -44,9 +44,9 @@ class BetaControl final : public Payload {
   std::uint64_t round_;
 };
 
-// Static per-node wiring derived from the topology and the spanning tree.
-// The two lists are views into the BetaWiringTable that built them, so a
-// node holding this wiring must not outlive that table.
+// Static per-node wiring derived from the plan's spanning tree and channel
+// lists. The two lists are views into the plan (net/plan.h), so a node
+// holding this wiring must not outlive the plan.
 struct BetaWiring {
   bool is_root = false;
   // Out-channel toward the parent (unused for the root).
@@ -57,32 +57,9 @@ struct BetaWiring {
   Adjacency::Span reverse_of_in;
 };
 
-// The wiring of every node in one flat channel array instead of two vectors
-// per node. nodes[i] is node i's wiring; every view points into `channels`,
-// which holds two CSR blocks:
-//   [0, n)      the down channels over the tree's BFS order, like the
-//               tree's children (net/spanning_tree.h): slot k is the
-//               out-channel from the parent of order[k] to order[k]; slot
-//               0, the root's, is unused;
-//   [n, n + E)  the ack routes over in_adjacency(topology): slot n + j is
-//               the reverse channel of the j-th in-channel entry.
-// Move-only, so the views stay valid. The β driver owns its table and
-// outlives its nodes (run_algorithm_trial destroys the runtime, and with it
-// the nodes, before it returns), which is the lifetime the views need.
-struct BetaWiringTable {
-  BetaWiringTable() = default;
-  BetaWiringTable(BetaWiringTable&&) = default;
-  BetaWiringTable& operator=(BetaWiringTable&&) = default;
-  BetaWiringTable(const BetaWiringTable&) = delete;
-  BetaWiringTable& operator=(const BetaWiringTable&) = delete;
-
-  std::vector<std::size_t> channels;
-  std::vector<BetaWiring> nodes;
-};
-
-// Builds the wiring for every node. Requires every edge to have a reverse.
-BetaWiringTable build_beta_wiring(const Topology& topology,
-                                  const SpanningTree& tree);
+// Node `node`'s wiring on the plan's BFS tree from node 0. Requires every
+// edge into `node` to have a reverse.
+BetaWiring beta_wiring(const NetworkPlan& plan, std::size_t node);
 
 class BetaSyncNode final : public Node {
  public:
@@ -164,9 +141,11 @@ RuntimeConfig beta_runtime_config(const Topology& topology,
                                   const BetaEnvironment& environment);
 
 // The β-synchronized app as an AlgorithmDriver (runtime/runtime.h): tree
-// wiring derived from config.topology in configure(), done once every node
+// wiring read from config.plan in configure(), done once every node
 // finished its `rounds` rounds (terminated flags — race-free on both
-// runtimes), full BetaRunResult into `*sink`. One driver per trial.
+// runtimes), full BetaRunResult into `*sink`. rounds == 0 runs
+// max(diameter, 1) rounds, the plan's diameter read in configure(): what
+// a value needs to cross the graph. One driver per trial.
 std::unique_ptr<AlgorithmDriver> make_beta_sync_driver(
     const SyncAppFactory& factory, std::uint64_t rounds,
     BetaRunResult* sink);

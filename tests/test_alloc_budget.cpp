@@ -3,9 +3,9 @@
 // This binary replaces the global operator new/delete with counting
 // wrappers, so it is built without sanitizers (they install their own
 // allocator). The polling trial's setup keeps every per-node list in flat
-// arrays: the spanning tree's children are CSR over the BFS order, the
-// wiring is one channel array with per-node views, and single-rate clocks
-// hold no segment vector. What remains is one allocation per message
+// arrays: the network plan's spanning tree and its out-channels are CSR
+// over the BFS order, each node's wiring is a view into them, and
+// single-rate clocks hold no segment vector. What remains is one allocation per message
 // payload and one per node object, plus a per-trial constant that does not
 // grow with n. A per-node vector creeping back onto the trial path adds n
 // allocations and fails the budget.
@@ -99,6 +99,34 @@ TEST(AllocBudget, PollingTorusTrialIsMessagesPlusNodesPlusConstant) {
       << "and one per node";
   // The budget is tight enough to catch a single per-node vector.
   EXPECT_LT(kPerTrialConstant, n);
+}
+
+// The same allocations on a warm cell, whose network plan (graph, channel
+// lists, tree) the scenario engine's cache already holds: 84 at n = 1024,
+// and 81 to 96 for n from 256 to 10^4, on x86-64 Linux with gcc 12 and
+// libstdc++. Rebuilding the plan per trial would add about 20.
+constexpr std::uint64_t kWarmTrialConstant = 100;
+
+TEST(AllocBudget, WarmCellTrialAllocatesNoGraphStructure) {
+  ScenarioSpec spec = *find_scenario("polling-torus");
+  spec.topology = TopologySpec{TopologyFamily::kTorus, 1024, 0.0};
+  const std::uint64_t n = spec.topology.n;
+  ASSERT_TRUE(run_scenario_trial(spec, /*seed=*/1).completed);
+  ASSERT_EQ(trial_plan(spec.topology, 1).get(),
+            trial_plan(spec.topology, 2).get());
+
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const ScenarioTrialResult trial = run_scenario_trial(spec, /*seed=*/2);
+  const std::uint64_t allocations =
+      g_allocations.load(std::memory_order_relaxed) - before;
+
+  ASSERT_TRUE(trial.completed);
+  const auto sent =
+      static_cast<std::uint64_t>(trial.metrics.value_of("net.sent"));
+  EXPECT_LE(allocations, sent + n + kWarmTrialConstant)
+      << "net.sent = " << sent << ", n = " << n << ": "
+      << allocations - sent - n << " allocations beyond one per message "
+      << "and one per node";
 }
 
 }  // namespace

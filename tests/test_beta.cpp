@@ -114,9 +114,9 @@ TEST(Beta, SingleNode) {
 
 TEST(BetaWiring, RoutesAreSane) {
   const Topology t = grid(2, 3);
-  const SpanningTree tree = bfs_spanning_tree(t, 0);
-  const BetaWiringTable table = build_beta_wiring(t, tree);
-  const std::vector<BetaWiring>& wiring = table.nodes;
+  const auto plan = make_plan(t);
+  std::vector<BetaWiring> wiring;
+  for (std::size_t v = 0; v < t.n; ++v) wiring.push_back(beta_wiring(*plan, v));
   ASSERT_EQ(wiring.size(), 6u);
   EXPECT_TRUE(wiring[0].is_root);
   std::size_t total_children = 0;

@@ -167,7 +167,7 @@ TEST(ThreadNet, LargerRingStillElects) {
 
 TEST(ThreadNet, PiecewiseDriftRejected) {
   RuntimeConfig config;
-  config.topology = unidirectional_ring(3);
+  config.plan = make_plan(unidirectional_ring(3));
   config.drift = DriftModel::kPiecewiseRandom;
   EXPECT_DEATH(WallNetwork net(RuntimeKind::kThread, std::move(config)),
                "thread runtime");
@@ -229,7 +229,7 @@ class TimerTerminator final : public Node {
 
 RuntimeConfig two_node_config(double time_scale_us = 1000.0) {
   RuntimeConfig config;
-  config.topology = bidirectional_ring(2);
+  config.plan = make_plan(bidirectional_ring(2));
   config.time_scale_us = time_scale_us;
   config.drift = DriftModel::kNone;
   return config;

@@ -86,7 +86,7 @@ TEST(PollingElection, LossStallsAsFailureNeverAsSafetyViolation) {
 }
 
 TEST(PollingElection, WiringRejectsUnidirectionalRing) {
-  EXPECT_DEATH(build_polling_wiring(unidirectional_ring(4)), "");
+  EXPECT_DEATH(polling_wiring(*make_plan(unidirectional_ring(4)), 0), "");
 }
 
 TEST(PollingElection, TrialsBitIdenticalForEveryThreadCount) {

@@ -279,11 +279,14 @@ TEST(SpanningTree, ChildrenSpansPartitionNonRootNodes) {
 // --- wiring equivalence -----------------------------------------------------
 
 // The polling and β wiring, rebuilt from the tree with the brute-force
-// channel scan, must equal what build_polling_wiring and build_beta_wiring
-// produce with OutChannelIndex.
+// channel scan, must equal what polling_wiring and beta_wiring read from
+// the plan, whose routes come from OutChannelIndex.
 void expect_polling_wiring_matches_reference(const Topology& t) {
-  const PollingWiringTable table = build_polling_wiring(t, 0);
-  const std::vector<PollingWiring>& got = table.nodes;
+  const auto plan = make_plan(t);
+  std::vector<PollingWiring> got;
+  for (std::size_t v = 0; v < t.n; ++v) {
+    got.push_back(polling_wiring(*plan, v));
+  }
   const SpanningTree tree = bfs_spanning_tree(t, 0);
   const auto out = out_adjacency(t);
   ASSERT_EQ(got.size(), t.n);
@@ -305,8 +308,9 @@ void expect_polling_wiring_matches_reference(const Topology& t) {
 
 void expect_beta_wiring_matches_reference(const Topology& t) {
   const SpanningTree tree = bfs_spanning_tree(t, 0);
-  const BetaWiringTable table = build_beta_wiring(t, tree);
-  const std::vector<BetaWiring>& got = table.nodes;
+  const auto plan = make_plan(t);
+  std::vector<BetaWiring> got;
+  for (std::size_t v = 0; v < t.n; ++v) got.push_back(beta_wiring(*plan, v));
   const auto out = out_adjacency(t);
   const auto in = in_adjacency(t);
   ASSERT_EQ(got.size(), t.n);

@@ -128,7 +128,7 @@ class CountingSink final : public Node {
 TEST(UdpNet, ArqOverRealLossDeliversExactlyOnce) {
   constexpr std::uint64_t kMessages = 300;
   RuntimeConfig config;
-  config.topology = unidirectional_ring(2);
+  config.plan = make_plan(unidirectional_ring(2));
   config.delay = fixed_delay(0.05);
   config.time_scale_us = 100.0;
   config.drift = DriftModel::kFixedRandomRate;
@@ -233,7 +233,7 @@ TEST(UdpNet, OverSocketBudgetCellIsRejectedStructurally) {
 
 TEST(UdpNet, AddNodeFillsSlotsInOrderAndRejectsExtra) {
   RuntimeConfig config;
-  config.topology = unidirectional_ring(3);
+  config.plan = make_plan(unidirectional_ring(3));
   WallNetwork net(RuntimeKind::kUdp, std::move(config));
   std::vector<const Node*> made;
   for (std::size_t i = 0; i < 3; ++i) {
@@ -248,7 +248,7 @@ TEST(UdpNet, AddNodeFillsSlotsInOrderAndRejectsExtra) {
 
 TEST(UdpNet, PiecewiseDriftRejected) {
   RuntimeConfig config;
-  config.topology = unidirectional_ring(3);
+  config.plan = make_plan(unidirectional_ring(3));
   config.drift = DriftModel::kPiecewiseRandom;
   EXPECT_DEATH(WallNetwork net(RuntimeKind::kUdp, std::move(config)),
                "udp runtime");
