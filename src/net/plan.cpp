@@ -59,12 +59,6 @@ Adjacency::Span NetworkPlan::reverse_of_in(std::size_t v) const {
   return in_.slice(routes().reverse_of_in, v);
 }
 
-std::size_t NetworkPlan::diameter() const {
-  std::call_once(diameter_once_,
-                 [this] { diameter_ = abe::diameter(topology_); });
-  return diameter_;
-}
-
 std::shared_ptr<const NetworkPlan> make_plan(Topology topology) {
   return std::make_shared<NetworkPlan>(std::move(topology));
 }

@@ -10,9 +10,9 @@
 // (scenario/scenario.h, trial_plan), so the trials of one cell, on every
 // trial-pool worker, share one plan.
 //
-// A plan never changes after construction except for its tree and its
-// diameter, each computed on first use under a std::once_flag: every
-// accessor is safe to call from any number of threads.
+// A plan never changes after construction except for its tree, built on
+// first use under a std::once_flag: every accessor is safe to call from
+// any number of threads.
 #pragma once
 
 #include <cstddef>
@@ -75,8 +75,6 @@ class NetworkPlan {
   // sender (OutChannelIndex::kNone when there is none): the routes β acks
   // take. Built with the tree.
   Adjacency::Span reverse_of_in(std::size_t v) const;
-  // diameter(topology()), computed on first call.
-  std::size_t diameter() const;
 
  private:
   struct Routes {
@@ -91,8 +89,6 @@ class NetworkPlan {
   std::vector<EdgeEnd> ends_;
   mutable std::once_flag routes_once_;
   mutable std::unique_ptr<const Routes> routes_;
-  mutable std::once_flag diameter_once_;
-  mutable std::size_t diameter_ = 0;
 };
 
 // A fresh plan of `topology`: the one way a graph becomes a plan.

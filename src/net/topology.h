@@ -16,10 +16,6 @@ namespace abe {
 struct Edge {
   std::size_t from = 0;
   std::size_t to = 0;
-
-  bool operator==(const Edge& other) const {
-    return from == other.from && to == other.to;
-  }
 };
 
 struct Topology {
@@ -28,9 +24,6 @@ struct Topology {
   std::string name;
 
   std::size_t edge_count() const { return edges.size(); }
-  bool operator==(const Topology& other) const {
-    return n == other.n && edges == other.edges && name == other.name;
-  }
 };
 
 // n >= 1 nodes; node i sends to (i+1) mod n. The paper's setting.

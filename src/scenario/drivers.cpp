@@ -145,12 +145,13 @@ ScenarioTrialDriver make_gossip_binding(const ScenarioSpec& spec) {
   return binding;
 }
 
-ScenarioTrialDriver make_beta_sync_binding(std::size_t n) {
+ScenarioTrialDriver make_beta_sync_binding(const Topology& topology) {
   // Max consensus with values 0…n−1 converges once the maximum's wavefront
-  // crosses the graph: diameter-many β rounds suffice (≥ 1 for n = 1),
-  // which rounds = 0 asks the driver to read from the trial's plan.
-  std::vector<std::int64_t> values(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  // crosses the graph: diameter-many β rounds suffice (≥ 1 for n = 1).
+  const std::uint64_t rounds =
+      std::max<std::size_t>(diameter(topology), 1);
+  std::vector<std::int64_t> values(topology.n);
+  for (std::size_t i = 0; i < topology.n; ++i) {
     values[i] = static_cast<std::int64_t>(i);
   }
 
@@ -158,10 +159,12 @@ ScenarioTrialDriver make_beta_sync_binding(std::size_t n) {
   auto factory =
       std::make_shared<SyncAppFactory>(max_app_factory(std::move(values)));
   auto sink = std::make_shared<BetaRunResult>();
+  const std::size_t n = topology.n;
 
   ScenarioTrialDriver binding;
-  binding.driver = make_beta_sync_driver(*factory, /*rounds=*/0, sink.get());
-  binding.project = [sink, factory, n](const TrialOutcome& outcome) {
+  binding.driver = make_beta_sync_driver(*factory, rounds, sink.get());
+  binding.project = [sink, factory, rounds,
+                     n](const TrialOutcome& outcome) {
     TrialOutcome out;
     // Preserve the trial loop's observability harvest: this projection
     // rebuilds the outcome from the sink, but metrics/wall/flight-tail
@@ -188,7 +191,7 @@ ScenarioTrialDriver make_beta_sync_binding(std::size_t n) {
     if (!out.safety_ok) {
       std::ostringstream detail;
       detail << "only " << converged << " of " << n
-             << " nodes reached the global maximum after " << sink->rounds
+             << " nodes reached the global maximum after " << rounds
              << " rounds";
       out.safety_detail = detail.str();
     }
@@ -220,7 +223,7 @@ ScenarioTrialDriver make_scenario_driver(const ScenarioSpec& spec,
       binding = make_gossip_binding(spec);
       break;
     case ScenarioAlgorithm::kBetaSync:
-      binding = make_beta_sync_binding(topology.n);
+      binding = make_beta_sync_binding(topology);
       break;
     case ScenarioAlgorithm::kUnsafeToy:
       binding = make_unsafe_toy_binding();
@@ -237,15 +240,7 @@ ScenarioTrialDriver make_scenario_driver(const ScenarioSpec& spec,
 
 RuntimeConfig scenario_runtime_config(const ScenarioSpec& spec,
                                       Topology topology, std::uint64_t seed) {
-  // A caller that materialised the cell's own graph shares the cell's
-  // cached plan; any other graph gets a plan of its own.
-  std::shared_ptr<const NetworkPlan> plan;
-  if (!spec.topology.is_random()) {
-    plan = trial_plan(spec.topology, seed);
-    if (!(plan->topology() == topology)) plan = nullptr;
-  }
-  if (plan == nullptr) plan = make_plan(std::move(topology));
-  return scenario_runtime_config(spec, std::move(plan), seed);
+  return scenario_runtime_config(spec, make_plan(std::move(topology)), seed);
 }
 
 RuntimeConfig scenario_runtime_config(const ScenarioSpec& spec,

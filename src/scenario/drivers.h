@@ -63,9 +63,7 @@ TrialOutcome replay_scenario_trial(const ScenarioSpec& spec,
 RuntimeConfig scenario_runtime_config(const ScenarioSpec& spec,
                                       std::shared_ptr<const NetworkPlan> plan,
                                       std::uint64_t seed);
-// The same for a caller-built topology: when it equals the graph
-// trial_plan gives this cell (a deterministic family's cached plan), the
-// config shares that plan; otherwise it is wrapped with make_plan.
+// The same for a caller-built topology, wrapped with make_plan.
 RuntimeConfig scenario_runtime_config(const ScenarioSpec& spec,
                                       Topology topology, std::uint64_t seed);
 

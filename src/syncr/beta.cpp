@@ -1,6 +1,5 @@
 #include "syncr/beta.h"
 
-#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -175,9 +174,6 @@ class BetaSyncDriver final : public AlgorithmDriver {
   void configure(RuntimeConfig& config) override {
     plan_ = config.plan;
     plan_->tree();  // built here on the plan's first trial
-    if (rounds_ == 0) {
-      rounds_ = std::max<std::uint64_t>(plan_->diameter(), 1);
-    }
   }
 
   NodePtr make_node(std::size_t index) override {

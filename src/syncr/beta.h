@@ -143,9 +143,7 @@ RuntimeConfig beta_runtime_config(const Topology& topology,
 // The β-synchronized app as an AlgorithmDriver (runtime/runtime.h): tree
 // wiring read from config.plan in configure(), done once every node
 // finished its `rounds` rounds (terminated flags — race-free on both
-// runtimes), full BetaRunResult into `*sink`. rounds == 0 runs
-// max(diameter, 1) rounds, the plan's diameter read in configure(): what
-// a value needs to cross the graph. One driver per trial.
+// runtimes), full BetaRunResult into `*sink`. One driver per trial.
 std::unique_ptr<AlgorithmDriver> make_beta_sync_driver(
     const SyncAppFactory& factory, std::uint64_t rounds,
     BetaRunResult* sink);

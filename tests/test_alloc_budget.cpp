@@ -5,10 +5,10 @@
 // allocator). The polling trial's setup keeps every per-node list in flat
 // arrays: the network plan's spanning tree and its out-channels are CSR
 // over the BFS order, each node's wiring is a view into them, and
-// single-rate clocks hold no segment vector. What remains is one allocation per message
-// payload and one per node object, plus a per-trial constant that does not
-// grow with n. A per-node vector creeping back onto the trial path adds n
-// allocations and fails the budget.
+// single-rate clocks hold no segment vector. What remains is one
+// allocation per message payload and one per node object, plus a
+// per-trial constant that does not grow with n. A per-node vector creeping
+// back onto the trial path adds n allocations and fails the budget.
 #include <gtest/gtest.h>
 
 #include <atomic>

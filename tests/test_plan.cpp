@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "scenario/drivers.h"
 #include "scenario/scenario.h"
 #include "scenario/sweep.h"
 
@@ -55,7 +54,14 @@ TEST(Plan, RandomFamiliesGetAFreshPlanPerSeed) {
     EXPECT_NE(first.get(), second.get());
     // Each is the graph the seed's topology substream draws.
     Rng rng = Rng(2).substream("scenario-topology");
-    EXPECT_EQ(second->topology(), spec.build(rng));
+    const Topology want = spec.build(rng);
+    const Topology& got = second->topology();
+    ASSERT_EQ(got.n, want.n);
+    ASSERT_EQ(got.edges.size(), want.edges.size());
+    for (std::size_t e = 0; e < want.edges.size(); ++e) {
+      EXPECT_EQ(got.edges[e].from, want.edges[e].from) << "edge " << e;
+      EXPECT_EQ(got.edges[e].to, want.edges[e].to) << "edge " << e;
+    }
   }
 }
 
@@ -78,20 +84,6 @@ TEST(Plan, CacheStaysBounded) {
   EXPECT_EQ(trial_plan(TopologySpec{TopologyFamily::kLine, last_n, 0.0}, 1)
                 .get(),
             held.back().get());
-}
-
-TEST(Plan, CallerBuiltCellGraphSharesTheCachedPlan) {
-  ScenarioSpec spec;
-  spec.algorithm = ScenarioAlgorithm::kPollingElection;
-  spec.topology = TopologySpec{TopologyFamily::kTorus, 16, 0.0};
-  const auto cached = trial_plan(spec.topology, 3);
-  Rng rng(3);
-  EXPECT_EQ(scenario_runtime_config(spec, spec.topology.build(rng), 3).plan,
-            cached);
-  // Another graph on as many nodes gets a plan of its own.
-  const RuntimeConfig other = scenario_runtime_config(spec, torus(2, 8), 3);
-  EXPECT_NE(other.plan, cached);
-  EXPECT_EQ(other.plan->topology(), torus(2, 8));
 }
 
 TEST(Plan, TreeMatchesBfsSpanningTreeForEveryFamily) {
