@@ -53,11 +53,10 @@ void print_experiment_tables() {
              "time_ratio_vs_fixed"});
   double fixed_msgs = 0, fixed_time = 0;
   for (const char* name : {"fixed", "uniform", "exponential", "lomax"}) {
-    ElectionExperiment e;
-    e.n = kN;
-    e.delay_name = name;
-    e.election.a0 = linear_regime_a0(kN);
-    const auto agg = run_election_trials(e, kTrials, 900);
+    ScenarioSpec spec = ring_spec(kN);
+    spec.delay_name = name;
+    const RingTally agg = ring_trials(
+        spec, ring_options(linear_regime_a0(kN)), kTrials, 900);
     if (std::string(name) == "fixed") {
       fixed_msgs = agg.messages.mean();
       fixed_time = agg.time.mean();
@@ -88,14 +87,14 @@ BENCHMARK(BM_TailSampling);
 
 static void BM_FixedVsExpElection(benchmark::State& state) {
   const bool fixed = state.range(0) == 1;
+  ScenarioSpec spec = benchutil::ring_spec(kN);
+  spec.delay_name = fixed ? "fixed" : "exponential";
+  const ElectionOptions options =
+      benchutil::ring_options(linear_regime_a0(kN));
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    ElectionExperiment e;
-    e.n = kN;
-    e.delay_name = fixed ? "fixed" : "exponential";
-    e.election.a0 = linear_regime_a0(kN);
-    e.seed = seed++;
-    benchmark::DoNotOptimize(run_election(e).messages);
+    benchmark::DoNotOptimize(
+        benchutil::ring_trial(spec, options, seed++).messages);
   }
   state.SetLabel(fixed ? "fixed" : "exponential");
 }

@@ -21,6 +21,39 @@
 #include "syncr/apps.h"
 
 namespace abe {
+namespace {
+
+// The counter app under the β-synchronizer on `topology`: exponential
+// delays of mean 1, the default ScenarioSpec environment.
+BetaRunResult run_beta(const Topology& topology, std::uint64_t rounds,
+                       std::uint64_t seed) {
+  RuntimeConfig config =
+      scenario_runtime_config(ScenarioSpec{}, topology, seed);
+  config.metrics = false;
+  config.deadline = 1e9;
+  const SyncAppFactory factory = counter_app_factory();
+  BetaRunResult result;
+  run_algorithm_trial(RuntimeKind::kSim, std::move(config),
+                      *make_beta_sync_driver(factory, rounds, &result));
+  return result;
+}
+
+GossipResult run_gossip_from_0(const Topology& topology,
+                               const std::string& delay,
+                               std::uint64_t seed) {
+  ScenarioSpec spec;
+  spec.delay_name = delay;
+  RuntimeConfig config = scenario_runtime_config(spec, topology, seed);
+  config.metrics = false;
+  config.deadline = 1e6;
+  GossipResult result;
+  run_algorithm_trial(RuntimeKind::kSim, std::move(config),
+                      *make_gossip_driver(/*source=*/0, &result));
+  return result;
+}
+
+}  // namespace
+
 namespace benchutil {
 
 void print_experiment_tables() {
@@ -64,9 +97,7 @@ void print_experiment_tables() {
     const auto alpha = run_alpha_synchronizer(
         shape.topology, counter_app_factory(), 20, exponential_delay(1.0),
         3);
-    const auto beta = run_beta_synchronizer(
-        shape.topology, counter_app_factory(), 20, exponential_delay(1.0),
-        3);
+    const auto beta = run_beta(shape.topology, 20, 3);
     sync.add_row({shape.label, "alpha",
                   Table::fmt(alpha.messages_per_round, 1),
                   Table::fmt(alpha.completion_time, 1)});
@@ -86,11 +117,8 @@ void print_experiment_tables() {
       Summary time, msgs;
       for (std::uint64_t seed = 1; seed <= 8; ++seed) {
         Rng rng(seed * 7);
-        GossipExperiment e;
-        e.topology = random_geometric(n, 0.25, rng);
-        e.delay_name = delay;
-        e.seed = seed;
-        const auto r = run_gossip(e);
+        const auto r =
+            run_gossip_from_0(random_geometric(n, 0.25, rng), delay, seed);
         if (!r.all_informed) continue;
         time.add(r.spread_time);
         msgs.add(static_cast<double>(r.messages));
@@ -144,10 +172,7 @@ BENCHMARK(BM_AnnouncedElection)->Arg(32)->Arg(128)
 static void BM_BetaSync(benchmark::State& state) {
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        run_beta_synchronizer(grid(4, 4), counter_app_factory(), 10,
-                              exponential_delay(1.0), seed++)
-            .messages_total);
+    benchmark::DoNotOptimize(run_beta(grid(4, 4), 10, seed++).messages_total);
   }
 }
 BENCHMARK(BM_BetaSync)->Unit(benchmark::kMillisecond);
@@ -156,10 +181,10 @@ static void BM_GossipGeometric(benchmark::State& state) {
   std::uint64_t seed = 1;
   for (auto _ : state) {
     Rng rng(seed);
-    GossipExperiment e;
-    e.topology = random_geometric(36, 0.25, rng);
-    e.seed = seed++;
-    benchmark::DoNotOptimize(run_gossip(e).messages);
+    benchmark::DoNotOptimize(
+        run_gossip_from_0(random_geometric(36, 0.25, rng), "exponential",
+                          seed++)
+            .messages);
   }
 }
 BENCHMARK(BM_GossipGeometric)->Unit(benchmark::kMillisecond);

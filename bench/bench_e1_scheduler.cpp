@@ -142,11 +142,10 @@ void print_experiment_tables() {
   Table trials_table({"threads", "trials", "seconds", "trials/s"});
   constexpr std::uint64_t kTrials = 64;
   for (unsigned threads : {1u, hw == 0 ? 1u : hw}) {
-    ElectionExperiment e;
-    e.n = 64;
-    e.election.a0 = linear_regime_a0(64);
     const auto t0 = std::chrono::steady_clock::now();
-    const auto agg = run_election_trials(e, kTrials, 1, threads);
+    const RingTally agg = ring_trials(
+        ring_spec(64), ring_options(linear_regime_a0(64)), kTrials, 1,
+        threads);
     const double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -160,7 +159,7 @@ void print_experiment_tables() {
   std::printf("%s\n",
               trials_table
                   .render("E1b: election trial throughput (n=64, "
-                          "run_election_trials pool)")
+                          "seed-chunked trial pool)")
                   .c_str());
 }
 
@@ -263,11 +262,11 @@ static void BM_TrialThroughput(benchmark::State& state) {
   const auto threads = static_cast<unsigned>(state.range(0));
   constexpr std::uint64_t kTrials = 32;
   std::uint64_t seed = 1;
+  const ScenarioSpec spec = benchutil::ring_spec(64);
+  const ElectionOptions options = benchutil::ring_options(linear_regime_a0(64));
   for (auto _ : state) {
-    ElectionExperiment e;
-    e.n = 64;
-    e.election.a0 = linear_regime_a0(64);
-    const auto agg = run_election_trials(e, kTrials, seed, threads);
+    const auto agg =
+        benchutil::ring_trials(spec, options, kTrials, seed, threads);
     benchmark::DoNotOptimize(agg.trials);
     seed += kTrials;
   }
@@ -281,13 +280,11 @@ BENCHMARK(BM_TrialThroughput)->Arg(1)->Arg(2)->Arg(4)
 // the scheduler; e2/e3 sweep this across sizes and models).
 static void BM_SchedulerElection(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
+  const ScenarioSpec spec = benchutil::ring_spec(n);
+  const ElectionOptions options = benchutil::ring_options(linear_regime_a0(n));
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    ElectionExperiment e;
-    e.n = n;
-    e.election.a0 = linear_regime_a0(n);
-    e.seed = seed++;
-    const auto result = run_election(e);
+    const auto result = benchutil::ring_trial(spec, options, seed++);
     benchmark::DoNotOptimize(result.messages);
   }
 }

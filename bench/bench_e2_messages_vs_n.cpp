@@ -24,11 +24,10 @@ namespace {
 constexpr std::size_t kSizes[] = {8, 16, 32, 64, 128, 256};
 constexpr std::uint64_t kTrials = 20;
 
-ElectionAggregate abe_runs(std::size_t n, std::uint64_t trials = kTrials) {
-  ElectionExperiment e;
-  e.n = n;
-  e.election.a0 = linear_regime_a0(n);
-  return run_election_trials(e, trials, 1000);
+benchutil::RingTally abe_runs(std::size_t n) {
+  return benchutil::ring_trials(benchutil::ring_spec(n),
+                                benchutil::ring_options(linear_regime_a0(n)),
+                                kTrials, 1000);
 }
 
 }  // namespace
@@ -88,13 +87,11 @@ void print_experiment_tables() {
 // Wall-time microbenchmarks of one full election at each size.
 static void BM_AbeElection(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
+  const ScenarioSpec spec = benchutil::ring_spec(n);
+  const ElectionOptions options = benchutil::ring_options(linear_regime_a0(n));
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    ElectionExperiment e;
-    e.n = n;
-    e.election.a0 = linear_regime_a0(n);
-    e.seed = seed++;
-    const auto result = run_election(e);
+    const auto result = benchutil::ring_trial(spec, options, seed++);
     benchmark::DoNotOptimize(result.messages);
     state.counters["sim_msgs"] = static_cast<double>(result.messages);
   }

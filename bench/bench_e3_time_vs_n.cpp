@@ -28,10 +28,8 @@ void print_experiment_tables() {
   Table table({"n", "time", "ci95", "time/n", "activations"});
   std::vector<double> xs, ys;
   for (std::size_t n : kSizes) {
-    ElectionExperiment e;
-    e.n = n;
-    e.election.a0 = linear_regime_a0(n);
-    const auto agg = run_election_trials(e, kTrials, 500);
+    const RingTally agg = ring_trials(
+        ring_spec(n), ring_options(linear_regime_a0(n)), kTrials, 500);
     xs.push_back(static_cast<double>(n));
     ys.push_back(agg.time.mean());
     table.add_row({Table::fmt_int(static_cast<std::int64_t>(n)),
@@ -55,12 +53,10 @@ static void BM_ElectionTimeSim(benchmark::State& state) {
   std::uint64_t seed = 1;
   double total_sim_time = 0;
   std::uint64_t runs = 0;
+  const ScenarioSpec spec = benchutil::ring_spec(n);
+  const ElectionOptions options = benchutil::ring_options(linear_regime_a0(n));
   for (auto _ : state) {
-    ElectionExperiment e;
-    e.n = n;
-    e.election.a0 = linear_regime_a0(n);
-    e.seed = seed++;
-    const auto result = run_election(e);
+    const auto result = benchutil::ring_trial(spec, options, seed++);
     total_sim_time += result.election_time;
     ++runs;
   }

@@ -34,11 +34,9 @@ void print_experiment_tables() {
   Table table({"c=n^2*A0", "A0", "msgs", "msgs/n", "time", "time/n",
                "activations", "purges"});
   for (double c : kCs) {
-    ElectionExperiment e;
-    e.n = kN;
-    e.election.a0 = linear_regime_a0(kN, c);
-    const auto agg = run_election_trials(e, kTrials, 800);
-    table.add_row({Table::fmt(c, 3), Table::fmt(e.election.a0, 6),
+    const ElectionOptions options = ring_options(linear_regime_a0(kN, c));
+    const RingTally agg = ring_trials(ring_spec(kN), options, kTrials, 800);
+    table.add_row({Table::fmt(c, 3), Table::fmt(options.a0, 6),
                    Table::fmt(agg.messages.mean(), 1),
                    Table::fmt(agg.messages.mean() / kN, 2),
                    Table::fmt(agg.time.mean(), 1),
@@ -56,13 +54,13 @@ void print_experiment_tables() {
 
 static void BM_ElectionAtC(benchmark::State& state) {
   const double c = static_cast<double>(state.range(0)) / 100.0;
+  const ScenarioSpec spec = benchutil::ring_spec(kN);
+  const ElectionOptions options =
+      benchutil::ring_options(linear_regime_a0(kN, c));
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    ElectionExperiment e;
-    e.n = kN;
-    e.election.a0 = linear_regime_a0(kN, c);
-    e.seed = seed++;
-    benchmark::DoNotOptimize(run_election(e).messages);
+    benchmark::DoNotOptimize(
+        benchutil::ring_trial(spec, options, seed++).messages);
   }
 }
 BENCHMARK(BM_ElectionAtC)->Arg(50)->Arg(100)->Arg(1600)

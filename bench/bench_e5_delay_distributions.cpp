@@ -32,12 +32,10 @@ void print_experiment_tables() {
                "time/n", "failures"});
   double min_msgs = 1e18, max_msgs = 0;
   for (const auto& name : standard_delay_model_names()) {
-    ElectionExperiment e;
-    e.n = kN;
-    e.delay_name = name;
-    e.mean_delay = 1.0;
-    e.election.a0 = linear_regime_a0(kN);
-    const auto agg = run_election_trials(e, kTrials, 250);
+    ScenarioSpec spec = ring_spec(kN);
+    spec.delay_name = name;
+    const RingTally agg = ring_trials(
+        spec, ring_options(linear_regime_a0(kN)), kTrials, 250);
     const auto model = make_delay_model(name, 1.0);
     min_msgs = std::min(min_msgs, agg.messages.mean());
     max_msgs = std::max(max_msgs, agg.messages.mean());
@@ -62,14 +60,14 @@ void print_experiment_tables() {
 static void BM_ElectionUnderLaw(benchmark::State& state) {
   const auto& names = standard_delay_model_names();
   const auto& name = names[static_cast<std::size_t>(state.range(0))];
+  ScenarioSpec spec = benchutil::ring_spec(kN);
+  spec.delay_name = name;
+  const ElectionOptions options =
+      benchutil::ring_options(linear_regime_a0(kN));
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    ElectionExperiment e;
-    e.n = kN;
-    e.delay_name = name;
-    e.election.a0 = linear_regime_a0(kN);
-    e.seed = seed++;
-    benchmark::DoNotOptimize(run_election(e).messages);
+    benchmark::DoNotOptimize(
+        benchutil::ring_trial(spec, options, seed++).messages);
   }
   state.SetLabel(name);
 }

@@ -30,15 +30,14 @@ void print_experiment_tables() {
   for (double ratio : {1.0, 2.0, 4.0, 16.0}) {
     for (DriftModel drift :
          {DriftModel::kFixedRandomRate, DriftModel::kPiecewiseRandom}) {
-      ElectionExperiment e;
-      e.n = kN;
-      e.election.a0 = linear_regime_a0(kN);
+      ScenarioSpec spec = ring_spec(kN);
       const double s = std::sqrt(ratio);
-      e.clock_bounds = ClockBounds{1.0 / s, s};
-      e.drift = ratio == 1.0 ? DriftModel::kNone : drift;
-      const auto agg = run_election_trials(e, kTrials, 4200);
+      spec.clock_bounds = ClockBounds{1.0 / s, s};
+      spec.drift = ratio == 1.0 ? DriftModel::kNone : drift;
+      const RingTally agg = ring_trials(
+          spec, ring_options(linear_regime_a0(kN)), kTrials, 4200);
       table.add_row(
-          {Table::fmt(ratio, 0), drift_model_name(e.drift),
+          {Table::fmt(ratio, 0), drift_model_name(spec.drift),
            Table::fmt(agg.messages.mean(), 1),
            Table::fmt(agg.messages.mean() / kN, 2),
            Table::fmt(agg.time.mean(), 1),
@@ -62,16 +61,16 @@ void print_experiment_tables() {
 
 static void BM_ElectionUnderDrift(benchmark::State& state) {
   const double ratio = static_cast<double>(state.range(0));
+  ScenarioSpec spec = benchutil::ring_spec(kN);
+  const double s = std::sqrt(ratio);
+  spec.clock_bounds = ClockBounds{1.0 / s, s};
+  spec.drift = DriftModel::kPiecewiseRandom;
+  const ElectionOptions options =
+      benchutil::ring_options(linear_regime_a0(kN));
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    ElectionExperiment e;
-    e.n = kN;
-    e.election.a0 = linear_regime_a0(kN);
-    const double s = std::sqrt(ratio);
-    e.clock_bounds = ClockBounds{1.0 / s, s};
-    e.drift = DriftModel::kPiecewiseRandom;
-    e.seed = seed++;
-    benchmark::DoNotOptimize(run_election(e).messages);
+    benchmark::DoNotOptimize(
+        benchutil::ring_trial(spec, options, seed++).messages);
   }
 }
 BENCHMARK(BM_ElectionUnderDrift)->Arg(1)->Arg(4)->Arg(16)

@@ -27,13 +27,21 @@ constexpr std::uint64_t kTrials = 12;
 // very first activation and every policy looks alike.
 constexpr double kC = 4.0;
 
-ElectionAggregate run_policy(std::size_t n, ActivationPolicy policy) {
-  ElectionExperiment e;
-  e.n = n;
-  e.election.a0 = linear_regime_a0(n, kC);
-  e.election.policy = policy;
-  e.deadline = 5e7;  // the constant policy genuinely needs long runs
-  return run_election_trials(e, kTrials, 600);
+ScenarioSpec policy_spec(std::size_t n) {
+  ScenarioSpec spec = benchutil::ring_spec(n);
+  spec.deadline = 5e7;  // the constant policy genuinely needs long runs
+  return spec;
+}
+
+ElectionOptions policy_options(std::size_t n, ActivationPolicy policy) {
+  ElectionOptions options = benchutil::ring_options(linear_regime_a0(n, kC));
+  options.policy = policy;
+  return options;
+}
+
+benchutil::RingTally run_policy(std::size_t n, ActivationPolicy policy) {
+  return benchutil::ring_trials(policy_spec(n), policy_options(n, policy),
+                                kTrials, 600);
 }
 
 }  // namespace
@@ -88,15 +96,12 @@ void print_experiment_tables() {
 
 static void BM_PolicyRun(benchmark::State& state) {
   const auto policy = static_cast<ActivationPolicy>(state.range(0));
+  const ScenarioSpec spec = policy_spec(32);
+  const ElectionOptions options = policy_options(32, policy);
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    ElectionExperiment e;
-    e.n = 32;
-    e.election.a0 = linear_regime_a0(32, kC);
-    e.election.policy = policy;
-    e.deadline = 5e7;
-    e.seed = seed++;
-    benchmark::DoNotOptimize(run_election(e).messages);
+    benchmark::DoNotOptimize(
+        benchutil::ring_trial(spec, options, seed++).messages);
   }
   state.SetLabel(activation_policy_name(policy));
 }

@@ -11,7 +11,11 @@
 #include <string>
 #include <thread>
 
+#include "core/harness.h"
+#include "core/trial_pool.h"
+#include "scenario/drivers.h"
 #include "sim/equeue/backend.h"
+#include "stats/summary.h"
 #include "stats/table.h"
 
 // Build provenance, injected by bench/CMakeLists.txt so every BENCH_*.json
@@ -62,6 +66,89 @@ inline void add_run_metadata() {
       "abe_equeue_default",
       ::abe::equeue_backend_name(
           ::abe::resolve_equeue_backend(::abe::EqueueBackend::kAuto)));
+}
+
+// --- ring-election trials ---------------------------------------------------
+//
+// The E-tables print per-node tallies (activations, purges) that only the
+// ring driver's own result carries, so the ring benches run the driver
+// directly on a ScenarioSpec's environment rather than through
+// run_scenario_trials.
+
+// The paper's unidirectional ring of n nodes with the spec defaults
+// (exponential delay of mean 1, ideal clocks) and no settle window.
+inline ScenarioSpec ring_spec(std::size_t n) {
+  ScenarioSpec spec;
+  spec.topology = TopologySpec{TopologyFamily::kRingUni, n, 0.0};
+  spec.settle_time = 0.0;
+  return spec;
+}
+
+// ElectionOptions with the given base activation parameter.
+inline ElectionOptions ring_options(double a0) {
+  ElectionOptions options;
+  options.a0 = a0;
+  return options;
+}
+
+// One election with `options` on `spec`'s environment. Metrics stay off:
+// the BM_* rows time the bare trial.
+inline ElectionRunResult ring_trial(const ScenarioSpec& spec,
+                                    const ElectionOptions& options,
+                                    std::uint64_t seed) {
+  RuntimeConfig config =
+      scenario_runtime_config(spec, trial_plan(spec.topology, seed), seed);
+  config.metrics = false;
+  ElectionRunResult result;
+  const auto driver = make_ring_election_driver(options, spec.settle_time,
+                                                /*adversarial=*/false, &result);
+  run_algorithm_trial(RuntimeKind::kSim, std::move(config), *driver);
+  return result;
+}
+
+struct RingTally {
+  Summary messages;  // over elected trials
+  Summary time;
+  Summary activations;
+  Summary purges;
+  std::uint64_t trials = 0;
+  std::uint64_t failures = 0;  // no leader before the deadline
+  std::uint64_t safety_violations = 0;
+
+  void merge(const RingTally& other) {
+    messages.merge(other.messages);
+    time.merge(other.time);
+    activations.merge(other.activations);
+    purges.merge(other.purges);
+    trials += other.trials;
+    failures += other.failures;
+    safety_violations += other.safety_violations;
+  }
+};
+
+// `trials` elections with seeds seed_base…, through the seed-chunked pool
+// (core/trial_pool.h): bit-identical for every thread count.
+inline RingTally ring_trials(const ScenarioSpec& spec,
+                             const ElectionOptions& options,
+                             std::uint64_t trials, std::uint64_t seed_base,
+                             unsigned threads = 0) {
+  return run_seed_chunked_trials<RingTally>(
+      trials, seed_base, threads,
+      [&](std::uint64_t seed_lo, std::uint64_t seed_hi, RingTally& out) {
+        for (std::uint64_t seed = seed_lo; seed < seed_hi; ++seed) {
+          const ElectionRunResult run = ring_trial(spec, options, seed);
+          ++out.trials;
+          if (!run.elected) {
+            ++out.failures;
+            continue;
+          }
+          if (!run.safety_ok) ++out.safety_violations;
+          out.messages.add(static_cast<double>(run.messages));
+          out.time.add(run.election_time);
+          out.activations.add(static_cast<double>(run.activations));
+          out.purges.add(static_cast<double>(run.purges));
+        }
+      });
 }
 
 }  // namespace abe::benchutil

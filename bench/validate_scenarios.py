@@ -7,18 +7,14 @@
 Checks the structure the "abe-scenario-sweep-v7" schema promises — the
 metadata provenance block, per-cell axes (including the execution runtime
 and the adversarial behavior/adversary axes), aggregate summaries, the
-v5 observability block and the v6 causal block — plus the one correctness
-gate a structural check can carry: safety_violations == 0 (a cell that
-elected two leaders is a bug, not a perf delta; the violation_seeds list
-in the document replays it). Older documents are still accepted: v2 is v3
-minus the runtime fields, v3 is v4 minus the adversary/safety-probe
-fields, v4 is v5 minus the observability block, v5 is v6 minus the causal
-block, v6 is v7 minus the "udp" runtime value and the wall "total_ms"
-field (a v6 document claiming runtime "udp" is rejected — only v7
-emitters produce it). Exit codes: 0 valid, 1 schema violation or safety
-violation, 2 unreadable input.
+observability block and the causal block — plus the one correctness gate
+a structural check can carry: safety_violations == 0 (a cell that elected
+two leaders is a bug, not a perf delta; the violation_seeds list in the
+document replays it). v7 is the only schema src/scenario/sweep.cpp
+writes; a document of any other version is rejected. Exit codes: 0
+valid, 1 schema violation or safety violation, 2 unreadable input.
 
-v5 observability block, per cell:
+Observability block, per cell:
   "metrics": array of metric entries sorted ascending by "name"; each has
       "name" (str), "kind" ("counter" | "gauge" | "histogram") and either
       "value" (number; counters and gauges) or "bounds" + "counts"
@@ -26,13 +22,13 @@ v5 observability block, per cell:
       len(bounds) + 1 entries — the last is the overflow bucket).
       Simulator cells produce this block deterministically: same seed
       base, same thread count or not, bit-identical values.
-  "wall": object with numeric "build_ms" / "run_ms" / "settle_ms" —
-      summed wall-clock phase times across the cell's trials. Real
-      elapsed time; never compared for determinism. v7 adds "total_ms",
-      measured between the same chained clock reads that bound the
-      phases (src/runtime/runtime.h WallPhaseTimes).
+  "wall": object with numeric "build_ms" / "run_ms" / "settle_ms" /
+      "total_ms" — summed wall-clock phase times across the cell's
+      trials, the total measured between the same chained clock reads
+      that bound the phases (src/runtime/runtime.h WallPhaseTimes). Real
+      elapsed time; never compared for determinism.
 
-v6 causal block, per cell (src/obs/causal.h):
+Causal block, per cell (src/obs/causal.h):
   "critical_path": object with non-negative int "considered" / "found" /
       "truncated" (truncated <= found <= considered), six summary objects
       "hops" / "span" / "channel_delay" / "processing" / "queueing" /
@@ -45,9 +41,9 @@ v6 causal block, per cell (src/obs/causal.h):
       sample times ascending on the interval grid. Present only when the
       run sampled the sim-time grid.
 
-`--self-test` validates built-in fixtures — a minimal document per schema
-version plus malformed-v6 documents that must be rejected — so CI catches
-a validator regression without needing a sweep artifact.
+`--self-test` validates built-in fixtures — a minimal valid document plus
+malformed documents that must be rejected — so CI catches a validator
+regression without needing a sweep artifact.
 
 CI runs this in the scenario-smoke job; it is dependency-free on purpose
 (stdlib json only).
@@ -56,22 +52,18 @@ CI runs this in the scenario-smoke job; it is dependency-free on purpose
 import json
 import sys
 
-SCHEMAS = ("abe-scenario-sweep-v2", "abe-scenario-sweep-v3",
-           "abe-scenario-sweep-v4", "abe-scenario-sweep-v5",
-           "abe-scenario-sweep-v6", "abe-scenario-sweep-v7")
+SCHEMA = "abe-scenario-sweep-v7"
 
 METRIC_KINDS = ("counter", "gauge", "histogram")
 
+# build + run + settle == total on each trial (same clock reads); sums
+# keep that up to floating-point noise, so this checks structure only.
 WALL_FIELDS = {
     "build_ms": (int, float),
     "run_ms": (int, float),
     "settle_ms": (int, float),
+    "total_ms": (int, float),
 }
-
-# v7 adds the total phase (same clock reads, so build+run+settle == total
-# on each trial; sums preserve that but floating-point noise is fine here —
-# structure only, no arithmetic check).
-WALL_FIELDS_V7 = dict(WALL_FIELDS, total_ms=(int, float))
 
 METADATA_FIELDS = {
     "git_sha": str,
@@ -81,12 +73,10 @@ METADATA_FIELDS = {
     "trial_threads": int,
     "trials": int,
     "seed_base": int,
+    "runtime": str,
 }
 
-# The "udp" execution substrate (real loopback datagrams) only exists from
-# v7 on; a pre-v7 document carrying it is a forgery, not a downgrade.
-RUNTIMES = ("sim", "thread")
-RUNTIMES_V7 = ("sim", "thread", "udp")
+RUNTIMES = ("sim", "thread", "udp")
 
 # The JSON emitter caps the violation_seeds list it prints; the count field
 # stays authoritative (src/scenario/sweep.cpp).
@@ -115,12 +105,20 @@ CELL_FIELDS = {
     "delay": dict,
     "clock": dict,
     "failure": str,
+    "behavior": str,
+    "adversary": str,
     "equeue": str,
+    "runtime": str,
     "trials": int,
     "failures": int,
+    "stalled": int,
     "safety_violations": int,
+    "violation_seeds": list,
     "messages": dict,
     "time": dict,
+    "metrics": list,
+    "wall": dict,
+    "critical_path": dict,
 }
 
 
@@ -140,7 +138,7 @@ def check_fields(path, obj, fields, where):
 
 
 def validate_metrics(path, metrics, where):
-    """Checks one cell's v5 metrics array (see module docstring)."""
+    """Checks one cell's metrics array (see module docstring)."""
     names = []
     for j, entry in enumerate(metrics):
         at = f"{where}.metrics[{j}]"
@@ -175,7 +173,7 @@ def validate_metrics(path, metrics, where):
 
 
 def validate_critical_path(path, cp, where):
-    """Checks one cell's v6 critical_path object (see module docstring)."""
+    """Checks one cell's critical_path object (see module docstring)."""
     at = f"{where}.critical_path"
     if not isinstance(cp, dict):
         return fail(path, f"{at} is not an object")
@@ -224,7 +222,7 @@ def validate_critical_path(path, cp, where):
 
 
 def validate_timeseries(path, ts, where):
-    """Checks one cell's optional v6 timeseries object."""
+    """Checks one cell's optional timeseries object."""
     at = f"{where}.timeseries"
     if not isinstance(ts, dict):
         return fail(path, f"{at} is not an object")
@@ -252,28 +250,16 @@ def validate_timeseries(path, ts, where):
 
 def validate(path, doc):
     schema = doc.get("schema")
-    if schema not in SCHEMAS:
-        return fail(path, f"schema is {schema!r}, want one of {SCHEMAS}")
-    v3 = schema != "abe-scenario-sweep-v2"
-    v4 = schema in ("abe-scenario-sweep-v4", "abe-scenario-sweep-v5",
-                    "abe-scenario-sweep-v6", "abe-scenario-sweep-v7")
-    v5 = schema in ("abe-scenario-sweep-v5", "abe-scenario-sweep-v6",
-                    "abe-scenario-sweep-v7")
-    v6 = schema in ("abe-scenario-sweep-v6", "abe-scenario-sweep-v7")
-    v7 = schema == "abe-scenario-sweep-v7"
-    runtimes = RUNTIMES_V7 if v7 else RUNTIMES
-    wall_fields = WALL_FIELDS_V7 if v7 else WALL_FIELDS
+    if schema != SCHEMA:
+        return fail(path, f"schema is {schema!r}, want {SCHEMA!r}")
     metadata = doc.get("metadata")
     if not isinstance(metadata, dict):
         return fail(path, "metadata is not an object")
-    metadata_fields = dict(METADATA_FIELDS)
-    if v3:
-        metadata_fields["runtime"] = str
-    if not check_fields(path, metadata, metadata_fields, "metadata"):
+    if not check_fields(path, metadata, METADATA_FIELDS, "metadata"):
         return False
-    if v3 and metadata["runtime"] not in runtimes:
+    if metadata["runtime"] not in RUNTIMES:
         return fail(path, f"metadata.runtime {metadata['runtime']!r} not in "
-                          f"{runtimes}")
+                          f"{RUNTIMES}")
     cells = doc.get("cells")
     if not isinstance(cells, list) or not cells:
         return fail(path, "cells must be a non-empty array")
@@ -281,37 +267,21 @@ def validate(path, doc):
         where = f"cells[{i}]"
         if not isinstance(cell, dict):
             return fail(path, f"{where} is not an object")
-        cell_fields = dict(CELL_FIELDS)
-        if v3:
-            cell_fields["runtime"] = str
-        if v4:
-            cell_fields["behavior"] = str
-            cell_fields["adversary"] = str
-            cell_fields["stalled"] = int
-            cell_fields["violation_seeds"] = list
-        if v5:
-            cell_fields["metrics"] = list
-            cell_fields["wall"] = dict
-        if v6:
-            cell_fields["critical_path"] = dict
-        if not check_fields(path, cell, cell_fields, where):
+        if not check_fields(path, cell, CELL_FIELDS, where):
             return False
-        if v5:
-            if not validate_metrics(path, cell["metrics"], where):
-                return False
-            if not check_fields(path, cell["wall"], wall_fields,
-                                f"{where}.wall"):
-                return False
-        if v6:
-            if not validate_critical_path(path, cell["critical_path"],
-                                          where):
-                return False
-            if "timeseries" in cell and \
-                    not validate_timeseries(path, cell["timeseries"], where):
-                return False
-        if v3 and cell["runtime"] not in runtimes:
+        if not validate_metrics(path, cell["metrics"], where):
+            return False
+        if not check_fields(path, cell["wall"], WALL_FIELDS,
+                            f"{where}.wall"):
+            return False
+        if not validate_critical_path(path, cell["critical_path"], where):
+            return False
+        if "timeseries" in cell and \
+                not validate_timeseries(path, cell["timeseries"], where):
+            return False
+        if cell["runtime"] not in RUNTIMES:
             return fail(path, f"{where}.runtime {cell['runtime']!r} not in "
-                              f"{runtimes}")
+                              f"{RUNTIMES}")
         topo = cell["topology"]
         if not isinstance(topo.get("family"), str) or \
                 not isinstance(topo.get("n"), int) or topo["n"] < 1:
@@ -320,25 +290,23 @@ def validate(path, doc):
             if not check_fields(path, cell[summary_key], SUMMARY_FIELDS,
                                 f"{where}.{summary_key}"):
                 return False
-        # v4 splits stalled trials (quiescent with no way forward) out of
+        # Stalled trials (quiescent with no way forward) are split out of
         # failures (still working at the deadline); completed is what's left.
-        stalled = cell["stalled"] if v4 else 0
-        completed = cell["trials"] - cell["failures"] - stalled
+        completed = cell["trials"] - cell["failures"] - cell["stalled"]
         if cell["messages"]["count"] != completed:
             return fail(path, f"{where}: summary count "
                               f"{cell['messages']['count']} != completed "
                               f"trials {completed}")
-        if v4:
-            seeds = cell["violation_seeds"]
-            if not all(isinstance(s, int) and s >= 0 for s in seeds):
-                return fail(path, f"{where}.violation_seeds must be "
-                                  "non-negative integers")
-            expect = min(cell["safety_violations"], MAX_EMITTED_SEEDS)
-            if len(seeds) != expect:
-                return fail(path, f"{where}: violation_seeds has "
-                                  f"{len(seeds)} entries, want {expect} "
-                                  f"(count {cell['safety_violations']}, "
-                                  f"emit cap {MAX_EMITTED_SEEDS})")
+        seeds = cell["violation_seeds"]
+        if not all(isinstance(s, int) and s >= 0 for s in seeds):
+            return fail(path, f"{where}.violation_seeds must be "
+                              "non-negative integers")
+        expect = min(cell["safety_violations"], MAX_EMITTED_SEEDS)
+        if len(seeds) != expect:
+            return fail(path, f"{where}: violation_seeds has "
+                              f"{len(seeds)} entries, want {expect} "
+                              f"(count {cell['safety_violations']}, "
+                              f"emit cap {MAX_EMITTED_SEEDS})")
         if cell["safety_violations"] != 0:
             return fail(path, f"{where} ({cell['cell']}): "
                               f"{cell['safety_violations']} safety "
@@ -357,8 +325,8 @@ def _summary(count=1, value=1.0):
             "max": value, "ci95": 0.0}
 
 
-def _fixture_v7():
-    """A minimal document every v7 check accepts (udp cell, total_ms)."""
+def _fixture():
+    """A minimal document every check accepts (a udp cell in ARQ mode)."""
     cp = {"considered": 1, "found": 1, "truncated": 0,
           "top_channels": [{"edge": 3, "hops": 1, "delay": 2.0},
                            {"edge": 1, "hops": 1, "delay": 1.0}],
@@ -396,37 +364,6 @@ def _fixture_v7():
     }
 
 
-def _downgrade(doc, schema):
-    """Derives an older-schema fixture by stripping the newer blocks."""
-    doc = json.loads(json.dumps(doc))
-    doc["schema"] = schema
-    # Pre-v7 schemas have no "udp" runtime value and no wall total — a v6
-    # fixture must be one a v6 emitter could have produced.
-    doc["metadata"]["runtime"] = "sim"
-    for cell in doc["cells"]:
-        cell["runtime"] = "sim"
-        cell["cell"] = "abe-ring/ring-uni-4/exponential/ideal/none"
-        if "wall" in cell:
-            cell["wall"].pop("total_ms", None)
-        if schema in ("abe-scenario-sweep-v2", "abe-scenario-sweep-v3",
-                      "abe-scenario-sweep-v4", "abe-scenario-sweep-v5"):
-            cell.pop("timeseries", None)
-            cell.pop("critical_path", None)
-        if schema in ("abe-scenario-sweep-v2", "abe-scenario-sweep-v3",
-                      "abe-scenario-sweep-v4"):
-            cell.pop("metrics", None)
-            cell.pop("wall", None)
-        if schema in ("abe-scenario-sweep-v2", "abe-scenario-sweep-v3"):
-            for key in ("behavior", "adversary", "stalled",
-                        "violation_seeds"):
-                cell.pop(key, None)
-        if schema == "abe-scenario-sweep-v2":
-            cell.pop("runtime", None)
-    if schema == "abe-scenario-sweep-v2":
-        doc["metadata"].pop("runtime", None)
-    return doc
-
-
 def self_test():
     """Validates the built-in fixtures; returns 0 on success, 1 on failure."""
     failures = 0
@@ -440,53 +377,46 @@ def self_test():
                   f"{'accept' if got_ok else 'reject'}", file=sys.stderr)
             failures += 1
 
-    # Every schema version must still validate.
-    good = _fixture_v7()
-    expect("v7", good, True)
-    for schema in SCHEMAS[:-1]:
-        expect(schema.rsplit("-", 1)[-1], _downgrade(good, schema), True)
+    expect("v7", _fixture(), True)
 
-    # A v6 document without the causal block — and a v6/v7 block that is
-    # malformed in each of the ways the emitter cannot produce — must be
-    # rejected.
+    # Malformed in each of the ways the emitter cannot produce: each must
+    # be rejected.
     def mutated(mutate):
-        doc = _fixture_v7()
+        doc = _fixture()
         mutate(doc["cells"][0])
         return doc
 
-    # v7-specific rejections: the udp runtime value and the wall total are
-    # v7-only, and unknown runtime strings stay unknown.
-    v6_forged_udp = _downgrade(good, "abe-scenario-sweep-v6")
-    v6_forged_udp["cells"][0]["runtime"] = "udp"
-    expect("v6-claims-udp-runtime", v6_forged_udp, False)
+    older = _fixture()
+    older["schema"] = "abe-scenario-sweep-v6"
+    expect("v6-schema", older, False)
     expect("v7-wall-missing-total-ms",
            mutated(lambda c: c["wall"].pop("total_ms")), False)
     expect("v7-unknown-runtime",
            mutated(lambda c: c.update(runtime="quic")), False)
 
-    expect("v6-missing-critical-path",
+    expect("v7-missing-critical-path",
            mutated(lambda c: c.pop("critical_path")), False)
-    expect("v6-counts-inverted",
+    expect("v7-counts-inverted",
            mutated(lambda c: c["critical_path"].update(found=2)), False)
-    expect("v6-missing-summary",
+    expect("v7-missing-summary",
            mutated(lambda c: c["critical_path"].pop("queueing")), False)
-    expect("v6-summary-count-mismatch",
+    expect("v7-summary-count-mismatch",
            mutated(lambda c: c["critical_path"]["span"].update(count=9)),
            False)
-    expect("v6-top-channels-unsorted",
+    expect("v7-top-channels-unsorted",
            mutated(lambda c: c["critical_path"]["top_channels"].reverse()),
            False)
-    expect("v6-worst-without-found",
+    expect("v7-worst-without-found",
            mutated(lambda c: c["critical_path"].update(
                found=0, truncated=0,
                **{k: _summary(count=0, value=0.0)
                   for k in CRITICAL_PATH_SUMMARIES})), False)
-    expect("v6-worst-negative-seed",
+    expect("v7-worst-negative-seed",
            mutated(lambda c: c["critical_path"]["worst"].update(seed=-1)),
            False)
-    expect("v6-timeseries-bad-interval",
+    expect("v7-timeseries-bad-interval",
            mutated(lambda c: c["timeseries"].update(interval=0)), False)
-    expect("v6-timeseries-unordered",
+    expect("v7-timeseries-unordered",
            mutated(lambda c: c["timeseries"]["samples"].reverse()), False)
 
     if failures:

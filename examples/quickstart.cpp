@@ -5,67 +5,65 @@
 //
 // Builds a ring of anonymous nodes whose channels have exponentially
 // distributed delays (mean 1 — the known bound δ), runs the paper's
-// election, and prints what happened, including the per-node end states.
+// election, and prints what happened.
 //
-// The execution goes through the unified Runtime contract
+// The environment is the registered `ring-election` scenario with the
+// flags applied; the execution goes through the unified Runtime contract
 // (runtime/runtime.h): the identical ring-election AlgorithmDriver runs on
-// the deterministic discrete-event simulator or on one OS thread per node
-// with wall-clock delays — pick with --runtime.
+// the deterministic discrete-event simulator, on one OS thread per node
+// with wall-clock delays, or over loopback UDP — pick with --runtime.
 #include <cstdio>
 #include <string>
 
-#include "core/abe.h"
 #include "core/harness.h"
+#include "scenario/drivers.h"
+#include "scenario/scenario.h"
 #include "util/cli.h"
 
 int main(int argc, char** argv) {
   abe::CliFlags flags(argc, argv);
-  const std::size_t n =
-      static_cast<std::size_t>(flags.get_int("n", 16));
+  const std::int64_t n_flag = flags.get_int("n", 16);
+  if (n_flag < 1) {
+    std::fprintf(stderr, "--n must be at least 1\n");
+    return 2;
+  }
+  const auto n = static_cast<std::size_t>(n_flag);
   const double a0_scale = flags.get_double("a0-scale", 1.0);
   const std::string delay = flags.get_string("delay", "exponential");
   const std::uint64_t seed =
       static_cast<std::uint64_t>(flags.get_int("seed", 42));
   const std::string runtime_name = flags.get_string("runtime", "sim");
 
-  abe::RuntimeKind runtime = abe::RuntimeKind::kSim;
-  if (!abe::runtime_kind_from_name(runtime_name, &runtime)) {
-    std::fprintf(stderr, "unknown runtime '%s'; known: sim thread\n",
+  abe::ScenarioSpec spec = *abe::find_scenario("ring-election");
+  spec.topology.n = n;
+  spec.delay_name = delay;
+  // The linear-complexity calibration from the paper: A0 = c/n².
+  spec.a0 = abe::linear_regime_a0(n, a0_scale);
+  spec.settle_time = 50.0;
+  if (!abe::runtime_kind_from_name(runtime_name, &spec.runtime)) {
+    std::fprintf(stderr, "unknown runtime '%s'; known: sim thread udp\n",
                  runtime_name.c_str());
     return 2;
   }
-
-  if (runtime == abe::RuntimeKind::kThread &&
-      n > abe::kMaxThreadRuntimeNodes) {
-    std::fprintf(stderr,
-                 "--runtime thread spawns one OS thread per node; max n is "
-                 "%zu\n",
-                 abe::kMaxThreadRuntimeNodes);
+  const std::string problem = abe::runtime_cell_problem(spec);
+  if (!problem.empty()) {
+    std::fprintf(stderr, "cannot run on the %s runtime: %s\n",
+                 runtime_name.c_str(), problem.c_str());
     return 2;
   }
 
-  abe::ElectionExperiment experiment;
-  experiment.n = n;
-  experiment.delay_name = delay;
-  experiment.mean_delay = 1.0;
-  // The linear-complexity calibration from the paper: A0 = c/n².
-  experiment.election.a0 = abe::linear_regime_a0(n, a0_scale);
-  experiment.seed = seed;
-  experiment.settle_time = 50.0;
-  experiment.trace = n <= 8;  // tiny rings: show the full transcript
-
   std::printf("ABE ring election: n=%zu, delay=%s (delta=1), A0=%g, "
               "runtime=%s\n",
-              n, delay.c_str(), experiment.election.a0,
-              abe::runtime_kind_name(runtime));
+              n, delay.c_str(), spec.a0, runtime_name.c_str());
 
-  // The harness entry point run_election() is exactly this, pinned to the
-  // simulator; spelling it out shows the runtime seam.
+  abe::ElectionOptions options;
+  options.a0 = spec.a0;
   abe::ElectionRunResult result;
-  const auto driver = abe::make_ring_election_driver(experiment, &result);
-  abe::run_algorithm_trial(runtime,
-                           abe::election_runtime_config(experiment),
-                           *driver);
+  const auto driver = abe::make_ring_election_driver(
+      options, spec.settle_time, /*adversarial=*/false, &result);
+  const abe::RuntimeConfig config = abe::scenario_runtime_config(
+      spec, abe::trial_plan(spec.topology, seed), seed);
+  abe::run_algorithm_trial(spec.runtime, config, *driver);
   if (!result.elected) {
     std::printf("no leader before the deadline — try a larger a0-scale\n");
     return 1;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <sstream>
 
+#include "stats/summary.h"
 #include "util/check.h"
 
 namespace abe {
@@ -39,8 +40,8 @@ namespace {
 
 class GossipDriver final : public AlgorithmDriver {
  public:
-  GossipDriver(const GossipExperiment& experiment, GossipResult* sink)
-      : source_(experiment.source), sink_(sink) {
+  GossipDriver(std::size_t source, GossipResult* sink)
+      : source_(source), sink_(sink) {
     ABE_CHECK(sink_ != nullptr);
   }
 
@@ -107,34 +108,9 @@ class GossipDriver final : public AlgorithmDriver {
 
 }  // namespace
 
-RuntimeConfig gossip_runtime_config(const GossipExperiment& experiment) {
-  RuntimeConfig config;
-  config.plan = make_plan(experiment.topology);
-  config.delay = experiment.delay
-                     ? experiment.delay
-                     : make_delay_model(experiment.delay_name,
-                                        experiment.mean_delay);
-  config.clock_bounds = experiment.clock_bounds;
-  config.drift = experiment.drift;
-  config.processing = experiment.processing;
-  config.loss_probability = experiment.loss_probability;
-  config.seed = experiment.seed;
-  config.equeue = experiment.equeue;
-  config.deadline = experiment.deadline;
-  return config;
-}
-
-std::unique_ptr<AlgorithmDriver> make_gossip_driver(
-    const GossipExperiment& experiment, GossipResult* sink) {
-  return std::make_unique<GossipDriver>(experiment, sink);
-}
-
-GossipResult run_gossip(const GossipExperiment& experiment) {
-  GossipResult result;
-  const auto driver = make_gossip_driver(experiment, &result);
-  run_algorithm_trial(RuntimeKind::kSim, gossip_runtime_config(experiment),
-                      *driver);
-  return result;
+std::unique_ptr<AlgorithmDriver> make_gossip_driver(std::size_t source,
+                                                    GossipResult* sink) {
+  return std::make_unique<GossipDriver>(source, sink);
 }
 
 }  // namespace abe

@@ -17,7 +17,6 @@
 #include "net/network.h"
 #include "net/node.h"
 #include "runtime/runtime.h"
-#include "stats/summary.h"
 
 namespace abe {
 
@@ -61,24 +60,6 @@ class GossipNode final : public Node {
   std::uint64_t pushes_ = 0;
 };
 
-struct GossipExperiment {
-  Topology topology;
-  std::size_t source = 0;
-  std::string delay_name = "exponential";
-  double mean_delay = 1.0;
-  DelayModelPtr delay;  // takes precedence over delay_name when set
-  ClockBounds clock_bounds{};
-  DriftModel drift = DriftModel::kNone;
-  ProcessingModel processing = ProcessingModel::zero();
-  // Per-attempt silent push drop (failure injection). Gossip keeps pushing
-  // every tick, so lost rumors delay — not prevent — dissemination.
-  double loss_probability = 0.0;
-  std::uint64_t seed = 1;
-  // Event-queue backend (pure perf knob; results are bit-identical).
-  EqueueBackend equeue = EqueueBackend::kAuto;
-  SimTime deadline = 1e6;
-};
-
 struct GossipResult {
   bool all_informed = false;
   SimTime spread_time = 0.0;      // until the last node learned the rumor
@@ -86,19 +67,13 @@ struct GossipResult {
   double mean_inform_time = 0.0;  // averaged over nodes
 };
 
-// Runs one gossip spread on the simulator. (Thin shim over the gossip
-// AlgorithmDriver below; seeded results are bit-identical to the
-// pre-Runtime runner.)
-GossipResult run_gossip(const GossipExperiment& experiment);
-
-// The experiment's environment as a runtime-agnostic RuntimeConfig (the
-// driver enables ticks — gossip pushes on the local clock).
-RuntimeConfig gossip_runtime_config(const GossipExperiment& experiment);
-
-// Push gossip as an AlgorithmDriver (runtime/runtime.h): done once every
-// node is informed (atomic counter fed by on_informed), full GossipResult
-// into `*sink`. One driver instance per trial.
-std::unique_ptr<AlgorithmDriver> make_gossip_driver(
-    const GossipExperiment& experiment, GossipResult* sink);
+// Push gossip from node `source` as an AlgorithmDriver (runtime/runtime.h):
+// configure() turns ticks on (informed nodes push on the local clock), done
+// once every node is informed (atomic counter fed by on_informed), full
+// GossipResult into `*sink`. Lost pushes delay dissemination but never
+// prevent it: informed nodes keep pushing every tick. One driver instance
+// per trial.
+std::unique_ptr<AlgorithmDriver> make_gossip_driver(std::size_t source,
+                                                    GossipResult* sink);
 
 }  // namespace abe

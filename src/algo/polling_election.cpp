@@ -1,10 +1,8 @@
 #include "algo/polling_election.h"
 
-#include <algorithm>
 #include <atomic>
 #include <sstream>
 
-#include "core/trial_pool.h"
 #include "util/check.h"
 
 namespace abe {
@@ -143,8 +141,7 @@ void PollingElectionNode::finish(Context& ctx, std::uint64_t winner) {
 namespace {
 
 // Leader observation shared between nodes and the run loop; atomics because
-// on the thread runtime on_leader fires concurrently from node threads. On
-// the simulator the values are identical to the old plain-integer watch.
+// on the thread runtime on_leader fires concurrently from node threads.
 struct PollingWatch {
   std::atomic<std::uint64_t> leader_count{0};
   std::atomic<std::uint64_t> last_leader{0};
@@ -152,10 +149,8 @@ struct PollingWatch {
 
 class PollingDriver final : public AlgorithmDriver {
  public:
-  PollingDriver(const PollingExperiment& experiment, PollingRunResult* sink)
-      : id_bits_(experiment.id_bits),
-        loss_probability_(experiment.loss_probability),
-        sink_(sink) {
+  PollingDriver(unsigned id_bits, PollingRunResult* sink)
+      : id_bits_(id_bits), sink_(sink) {
     ABE_CHECK(sink_ != nullptr);
   }
 
@@ -165,6 +160,7 @@ class PollingDriver final : public AlgorithmDriver {
     // built here on the plan's first trial.
     plan_ = config.plan;
     plan_->tree();
+    lossy_ = config.loss_probability > 0.0;
   }
 
   NodePtr make_node(std::size_t index) override {
@@ -266,8 +262,7 @@ class PollingDriver final : public AlgorithmDriver {
     }
 
     sink_->terminated = terminated;
-    sink_->safety_ok =
-        loss_probability_ == 0.0 ? safe && terminated : safe;
+    sink_->safety_ok = lossy_ ? safe : safe && terminated;
     sink_->safety_detail = detail.str();
 
     out.completed = true;
@@ -283,7 +278,7 @@ class PollingDriver final : public AlgorithmDriver {
 
  private:
   unsigned id_bits_;
-  double loss_probability_;
+  bool lossy_ = false;
   PollingRunResult* sink_;
   PollingWatch watch_;
   std::shared_ptr<const NetworkPlan> plan_;
@@ -291,73 +286,9 @@ class PollingDriver final : public AlgorithmDriver {
 
 }  // namespace
 
-RuntimeConfig polling_runtime_config(const PollingExperiment& experiment) {
-  RuntimeConfig config;
-  config.plan = make_plan(experiment.topology);
-  config.delay = experiment.delay
-                     ? experiment.delay
-                     : make_delay_model(experiment.delay_name,
-                                        experiment.mean_delay);
-  config.ordering = experiment.ordering;
-  config.clock_bounds = experiment.clock_bounds;
-  config.drift = experiment.drift;
-  config.processing = experiment.processing;
-  config.loss_probability = experiment.loss_probability;
-  config.seed = experiment.seed;
-  config.equeue = experiment.equeue;
-  config.deadline = experiment.deadline;
-  return config;
-}
-
-std::unique_ptr<AlgorithmDriver> make_polling_driver(
-    const PollingExperiment& experiment, PollingRunResult* sink) {
-  return std::make_unique<PollingDriver>(experiment, sink);
-}
-
-PollingRunResult run_polling_election(const PollingExperiment& experiment) {
-  PollingRunResult result;
-  const auto driver = make_polling_driver(experiment, &result);
-  run_algorithm_trial(RuntimeKind::kSim,
-                      polling_runtime_config(experiment), *driver);
-  return result;
-}
-
-void PollingAggregate::merge(const PollingAggregate& other) {
-  messages.merge(other.messages);
-  time.merge(other.time);
-  rounds.merge(other.rounds);
-  trials += other.trials;
-  failures += other.failures;
-  safety_violations += other.safety_violations;
-}
-
-PollingAggregate run_polling_trials(PollingExperiment experiment,
-                                    std::uint64_t trials,
-                                    std::uint64_t seed_base,
-                                    unsigned threads) {
-  return run_seed_chunked_trials<PollingAggregate>(
-      trials, seed_base, threads,
-      [&experiment](std::uint64_t seed_lo, std::uint64_t seed_hi,
-                    PollingAggregate& out) {
-        PollingExperiment e = experiment;
-        for (std::uint64_t s = seed_lo; s < seed_hi; ++s) {
-          e.seed = s;
-          const PollingRunResult run = run_polling_election(e);
-          ++out.trials;
-          // A run that elected but could not finish its broadcast (loss
-          // injection) is a failed trial, not a safety violation.
-          if (!run.elected || !run.terminated) {
-            ++out.failures;
-            continue;
-          }
-          if (!run.safety_ok) {
-            ++out.safety_violations;
-          }
-          out.messages.add(static_cast<double>(run.messages));
-          out.time.add(run.election_time);
-          out.rounds.add(static_cast<double>(run.rounds));
-        }
-      });
+std::unique_ptr<AlgorithmDriver> make_polling_driver(unsigned id_bits,
+                                                     PollingRunResult* sink) {
+  return std::make_unique<PollingDriver>(id_bits, sink);
 }
 
 }  // namespace abe

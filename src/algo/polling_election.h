@@ -42,7 +42,6 @@
 #include "net/node.h"
 #include "net/plan.h"
 #include "runtime/runtime.h"
-#include "stats/summary.h"
 
 namespace abe {
 
@@ -137,25 +136,6 @@ class PollingElectionNode final : public Node {
   std::size_t children_reported_ = 0;
 };
 
-struct PollingExperiment {
-  Topology topology;                    // bidirectional, strongly connected
-  std::string delay_name = "exponential";
-  double mean_delay = 1.0;
-  DelayModelPtr delay;                  // takes precedence when set
-  ChannelOrdering ordering = ChannelOrdering::kArbitrary;
-  ClockBounds clock_bounds{};
-  DriftModel drift = DriftModel::kNone;
-  ProcessingModel processing = ProcessingModel::zero();
-  double loss_probability = 0.0;        // failure injection
-  unsigned id_bits = 64;
-  std::uint64_t seed = 1;
-  // Event-queue backend (pure perf knob; results are bit-identical).
-  EqueueBackend equeue = EqueueBackend::kAuto;
-  SimTime deadline = 1e7;
-  // No settle knob: the protocol is purely message-driven, so after the
-  // election the runner simply drains the queue to quiescence.
-};
-
 struct PollingRunResult {
   bool elected = false;
   std::size_t leader_index = 0;
@@ -177,38 +157,14 @@ struct PollingRunResult {
   std::string safety_detail;
 };
 
-// Runs one polling election on the simulator. Safety postconditions mirror
-// core/harness.h: exactly one leader, everyone else passive, every node
-// woken (the theorem's polling requirement), no messages in flight.
-// (Thin shim over the polling AlgorithmDriver below; seeded results are
-// bit-identical to the pre-Runtime runner.)
-PollingRunResult run_polling_election(const PollingExperiment& experiment);
-
-// The experiment's environment as a runtime-agnostic RuntimeConfig.
-RuntimeConfig polling_runtime_config(const PollingExperiment& experiment);
-
-// The polling election as an AlgorithmDriver (runtime/runtime.h): tree
-// wiring read from config.plan in configure(), done once a leader
-// exists, post-completion drain to quiescence, full PollingRunResult into
-// `*sink`. One driver instance per trial.
-std::unique_ptr<AlgorithmDriver> make_polling_driver(
-    const PollingExperiment& experiment, PollingRunResult* sink);
-
-struct PollingAggregate {
-  Summary messages;
-  Summary time;
-  Summary rounds;
-  std::uint64_t trials = 0;
-  std::uint64_t failures = 0;
-  std::uint64_t safety_violations = 0;
-
-  void merge(const PollingAggregate& other);
-};
-
-// Seed-ordered, bit-identical parallel trials (see core/trial_pool.h).
-PollingAggregate run_polling_trials(PollingExperiment experiment,
-                                    std::uint64_t trials,
-                                    std::uint64_t seed_base = 1,
-                                    unsigned threads = 0);
+// The polling election as an AlgorithmDriver (runtime/runtime.h). Node ids
+// are drawn from [0, 2^id_bits). configure() reads the tree wiring from
+// config.plan, and whether channels are lossy from config.loss_probability.
+// Safety postconditions: exactly one leader, everyone else passive, every
+// node woken (the theorem's polling requirement), no messages in flight.
+// Done once a leader exists; then a drain to quiescence; the full
+// PollingRunResult goes into `*sink`. One driver instance per trial.
+std::unique_ptr<AlgorithmDriver> make_polling_driver(unsigned id_bits,
+                                                     PollingRunResult* sink);
 
 }  // namespace abe

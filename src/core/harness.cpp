@@ -1,12 +1,8 @@
 #include "core/harness.h"
 
-#include <algorithm>
 #include <atomic>
 #include <sstream>
 
-#include "core/abe.h"
-#include "core/trial_pool.h"
-#include "net/topology.h"
 #include "util/check.h"
 
 namespace abe {
@@ -16,8 +12,7 @@ namespace {
 // Watches state changes via the node counters; the run loop polls this
 // through the cheap leader_count below rather than scanning all nodes.
 // Atomics because on the thread runtime on_state_change fires concurrently
-// from node threads; on the simulator the values are identical to the old
-// plain-integer watch. leader_count never decrements, so it doubles as
+// from node threads. leader_count never decrements, so it doubles as
 // "leaders ever elected" (the max_leaders_ever safety figure). Lock-free by
 // design — a driver observer runs inside node event handlers, so a mutex
 // here would serialise the runtime; any future non-atomic observer state
@@ -40,12 +35,11 @@ struct LeaderWatch final : ElectionObserver {
 
 class RingElectionDriver final : public AlgorithmDriver {
  public:
-  RingElectionDriver(const ElectionExperiment& experiment,
-                     ElectionRunResult* sink)
-      : options_(experiment.election),
-        settle_time_(experiment.settle_time),
-        loss_probability_(experiment.loss_probability),
-        adversarial_(experiment.adversarial),
+  RingElectionDriver(const ElectionOptions& options, SimTime settle_time,
+                     bool adversarial, ElectionRunResult* sink)
+      : options_(options),
+        settle_time_(settle_time),
+        adversarial_(adversarial),
         sink_(sink) {
     ABE_CHECK(sink_ != nullptr);
     options_.observer = &watch_;
@@ -53,6 +47,7 @@ class RingElectionDriver final : public AlgorithmDriver {
 
   void configure(RuntimeConfig& config) override {
     config.enable_ticks = true;
+    lossy_ = config.loss_probability > 0.0;
   }
 
   NodePtr make_node(std::size_t /*index*/) override {
@@ -85,11 +80,11 @@ class RingElectionDriver final : public AlgorithmDriver {
       sink_->elected = false;
       sink_->safety_ok = false;
       sink_->safety_detail = "no leader before deadline";
-      // Distinguish the all-passive deadlock (noted in PR 3, possible under
-      // loss: every token died in a channel and every node was knocked out)
-      // from a run that was still working at the deadline. Quiescent + no
-      // idle node left means no future activation is possible — the trial
-      // STALLED rather than timed out. Simulator-only: thread runs freeze
+      // Distinguish the all-passive deadlock (possible under loss: every
+      // token died in a channel and every node was knocked out) from a run
+      // that was still working at the deadline. Quiescent + no idle node
+      // left means no future activation is possible — the trial STALLED
+      // rather than timed out. Simulator-only: thread runs freeze
       // mid-flight, so their in_flight snapshot cannot prove quiescence.
       if (rt.kind() == RuntimeKind::kSim) {
         const RunStats stats = rt.stats();
@@ -179,7 +174,7 @@ class RingElectionDriver final : public AlgorithmDriver {
     // lossless runs. Wall-clock runs freeze mid-flight by design, so the
     // check is simulator-only.
     if (!adversarial_ && rt.kind() == RuntimeKind::kSim &&
-        loss_probability_ == 0.0 && stats.in_flight() != 0) {
+        !lossy_ && stats.in_flight() != 0) {
       ok = false;
       detail << stats.in_flight() << " messages still in flight; ";
     }
@@ -202,88 +197,18 @@ class RingElectionDriver final : public AlgorithmDriver {
   LeaderWatch watch_;
   ElectionOptions options_;
   SimTime settle_time_;
-  double loss_probability_;
   bool adversarial_;
+  bool lossy_ = false;
   ElectionRunResult* sink_;
 };
 
 }  // namespace
 
-RuntimeConfig election_runtime_config(const ElectionExperiment& experiment) {
-  ABE_CHECK_GE(experiment.n, 1u);
-  RuntimeConfig config;
-  config.plan = make_plan(unidirectional_ring(experiment.n));
-  config.delay = experiment.delay
-                     ? experiment.delay
-                     : make_delay_model(experiment.delay_name,
-                                        experiment.mean_delay);
-  config.ordering = experiment.ordering;
-  config.clock_bounds = experiment.clock_bounds;
-  config.drift = experiment.drift;
-  config.processing = experiment.processing;
-  config.loss_probability = experiment.loss_probability;
-  config.seed = experiment.seed;
-  config.equeue = experiment.equeue;
-  config.deadline = experiment.deadline;
-  config.trace = experiment.trace;
-  return config;
-}
-
 std::unique_ptr<AlgorithmDriver> make_ring_election_driver(
-    const ElectionExperiment& experiment, ElectionRunResult* sink) {
-  return std::make_unique<RingElectionDriver>(experiment, sink);
-}
-
-ElectionRunResult run_election(const ElectionExperiment& experiment) {
-  ElectionRunResult result;
-  const auto driver = make_ring_election_driver(experiment, &result);
-  run_algorithm_trial(RuntimeKind::kSim,
-                      election_runtime_config(experiment), *driver);
-  return result;
-}
-
-void ElectionAggregate::merge(const ElectionAggregate& other) {
-  messages.merge(other.messages);
-  time.merge(other.time);
-  ticks.merge(other.ticks);
-  activations.merge(other.activations);
-  purges.merge(other.purges);
-  trials += other.trials;
-  failures += other.failures;
-  safety_violations += other.safety_violations;
-}
-
-ElectionAggregate run_election_trials(ElectionExperiment experiment,
-                                      std::uint64_t trials,
-                                      std::uint64_t seed_base,
-                                      unsigned threads) {
-  // Each runtime/scheduler lives entirely inside its trial, so chunk
-  // workers share nothing but the read-only experiment spec
-  // (DelayModel::sample is const and stateless — the rng lives in the
-  // network).
-  return run_seed_chunked_trials<ElectionAggregate>(
-      trials, seed_base, threads,
-      [&experiment](std::uint64_t seed_lo, std::uint64_t seed_hi,
-                    ElectionAggregate& out) {
-        ElectionExperiment e = experiment;
-        for (std::uint64_t s = seed_lo; s < seed_hi; ++s) {
-          e.seed = s;
-          const ElectionRunResult run = run_election(e);
-          ++out.trials;
-          if (!run.elected) {
-            ++out.failures;
-            continue;
-          }
-          if (!run.safety_ok) {
-            ++out.safety_violations;
-          }
-          out.messages.add(static_cast<double>(run.messages));
-          out.time.add(run.election_time);
-          out.ticks.add(static_cast<double>(run.ticks));
-          out.activations.add(static_cast<double>(run.activations));
-          out.purges.add(static_cast<double>(run.purges));
-        }
-      });
+    const ElectionOptions& options, SimTime settle_time, bool adversarial,
+    ElectionRunResult* sink) {
+  return std::make_unique<RingElectionDriver>(options, settle_time,
+                                              adversarial, sink);
 }
 
 }  // namespace abe

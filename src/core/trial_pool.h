@@ -1,5 +1,5 @@
 // Seed-chunked trial pool: the reproducible-parallelism engine behind every
-// Monte-Carlo harness in the repo (ring election, scenario sweeps).
+// Monte-Carlo aggregate in the repo (scenario sweeps, bench tables).
 //
 // Trials are identified by their seed. They are grouped into fixed-size
 // chunks of consecutive seeds, chunks are distributed over a thread pool,

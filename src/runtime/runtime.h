@@ -22,12 +22,12 @@
 //     substrate: a node factory, a done-predicate, and result extraction.
 //     run_algorithm_trial() executes a driver on any runtime.
 //
-// Determinism contract: on the simulator the driver lifecycle makes the
-// exact same Network calls the pre-Runtime per-algorithm runners made, so
-// seeded aggregates are bit-identical across the redesign. The wall-clock
-// runtimes are intentionally nondeterministic — parity there means
-// model-level postconditions (leader uniqueness, dissemination, message
-// counts in the same regime), never traces.
+// Determinism contract: on the simulator a trial is a pure function of its
+// RuntimeConfig (seed included), so seeded aggregates are bit-identical
+// run to run and across trial-pool widths. The wall-clock runtimes are
+// intentionally nondeterministic — parity there means model-level
+// postconditions (leader uniqueness, dissemination, message counts in the
+// same regime), never traces.
 #pragma once
 
 #include <cstdint>

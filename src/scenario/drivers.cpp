@@ -30,24 +30,19 @@ bool spec_is_adversarial(const ScenarioSpec& spec) {
 }
 
 ScenarioTrialDriver make_ring_binding(const ScenarioSpec& spec) {
-  ElectionExperiment e;
-  e.n = spec.topology.n;
-  e.election.a0 =
-      spec.a0 > 0.0 ? spec.a0 : linear_regime_a0(spec.topology.n);
-  e.loss_probability = spec.failure.channel_loss();
-  e.settle_time = spec.settle_time;
-  if (spec_is_adversarial(spec)) {
-    // Equivocated tokens legally violate the honest ring's hop/d
-    // invariants; drop them instead of aborting, and relax the honest-
-    // environment postconditions (core/harness.h) so the probe measures
-    // leader uniqueness, not decoration side effects.
-    e.election.tolerate_protocol_violation = true;
-    e.adversarial = true;
-  }
+  ElectionOptions options;
+  options.a0 = spec.a0 > 0.0 ? spec.a0 : linear_regime_a0(spec.topology.n);
+  const bool adversarial = spec_is_adversarial(spec);
+  // Equivocated tokens legally violate the honest ring's hop/d invariants;
+  // drop them instead of aborting, and relax the honest-environment
+  // postconditions (core/harness.h) so the probe measures leader
+  // uniqueness, not decoration side effects.
+  options.tolerate_protocol_violation = adversarial;
 
   auto sink = std::make_shared<ElectionRunResult>();
   ScenarioTrialDriver binding;
-  binding.driver = make_ring_election_driver(e, sink.get());
+  binding.driver = make_ring_election_driver(options, spec.settle_time,
+                                             adversarial, sink.get());
   // The ring driver's outcome already IS its scenario semantics (completed
   // == elected); the sink capture keeps the result the driver writes into
   // alive for the driver's lifetime.
@@ -111,15 +106,10 @@ class BehaviorDecoratedDriver final : public AlgorithmDriver {
   const SimTime deadline_;
 };
 
-// The polling and gossip drivers read their graph from the RuntimeConfig in
-// configure(), so their experiment structs carry no topology here.
-ScenarioTrialDriver make_polling_binding(const ScenarioSpec& spec) {
-  PollingExperiment e;
-  e.loss_probability = spec.failure.channel_loss();
-
+ScenarioTrialDriver make_polling_binding() {
   auto sink = std::make_shared<PollingRunResult>();
   ScenarioTrialDriver binding;
-  binding.driver = make_polling_driver(e, sink.get());
+  binding.driver = make_polling_driver(/*id_bits=*/64, sink.get());
   binding.project = [sink](const TrialOutcome& outcome) {
     TrialOutcome out = outcome;
     // Election alone is not completion: under loss a stranded RESULT
@@ -132,13 +122,10 @@ ScenarioTrialDriver make_polling_binding(const ScenarioSpec& spec) {
   return binding;
 }
 
-ScenarioTrialDriver make_gossip_binding(const ScenarioSpec& spec) {
-  GossipExperiment e;
-  e.loss_probability = spec.failure.channel_loss();
-
+ScenarioTrialDriver make_gossip_binding() {
   auto sink = std::make_shared<GossipResult>();
   ScenarioTrialDriver binding;
-  binding.driver = make_gossip_driver(e, sink.get());
+  binding.driver = make_gossip_driver(/*source=*/0, sink.get());
   // Gossip's driver outcome already IS its scenario semantics: completion
   // and safety are both total dissemination, time is the spread time.
   binding.project = [sink](const TrialOutcome& outcome) { return outcome; };
@@ -217,10 +204,10 @@ ScenarioTrialDriver make_scenario_driver(const ScenarioSpec& spec,
       binding = make_ring_binding(spec);
       break;
     case ScenarioAlgorithm::kPollingElection:
-      binding = make_polling_binding(spec);
+      binding = make_polling_binding();
       break;
     case ScenarioAlgorithm::kGossip:
-      binding = make_gossip_binding(spec);
+      binding = make_gossip_binding();
       break;
     case ScenarioAlgorithm::kBetaSync:
       binding = make_beta_sync_binding(topology);

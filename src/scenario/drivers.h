@@ -1,21 +1,25 @@
 // Scenario-level algorithm drivers: one registry from ScenarioAlgorithm to
 // the AlgorithmDriver (runtime/runtime.h) that executes a trial of it on
-// EITHER runtime — the simulator or the real-thread substrate.
+// any runtime — the simulator or a wall-clock substrate.
 //
-// Each registered binding contributes:
+// A ScenarioSpec describes a trial's environment and scenario_runtime_config
+// turns it into the RuntimeConfig every runtime and driver reads; there is
+// no second description of it. Each registered binding contributes:
 //   * the driver — node factory + done-predicate + settle/drain + result
-//     extraction, built from the spec and the trial's materialised
-//     topology (the driver factories live next to their algorithms:
-//     core/harness.h, algo/polling_election.h, algo/gossip.h,
-//     syncr/beta.h);
+//     extraction. The driver factories live next to their algorithms
+//     (core/harness.h, algo/polling_election.h, algo/gossip.h,
+//     syncr/beta.h), take only the algorithm's own parameters, and read the
+//     environment (graph, loss, …) from the RuntimeConfig in configure();
 //   * the projection — folds the algorithm-specific sink result into the
 //     uniform ScenarioTrialResult the sweep aggregates (what "completed"
 //     means is per-algorithm: a polling election that elected but could
 //     not finish its broadcast under loss is a failed trial, e.g.).
 //
-// run_scenario_trial is the only entry the sweep driver needs; it makes the
-// same simulator calls the pre-Runtime per-algorithm runners made, so
-// seeded simulator aggregates are bit-identical across the redesign.
+// run_scenario_trial is the only entry the sweep driver needs. A caller
+// that wants a driver's own result struct (activations, purges, rounds, …)
+// builds the config with scenario_runtime_config, adjusts what the spec
+// does not carry (ordering, an explicit delay model, trace), and calls
+// run_algorithm_trial with the driver directly.
 #pragma once
 
 #include <cstdint>

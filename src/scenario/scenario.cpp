@@ -595,8 +595,8 @@ std::vector<ScenarioSpec> build_registry() {
       ScenarioAlgorithm::kRingElection,
       TopologySpec{TopologyFamily::kRingUni, 16, 0.0}));
 
-  // Migrated from examples/sensor_network.cpp: lossy-radio MAC (geometric
-  // retransmission delay), drifting oscillators, slow CPUs.
+  // A sensor deployment: lossy-radio MAC (geometric retransmission delay),
+  // drifting oscillators, slow CPUs.
   {
     ScenarioSpec s = make_spec(
         "sensor-network",
@@ -612,8 +612,8 @@ std::vector<ScenarioSpec> build_registry() {
     reg.push_back(std::move(s));
   }
 
-  // Migrated from examples/adhoc_field.cpp: rumor spreading over a random
-  // sensor field with heavy-ish wireless retry delays.
+  // An ad-hoc field: rumor spreading over a random sensor field with
+  // heavy-ish wireless retry delays.
   {
     ScenarioSpec s = make_spec(
         "adhoc-field",

@@ -5,12 +5,16 @@
 // × failure-injection profile × algorithm — as plain data. Cells come from
 // three places:
 //   * the built-in registry (scenario_registry()): named, documented
-//     deployments, including the migrated adhoc_field / sensor_network
-//     examples, each runnable as a tier-1 test cell so it can never rot;
+//     deployments (the sensor-network and adhoc-field deployments among
+//     them), each runnable as a tier-1 test cell so it can never rot;
 //   * a ScenarioMatrix (sweep_registry()): axes that expand() multiplies
 //     into the compatible subset of cells — the sweep driver in sweep.h
 //     runs them with seed-ordered, bit-identical aggregation;
 //   * ad-hoc construction in tests and benches.
+//
+// A spec is the only description of a trial's environment:
+// scenario_runtime_config (scenario/drivers.h) turns it into the
+// RuntimeConfig that runtimes and algorithm drivers read.
 //
 // Algorithms: the paper's probabilistic ring election (core/election),
 // the polling general-graph election the impossibility theorem forces

@@ -1,7 +1,7 @@
 // Sweep driver: runs ScenarioSpec cells through the seed-chunked trial pool
 // and renders the outcomes as tables and structured JSON.
 //
-// Reproducibility contract (same as core/harness.h): trials are seeded
+// Reproducibility contract (core/trial_pool.h): trials are seeded
 // seed_base, seed_base+1, …; aggregation is chunked over fixed seed ranges
 // and merged in seed order, so every aggregate — and therefore every number
 // in the emitted JSON — is bit-identical for every thread count. Random
@@ -14,11 +14,9 @@
 // compiler, build type, thread count, the event-queue backend, plus the
 // execution runtime — so sweep results are attributable to a commit,
 // toolchain, scheduler and substrate; bench/validate_scenarios.py checks
-// the structure (v2..v6 documents, which predate the runtime axis, the
-// adversary axes, the observability block, the causal block, and the udp
-// substrate respectively, are still accepted there). v4 added the
-// safety-probe fields: per-cell stalled counts, behavior/adversary axis
-// values, and the replayable seeds behind any safety violations. v5 added
+// the structure and accepts v7 only. v4 added the safety-probe fields:
+// per-cell stalled counts, behavior/adversary axis values, and the
+// replayable seeds behind any safety violations. v5 added
 // the observability block: a per-cell "metrics" array (the merged
 // MetricsSnapshot, deterministic on simulator cells) and a "wall" object
 // (summed wall-clock phase times, never deterministic). v6 added the

@@ -226,43 +226,10 @@ class BetaSyncDriver final : public AlgorithmDriver {
 
 }  // namespace
 
-RuntimeConfig beta_runtime_config(const Topology& topology,
-                                  const DelayModelPtr& delay,
-                                  std::uint64_t seed, SimTime deadline,
-                                  const BetaEnvironment& environment) {
-  RuntimeConfig config;
-  config.plan = make_plan(topology);
-  config.delay = delay;
-  config.ordering = ChannelOrdering::kArbitrary;
-  config.clock_bounds = environment.clock_bounds;
-  config.drift = environment.drift;
-  config.processing = environment.processing;
-  config.loss_probability = environment.loss_probability;
-  config.seed = seed;
-  config.equeue = environment.equeue;
-  config.deadline = deadline;
-  return config;
-}
-
 std::unique_ptr<AlgorithmDriver> make_beta_sync_driver(
     const SyncAppFactory& factory, std::uint64_t rounds,
     BetaRunResult* sink) {
   return std::make_unique<BetaSyncDriver>(factory, rounds, sink);
-}
-
-BetaRunResult run_beta_synchronizer(const Topology& topology,
-                                    const SyncAppFactory& factory,
-                                    std::uint64_t rounds,
-                                    const DelayModelPtr& delay,
-                                    std::uint64_t seed, SimTime deadline,
-                                    const BetaEnvironment& environment) {
-  BetaRunResult result;
-  const auto driver = make_beta_sync_driver(factory, rounds, &result);
-  run_algorithm_trial(
-      RuntimeKind::kSim,
-      beta_runtime_config(topology, delay, seed, deadline, environment),
-      *driver);
-  return result;
 }
 
 }  // namespace abe

@@ -109,37 +109,6 @@ struct BetaRunResult {
   bool completed = false;
 };
 
-// Environment knobs beyond the delay model, so scenario sweeps can run the
-// synchronizer under the full ABE matrix (drift bands, processing time,
-// failure injection). β is message-driven, so drift only matters through
-// processing-time scaling; loss stalls the ack/convergecast machinery —
-// the run then fails by deadline, which is the measurement.
-struct BetaEnvironment {
-  ClockBounds clock_bounds{};
-  DriftModel drift = DriftModel::kNone;
-  ProcessingModel processing = ProcessingModel::zero();
-  double loss_probability = 0.0;
-  // Event-queue backend (pure perf knob; results are bit-identical).
-  EqueueBackend equeue = EqueueBackend::kAuto;
-};
-
-// Runs the app under the β-synchronizer (tree rooted at node 0). (Thin
-// shim over the β AlgorithmDriver below; seeded results are bit-identical
-// to the pre-Runtime runner.)
-BetaRunResult run_beta_synchronizer(const Topology& topology,
-                                    const SyncAppFactory& factory,
-                                    std::uint64_t rounds,
-                                    const DelayModelPtr& delay,
-                                    std::uint64_t seed = 1,
-                                    SimTime deadline = 1e9,
-                                    const BetaEnvironment& environment = {});
-
-// The β environment as a runtime-agnostic RuntimeConfig.
-RuntimeConfig beta_runtime_config(const Topology& topology,
-                                  const DelayModelPtr& delay,
-                                  std::uint64_t seed, SimTime deadline,
-                                  const BetaEnvironment& environment);
-
 // The β-synchronized app as an AlgorithmDriver (runtime/runtime.h): tree
 // wiring read from config.plan in configure(), done once every node
 // finished its `rounds` rounds (terminated flags — race-free on both

@@ -6,21 +6,32 @@
 #include "core/harness.h"
 #include "net/network.h"
 #include "net/topology.h"
+#include "scenario/drivers.h"
+#include "scenario/sweep.h"
 
 namespace abe {
 namespace {
 
-ElectionExperiment base_experiment(std::size_t n, std::uint64_t seed) {
-  ElectionExperiment e;
-  e.n = n;
-  e.seed = seed;
-  e.election.a0 = 0.3;
-  e.settle_time = 50.0;
-  return e;
+// One election at A0 = 0.3 on the n-node unidirectional ring with the
+// default scenario environment (exponential delays of mean 1).
+ElectionRunResult elect(std::size_t n, std::uint64_t seed,
+                        SimTime settle_time = 50.0, bool trace = false) {
+  ScenarioSpec spec;
+  spec.topology = TopologySpec{TopologyFamily::kRingUni, n, 0.0};
+  RuntimeConfig config =
+      scenario_runtime_config(spec, trial_plan(spec.topology, seed), seed);
+  config.trace = trace;
+  ElectionOptions options;
+  options.a0 = 0.3;
+  ElectionRunResult result;
+  const auto driver = make_ring_election_driver(options, settle_time,
+                                                /*adversarial=*/false, &result);
+  run_algorithm_trial(RuntimeKind::kSim, std::move(config), *driver);
+  return result;
 }
 
 TEST(Election, SingleNodeElectsItself) {
-  const auto result = run_election(base_experiment(1, 1));
+  const auto result = elect(1, 1);
   EXPECT_TRUE(result.elected);
   EXPECT_TRUE(result.safety_ok) << result.safety_detail;
   EXPECT_EQ(result.leader_index, 0u);
@@ -29,7 +40,7 @@ TEST(Election, SingleNodeElectsItself) {
 
 TEST(Election, TwoNodesElectExactlyOne) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    const auto result = run_election(base_experiment(2, seed));
+    const auto result = elect(2, seed);
     ASSERT_TRUE(result.elected) << "seed " << seed;
     ASSERT_TRUE(result.safety_ok) << "seed " << seed << ": "
                                   << result.safety_detail;
@@ -37,7 +48,7 @@ TEST(Election, TwoNodesElectExactlyOne) {
 }
 
 TEST(Election, MediumRingBasics) {
-  const auto result = run_election(base_experiment(16, 7));
+  const auto result = elect(16, 7);
   ASSERT_TRUE(result.elected);
   EXPECT_TRUE(result.safety_ok) << result.safety_detail;
   EXPECT_LT(result.leader_index, 16u);
@@ -49,9 +60,7 @@ TEST(Election, MediumRingBasics) {
 }
 
 TEST(Election, NoSecondLeaderDuringLongSettle) {
-  auto experiment = base_experiment(12, 3);
-  experiment.settle_time = 2000.0;
-  const auto result = run_election(experiment);
+  const auto result = elect(12, 3, /*settle_time=*/2000.0);
   ASSERT_TRUE(result.elected);
   EXPECT_TRUE(result.safety_ok) << result.safety_detail;
   EXPECT_EQ(result.max_leaders_ever, 1u);
@@ -61,7 +70,7 @@ TEST(Election, NoSecondLeaderDuringLongSettle) {
 }
 
 TEST(Election, PurgeCountMatchesFailedActivations) {
-  const auto result = run_election(base_experiment(24, 11));
+  const auto result = elect(24, 11);
   ASSERT_TRUE(result.elected);
   // Every activation sends one message; every message either knocks out its
   // originator's competitor chain or elects. Message conservation:
@@ -71,9 +80,7 @@ TEST(Election, PurgeCountMatchesFailedActivations) {
 }
 
 TEST(Election, TraceShowsKnockoutPattern) {
-  auto experiment = base_experiment(4, 5);
-  experiment.trace = true;
-  const auto result = run_election(experiment);
+  const auto result = elect(4, 5, 50.0, /*trace=*/true);
   ASSERT_TRUE(result.elected);
 }
 
@@ -117,9 +124,7 @@ TEST(Election, IdleReceiverBecomesPassiveAndForwardsDPlusOne) {
 }
 
 TEST(Election, HopNeverExceedsRingSize) {
-  auto experiment = base_experiment(8, 17);
-  experiment.trace = true;
-  const auto result = run_election(experiment);
+  const auto result = elect(8, 17, 50.0, /*trace=*/true);
   ASSERT_TRUE(result.elected);
   // ABE_CHECK inside ElectionNode::on_message would have aborted otherwise;
   // reaching here with safety_ok is the assertion.
@@ -164,8 +169,8 @@ TEST(Election, InvalidA0Rejected) {
 }
 
 TEST(Election, DeterministicGivenSeed) {
-  const auto a = run_election(base_experiment(16, 123));
-  const auto b = run_election(base_experiment(16, 123));
+  const auto a = elect(16, 123);
+  const auto b = elect(16, 123);
   ASSERT_TRUE(a.elected);
   EXPECT_EQ(a.leader_index, b.leader_index);
   EXPECT_EQ(a.messages, b.messages);
@@ -175,9 +180,9 @@ TEST(Election, DeterministicGivenSeed) {
 
 TEST(Election, DifferentSeedsDifferentOutcomes) {
   int distinct_leaders = 0;
-  std::size_t first = run_election(base_experiment(16, 1)).leader_index;
+  std::size_t first = elect(16, 1).leader_index;
   for (std::uint64_t seed = 2; seed <= 10; ++seed) {
-    if (run_election(base_experiment(16, seed)).leader_index != first) {
+    if (elect(16, seed).leader_index != first) {
       ++distinct_leaders;
     }
   }
@@ -185,8 +190,11 @@ TEST(Election, DifferentSeedsDifferentOutcomes) {
 }
 
 TEST(Election, TrialsAggregateIsConsistent) {
-  auto experiment = base_experiment(8, 0);
-  const auto agg = run_election_trials(experiment, 20, 100);
+  ScenarioSpec spec;
+  spec.topology = TopologySpec{TopologyFamily::kRingUni, 8, 0.0};
+  spec.a0 = 0.3;
+  spec.settle_time = 50.0;
+  const ScenarioAggregate agg = run_scenario_trials(spec, 20, 100);
   EXPECT_EQ(agg.trials, 20u);
   EXPECT_EQ(agg.failures, 0u);
   EXPECT_EQ(agg.safety_violations, 0u);

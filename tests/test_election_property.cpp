@@ -9,10 +9,28 @@
 #include <vector>
 
 #include "core/harness.h"
+#include "scenario/drivers.h"
+#include "scenario/sweep.h"
 #include "stats/regression.h"
 
 namespace abe {
 namespace {
+
+// One election with `options` on the n-node unidirectional ring, in the
+// environment `spec` describes (its topology size is replaced by n).
+ElectionRunResult elect(std::size_t n, ScenarioSpec spec,
+                        const ElectionOptions& options, std::uint64_t seed,
+                        ChannelOrdering order = ChannelOrdering::kArbitrary) {
+  spec.topology = TopologySpec{TopologyFamily::kRingUni, n, 0.0};
+  RuntimeConfig config =
+      scenario_runtime_config(spec, trial_plan(spec.topology, seed), seed);
+  config.ordering = order;
+  ElectionRunResult result;
+  const auto driver = make_ring_election_driver(options, spec.settle_time,
+                                                /*adversarial=*/false, &result);
+  run_algorithm_trial(RuntimeKind::kSim, std::move(config), *driver);
+  return result;
+}
 
 // ---------------------------------------------------------------------
 // Sweep 1: n × delay model × ordering.
@@ -40,19 +58,18 @@ TEST_P(ElectionModelSweep, ElectsExactlyOneLeaderSafely) {
   if (delay_name != "fixed" || n <= 16) a0s.push_back(0.3);
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     for (const double a0 : a0s) {
-      ElectionExperiment e;
-      e.n = n;
-      e.delay_name = delay_name;
-      e.ordering = ordering;
-      e.seed = seed * 7919;
-      e.election.a0 = a0;
-      e.settle_time = 20.0;
-      const auto result = run_election(e);
+      ScenarioSpec spec;
+      spec.delay_name = delay_name;
+      spec.settle_time = 20.0;
+      ElectionOptions options;
+      options.a0 = a0;
+      const std::uint64_t trial_seed = seed * 7919;
+      const auto result = elect(n, spec, options, trial_seed, ordering);
       ASSERT_TRUE(result.elected) << "n=" << n << " delay=" << delay_name
-                                  << " a0=" << a0 << " seed=" << e.seed;
+                                  << " a0=" << a0 << " seed=" << trial_seed;
       ASSERT_TRUE(result.safety_ok)
           << "n=" << n << " delay=" << delay_name << " a0=" << a0
-          << " seed=" << e.seed << ": " << result.safety_detail;
+          << " seed=" << trial_seed << ": " << result.safety_detail;
       ASSERT_EQ(result.max_leaders_ever, 1u);
     }
   }
@@ -79,12 +96,11 @@ class ElectionA0Sweep : public ::testing::TestWithParam<double> {};
 TEST_P(ElectionA0Sweep, CorrectForAllA0) {
   const double a0 = GetParam();
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    ElectionExperiment e;
-    e.n = 12;
-    e.election.a0 = a0;
-    e.seed = seed;
-    e.settle_time = 20.0;
-    const auto result = run_election(e);
+    ScenarioSpec spec;
+    spec.settle_time = 20.0;
+    ElectionOptions options;
+    options.a0 = a0;
+    const auto result = elect(12, spec, options, seed);
     ASSERT_TRUE(result.elected) << "a0=" << a0;
     ASSERT_TRUE(result.safety_ok) << "a0=" << a0 << ": "
                                   << result.safety_detail;
@@ -103,13 +119,12 @@ class ElectionPolicySweep
 
 TEST_P(ElectionPolicySweep, VariantsRemainSafe) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    ElectionExperiment e;
-    e.n = 10;
-    e.election.policy = GetParam();
-    e.election.a0 = 0.2;
-    e.seed = seed * 13;
-    e.settle_time = 20.0;
-    const auto result = run_election(e);
+    ScenarioSpec spec;
+    spec.settle_time = 20.0;
+    ElectionOptions options;
+    options.policy = GetParam();
+    options.a0 = 0.2;
+    const auto result = elect(10, spec, options, seed * 13);
     ASSERT_TRUE(result.elected);
     ASSERT_TRUE(result.safety_ok) << result.safety_detail;
   }
@@ -143,14 +158,12 @@ class ElectionHarshEnvironment : public ::testing::TestWithParam<HarshCase> {
 TEST_P(ElectionHarshEnvironment, SurvivesEnvironment) {
   const HarshCase& c = GetParam();
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    ElectionExperiment e;
-    e.n = 9;
-    e.clock_bounds = c.clocks;
-    e.drift = c.drift;
-    e.processing = c.processing;
-    e.seed = seed * 101;
-    e.settle_time = 30.0;
-    const auto result = run_election(e);
+    ScenarioSpec spec;
+    spec.clock_bounds = c.clocks;
+    spec.drift = c.drift;
+    spec.processing = c.processing;
+    spec.settle_time = 30.0;
+    const auto result = elect(9, spec, ElectionOptions{}, seed * 101);
     ASSERT_TRUE(result.elected) << c.name;
     ASSERT_TRUE(result.safety_ok) << c.name << ": " << result.safety_detail;
   }
@@ -174,10 +187,11 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------
 // Liveness statistics: failures must be zero across a broad seed range.
 TEST(ElectionProperty, NoDeadlineMissesOverManySeeds) {
-  ElectionExperiment e;
-  e.n = 16;
-  e.election.a0 = 0.3;
-  const auto agg = run_election_trials(e, 50, 1000);
+  ScenarioSpec spec;
+  spec.topology = TopologySpec{TopologyFamily::kRingUni, 16, 0.0};
+  spec.a0 = 0.3;
+  spec.settle_time = 0.0;
+  const ScenarioAggregate agg = run_scenario_trials(spec, 50, 1000);
   EXPECT_EQ(agg.failures, 0u);
   EXPECT_EQ(agg.safety_violations, 0u);
 }
@@ -189,10 +203,11 @@ TEST(ElectionProperty, NoDeadlineMissesOverManySeeds) {
 TEST(ElectionProperty, MessageAndTimeGrowthNearLinear) {
   std::vector<double> xs, msgs, times;
   for (std::size_t n : {8, 16, 32, 64, 128}) {
-    ElectionExperiment e;
-    e.n = n;
-    e.election.a0 = linear_regime_a0(n);
-    const auto agg = run_election_trials(e, 20, 77);
+    ScenarioSpec spec;
+    spec.topology = TopologySpec{TopologyFamily::kRingUni, n, 0.0};
+    spec.a0 = linear_regime_a0(n);
+    spec.settle_time = 0.0;
+    const ScenarioAggregate agg = run_scenario_trials(spec, 20, 77);
     ASSERT_EQ(agg.failures, 0u);
     xs.push_back(static_cast<double>(n));
     msgs.push_back(agg.messages.mean());
@@ -212,10 +227,11 @@ TEST(ElectionProperty, MessageAndTimeGrowthNearLinear) {
 TEST(ElectionProperty, HotA0DegradesSuperLinearly) {
   std::vector<double> xs, msgs;
   for (std::size_t n : {8, 16, 32, 64}) {
-    ElectionExperiment e;
-    e.n = n;
-    e.election.a0 = 0.3;
-    const auto agg = run_election_trials(e, 8, 77);
+    ScenarioSpec spec;
+    spec.topology = TopologySpec{TopologyFamily::kRingUni, n, 0.0};
+    spec.a0 = 0.3;
+    spec.settle_time = 0.0;
+    const ScenarioAggregate agg = run_scenario_trials(spec, 8, 77);
     ASSERT_EQ(agg.failures, 0u);
     xs.push_back(static_cast<double>(n));
     msgs.push_back(agg.messages.mean());
@@ -227,10 +243,9 @@ TEST(ElectionProperty, HotA0DegradesSuperLinearly) {
 // the full ring.
 TEST(ElectionProperty, MessagesAtLeastN) {
   for (std::size_t n : {2, 5, 11, 31}) {
-    ElectionExperiment e;
-    e.n = n;
-    e.seed = 5;
-    const auto result = run_election(e);
+    ScenarioSpec spec;
+    spec.settle_time = 0.0;
+    const auto result = elect(n, spec, ElectionOptions{}, 5);
     ASSERT_TRUE(result.elected);
     EXPECT_GE(result.messages, n) << "n=" << n;
   }
@@ -240,11 +255,9 @@ TEST(ElectionProperty, MessagesAtLeastN) {
 // dies in exactly one purge.
 TEST(ElectionProperty, ActivationPurgeConservation) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    ElectionExperiment e;
-    e.n = 20;
-    e.seed = seed;
-    e.settle_time = 50.0;
-    const auto result = run_election(e);
+    ScenarioSpec spec;
+    spec.settle_time = 50.0;
+    const auto result = elect(20, spec, ElectionOptions{}, seed);
     ASSERT_TRUE(result.elected);
     ASSERT_TRUE(result.safety_ok) << result.safety_detail;
     EXPECT_EQ(result.activations, result.purges) << "seed=" << seed;

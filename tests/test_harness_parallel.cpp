@@ -1,4 +1,4 @@
-// Parallel trial harness: run_election_trials over a thread pool must be a
+// Parallel trial harness: run_scenario_trials over a thread pool must be a
 // pure speedup — the aggregate it returns is required to be BIT-identical to
 // the serial run for every thread count (fixed-chunk aggregation merged in
 // seed order), so experiments never trade reproducibility for throughput.
@@ -6,67 +6,63 @@
 
 #include <gtest/gtest.h>
 
-#include "core/harness.h"
 #include "scenario/scenario.h"
 #include "scenario/sweep.h"
 
 namespace abe {
 namespace {
 
-ElectionExperiment small_experiment() {
-  ElectionExperiment e;
-  e.n = 8;
-  e.election.a0 = 0.3;
-  e.settle_time = 5.0;
-  return e;
+// The ring election on an 8-node ring at a hot A0.
+ScenarioSpec small_ring() {
+  ScenarioSpec spec;
+  spec.topology = TopologySpec{TopologyFamily::kRingUni, 8, 0.0};
+  spec.a0 = 0.3;
+  spec.settle_time = 5.0;
+  return spec;
 }
 
-void expect_identical(const ElectionAggregate& a, const ElectionAggregate& b) {
+void expect_identical(const ScenarioAggregate& a, const ScenarioAggregate& b) {
   EXPECT_EQ(a.trials, b.trials);
   EXPECT_EQ(a.failures, b.failures);
+  EXPECT_EQ(a.stalled, b.stalled);
   EXPECT_EQ(a.safety_violations, b.safety_violations);
   EXPECT_TRUE(a.messages == b.messages);
   EXPECT_TRUE(a.time == b.time);
-  EXPECT_TRUE(a.ticks == b.ticks);
-  EXPECT_TRUE(a.activations == b.activations);
-  EXPECT_TRUE(a.purges == b.purges);
+  EXPECT_TRUE(a.metrics == b.metrics);
 }
 
 TEST(HarnessParallel, AggregatesBitIdenticalToSerialForEveryThreadCount) {
   // 29 trials: three full chunks of 8 plus a remainder of 5, so the test
   // covers uneven chunking too.
-  const auto serial = run_election_trials(small_experiment(), 29, 500, 1);
+  const auto serial = run_scenario_trials(small_ring(), 29, 500, 1);
   EXPECT_EQ(serial.trials, 29u);
   for (unsigned threads : {2u, 3u, 4u, 8u}) {
-    const auto parallel =
-        run_election_trials(small_experiment(), 29, 500, threads);
+    const auto parallel = run_scenario_trials(small_ring(), 29, 500, threads);
     expect_identical(serial, parallel);
   }
 }
 
 TEST(HarnessParallel, RepeatRunsAreDeterministic) {
-  const auto a = run_election_trials(small_experiment(), 16, 700, 4);
-  const auto b = run_election_trials(small_experiment(), 16, 700, 4);
+  const auto a = run_scenario_trials(small_ring(), 16, 700, 4);
+  const auto b = run_scenario_trials(small_ring(), 16, 700, 4);
   expect_identical(a, b);
 }
 
 TEST(HarnessParallel, SingleTrialAndMoreThreadsThanChunks) {
-  const auto one = run_election_trials(small_experiment(), 1, 123, 16);
+  const auto one = run_scenario_trials(small_ring(), 1, 123, 16);
   EXPECT_EQ(one.trials, 1u);
   EXPECT_EQ(one.messages.count() + one.failures, 1u);
-  expect_identical(one, run_election_trials(small_experiment(), 1, 123, 1));
+  expect_identical(one, run_scenario_trials(small_ring(), 1, 123, 1));
 }
 
 // The aggregate must cover exactly the seeds seed_base … seed_base+trials-1:
 // cross-check against manual per-seed runs.
 TEST(HarnessParallel, CoversExactlyTheSeedRange) {
-  const auto agg = run_election_trials(small_experiment(), 10, 300, 4);
+  const auto agg = run_scenario_trials(small_ring(), 10, 300, 4);
   Summary manual;
-  ElectionExperiment e = small_experiment();
   for (std::uint64_t s = 300; s < 310; ++s) {
-    e.seed = s;
-    const auto run = run_election(e);
-    ASSERT_TRUE(run.elected);
+    const ScenarioTrialResult run = run_scenario_trial(small_ring(), s);
+    ASSERT_TRUE(run.completed);
     manual.add(static_cast<double>(run.messages));
   }
   ASSERT_EQ(agg.messages.count(), manual.count());
@@ -80,12 +76,12 @@ TEST(HarnessParallel, CoversExactlyTheSeedRange) {
 
 TEST(HarnessParallel, EnvironmentKnobSelectsThreadsWithoutChangingResults) {
   ASSERT_EQ(setenv("ABE_TRIAL_THREADS", "3", 1), 0);
-  const auto via_env = run_election_trials(small_experiment(), 13, 900, 0);
+  const auto via_env = run_scenario_trials(small_ring(), 13, 900, 0);
   ASSERT_EQ(setenv("ABE_TRIAL_THREADS", "all", 1), 0);
-  const auto via_all = run_election_trials(small_experiment(), 13, 900, 0);
+  const auto via_all = run_scenario_trials(small_ring(), 13, 900, 0);
   ASSERT_EQ(unsetenv("ABE_TRIAL_THREADS"), 0);
   // Without the knob the default is serial (parallelism is opt-in).
-  const auto serial = run_election_trials(small_experiment(), 13, 900, 0);
+  const auto serial = run_scenario_trials(small_ring(), 13, 900, 0);
   expect_identical(via_env, serial);
   expect_identical(via_all, serial);
 }
@@ -113,12 +109,12 @@ TEST(HarnessParallel, ScenarioCellBitIdenticalForEveryThreadCount) {
 }
 
 TEST(HarnessParallel, MergeCombinesCountersAndSummaries) {
-  ElectionAggregate a;
+  ScenarioAggregate a;
   a.trials = 3;
   a.failures = 1;
   a.messages.add(10.0);
   a.messages.add(20.0);
-  ElectionAggregate b;
+  ScenarioAggregate b;
   b.trials = 2;
   b.safety_violations = 1;
   b.messages.add(30.0);

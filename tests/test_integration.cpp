@@ -8,6 +8,8 @@
 #include "net/arq.h"
 #include "net/network.h"
 #include "net/topology.h"
+#include "scenario/drivers.h"
+#include "scenario/sweep.h"
 #include "stats/histogram.h"
 
 namespace abe {
@@ -18,16 +20,21 @@ namespace {
 // Definition 1 allows at once. The election must still work.
 TEST(Integration, SensorNetworkScenarioElects) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    ElectionExperiment e;
-    e.n = 24;
-    e.delay = geometric_retransmission_delay(0.6, 0.5);  // mean 0.833
-    e.clock_bounds = {0.8, 1.25};
-    e.drift = DriftModel::kPiecewiseRandom;
-    e.processing = ProcessingModel::exponential(0.05);
-    e.election.a0 = 0.25;
-    e.seed = seed * 31;
-    e.settle_time = 30.0;
-    const auto result = run_election(e);
+    ScenarioSpec spec;
+    spec.topology = TopologySpec{TopologyFamily::kRingUni, 24, 0.0};
+    spec.clock_bounds = {0.8, 1.25};
+    spec.drift = DriftModel::kPiecewiseRandom;
+    spec.processing = ProcessingModel::exponential(0.05);
+    const std::uint64_t trial_seed = seed * 31;
+    RuntimeConfig config = scenario_runtime_config(
+        spec, trial_plan(spec.topology, trial_seed), trial_seed);
+    config.delay = geometric_retransmission_delay(0.6, 0.5);  // mean 0.833
+    ElectionOptions options;
+    options.a0 = 0.25;
+    ElectionRunResult result;
+    const auto driver = make_ring_election_driver(
+        options, /*settle_time=*/30.0, /*adversarial=*/false, &result);
+    run_algorithm_trial(RuntimeKind::kSim, std::move(config), *driver);
     ASSERT_TRUE(result.elected) << "seed=" << seed;
     ASSERT_TRUE(result.safety_ok) << result.safety_detail;
   }
@@ -52,13 +59,13 @@ TEST(Integration, AbeParamsDescribeDeployment) {
 // The empirical mean channel delay of a long election run converges to the
 // model's advertised mean — the network really is ABE with that δ.
 TEST(Integration, MeasuredMeanDelayMatchesDelta) {
-  ElectionExperiment e;
-  e.n = 64;
-  e.delay_name = "exponential";
-  e.mean_delay = 2.0;
-  e.seed = 5;
+  ScenarioSpec spec;
+  spec.topology = TopologySpec{TopologyFamily::kRingUni, 64, 0.0};
+  spec.mean_delay = 2.0;
+  spec.a0 = 0.3;
+  spec.settle_time = 0.0;
   // Use the trials harness to accumulate enough deliveries.
-  const auto agg = run_election_trials(e, 5, 50);
+  const ScenarioAggregate agg = run_scenario_trials(spec, 5, 50);
   EXPECT_EQ(agg.failures, 0u);
 
   // Re-run one instance and inspect the metrics directly.
@@ -130,11 +137,12 @@ TEST(Integration, MessageComplexityStableAcrossDelayLaws) {
   double means[2];
   int idx = 0;
   for (const char* name : {"fixed", "lomax"}) {
-    ElectionExperiment e;
-    e.n = 32;
-    e.delay_name = name;
-    e.election.a0 = linear_regime_a0(e.n);
-    const auto agg = run_election_trials(e, 15, 400);
+    ScenarioSpec spec;
+    spec.topology = TopologySpec{TopologyFamily::kRingUni, 32, 0.0};
+    spec.delay_name = name;
+    spec.a0 = linear_regime_a0(32);
+    spec.settle_time = 0.0;
+    const ScenarioAggregate agg = run_scenario_trials(spec, 15, 400);
     ASSERT_EQ(agg.failures, 0u);
     means[idx++] = agg.messages.mean();
   }

@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/harness.h"
 #include "runtime/mailbox.h"
 #include "runtime/runtime.h"
 #include "runtime/wall_net.h"
@@ -184,15 +183,14 @@ TEST(ThreadNet, DriftBandParityWithSimulatorOnSmallRing) {
   constexpr double kA0 = 0.4;
   const ClockBounds band{0.8, 1.25};
 
-  ElectionExperiment sim;
-  sim.n = kN;
-  sim.election.a0 = kA0;
-  sim.clock_bounds = band;
-  sim.drift = DriftModel::kFixedRandomRate;
-  sim.seed = 11;
-  sim.settle_time = 5.0;
-  const ElectionRunResult sim_result = run_election(sim);
-  ASSERT_TRUE(sim_result.elected);
+  ScenarioSpec sim_spec;
+  sim_spec.topology = TopologySpec{TopologyFamily::kRingUni, kN, 0.0};
+  sim_spec.a0 = kA0;
+  sim_spec.clock_bounds = band;
+  sim_spec.drift = DriftModel::kFixedRandomRate;
+  sim_spec.settle_time = 5.0;
+  const TrialOutcome sim_result = run_scenario_trial(sim_spec, /*seed=*/11);
+  ASSERT_TRUE(sim_result.completed);
   EXPECT_TRUE(sim_result.safety_ok) << sim_result.safety_detail;
 
   ScenarioSpec thread_spec =

@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <iterator>
 #include <set>
 #include <sstream>
 
 #include "algo/polling_election.h"
+#include "scenario/drivers.h"
 #include "scenario/scenario.h"
 #include "scenario/sweep.h"
 
@@ -16,11 +19,17 @@ namespace {
 
 // --- polling election -----------------------------------------------------
 
-PollingExperiment polling_on(Topology topology, std::uint64_t seed = 1) {
-  PollingExperiment e;
-  e.topology = std::move(topology);
-  e.seed = seed;
-  return e;
+// One polling election over `topology` with ids of `id_bits` bits, in the
+// environment `spec` describes (by default exponential delays of mean 1).
+PollingRunResult poll_once(Topology topology, std::uint64_t seed = 1,
+                           const ScenarioSpec& spec = {},
+                           unsigned id_bits = 64) {
+  PollingRunResult result;
+  const auto driver = make_polling_driver(id_bits, &result);
+  run_algorithm_trial(RuntimeKind::kSim,
+                      scenario_runtime_config(spec, std::move(topology), seed),
+                      *driver);
+  return result;
 }
 
 void expect_safe_election(const PollingRunResult& r, std::size_t n) {
@@ -32,27 +41,27 @@ void expect_safe_election(const PollingRunResult& r, std::size_t n) {
 }
 
 TEST(PollingElection, ElectsOnTorus) {
-  const auto r = run_polling_election(polling_on(torus(4, 4)));
+  const auto r = poll_once(torus(4, 4));
   expect_safe_election(r, 16);
   // One tie-free round: WAKE + ECHO + RESULT over n−1 tree edges each.
   EXPECT_LE(r.messages_total, 3u * 15u);
 }
 
 TEST(PollingElection, ElectsOnHypercubeAndRgg) {
-  expect_safe_election(run_polling_election(polling_on(hypercube(5))), 32);
+  expect_safe_election(poll_once(hypercube(5)), 32);
   Rng rng(9);
   const Topology field = random_geometric(24, 0.3, rng);
-  expect_safe_election(run_polling_election(polling_on(field)), 24);
+  expect_safe_election(poll_once(field), 24);
 }
 
 TEST(PollingElection, ElectsOnBidirectionalRingUnderHeavyTail) {
-  PollingExperiment e = polling_on(bidirectional_ring(12));
-  e.delay_name = "lomax";
-  expect_safe_election(run_polling_election(e), 12);
+  ScenarioSpec spec;
+  spec.delay_name = "lomax";
+  expect_safe_election(poll_once(bidirectional_ring(12), 1, spec), 12);
 }
 
 TEST(PollingElection, SingleNodeIsLeaderImmediately) {
-  const auto r = run_polling_election(polling_on(bidirectional_ring(1)));
+  const auto r = poll_once(bidirectional_ring(1));
   expect_safe_election(r, 1);
   EXPECT_EQ(r.messages_total, 0u);
 }
@@ -60,9 +69,8 @@ TEST(PollingElection, SingleNodeIsLeaderImmediately) {
 TEST(PollingElection, TiedIdsForceExtraRoundsButOneLeader) {
   // 1-bit ids on 8 nodes: round one ties with probability 1 − 9/2⁷ ≈ 0.93,
   // so extinction has to iterate. Safety must hold regardless.
-  PollingExperiment e = polling_on(torus(2, 4), /*seed=*/3);
-  e.id_bits = 1;
-  const auto r = run_polling_election(e);
+  const auto r =
+      poll_once(torus(2, 4), /*seed=*/3, ScenarioSpec{}, /*id_bits=*/1);
   expect_safe_election(r, 8);
   EXPECT_GE(r.rounds, 2u) << "1-bit ids on 8 nodes should tie at least once";
 }
@@ -74,10 +82,12 @@ TEST(PollingElection, LossStallsAsFailureNeverAsSafetyViolation) {
   // genuine two-leader bug, which loss cannot produce.
   // 5% per-message loss over the ~24 tree messages of a tie-free run:
   // ≈29% of trials complete untouched, the rest stall somewhere.
-  PollingExperiment e = polling_on(torus(3, 3));
-  e.loss_probability = 0.05;
-  e.deadline = 2e4;
-  const PollingAggregate agg = run_polling_trials(e, 40, 100);
+  ScenarioSpec cell;
+  cell.algorithm = ScenarioAlgorithm::kPollingElection;
+  cell.topology = TopologySpec{TopologyFamily::kTorus, 9, 0.0};
+  cell.failure = FailureProfile::loss(0.05);
+  cell.deadline = 2e4;
+  const ScenarioAggregate agg = run_scenario_trials(cell, 40, 100);
   EXPECT_EQ(agg.trials, 40u);
   EXPECT_EQ(agg.safety_violations, 0u);
   EXPECT_GT(agg.failures, 0u)
@@ -90,16 +100,19 @@ TEST(PollingElection, WiringRejectsUnidirectionalRing) {
 }
 
 TEST(PollingElection, TrialsBitIdenticalForEveryThreadCount) {
-  PollingExperiment e = polling_on(torus(3, 3));
-  const PollingAggregate serial = run_polling_trials(e, 19, 100, 1);
+  ScenarioSpec cell;
+  cell.algorithm = ScenarioAlgorithm::kPollingElection;
+  cell.topology = TopologySpec{TopologyFamily::kTorus, 9, 0.0};
+  const ScenarioAggregate serial = run_scenario_trials(cell, 19, 100, 1);
   EXPECT_EQ(serial.trials, 19u);
   EXPECT_EQ(serial.failures, 0u);
   EXPECT_EQ(serial.safety_violations, 0u);
   for (unsigned threads : {2u, 4u, 8u}) {
-    const PollingAggregate parallel = run_polling_trials(e, 19, 100, threads);
+    const ScenarioAggregate parallel =
+        run_scenario_trials(cell, 19, 100, threads);
     EXPECT_TRUE(serial.messages == parallel.messages);
     EXPECT_TRUE(serial.time == parallel.time);
-    EXPECT_TRUE(serial.rounds == parallel.rounds);
+    EXPECT_TRUE(serial.metrics == parallel.metrics);
   }
 }
 
@@ -149,6 +162,47 @@ INSTANTIATE_TEST_SUITE_P(
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
     });
+
+// Seeded aggregates of every registered scenario, four trials from seed 1.
+// Any change to how a cell's environment reaches its driver (A0, loss,
+// tolerate_protocol_violation, delay, deadline) moves one of these figures,
+// so a refactor that claims "no behaviour change" is checked here, not by
+// hand-diffing sweep JSON.
+TEST(ScenarioRegistry, SeededAggregatesArePinned) {
+  struct Pinned {
+    const char* name;
+    std::uint64_t trials, failures, stalled, safety_violations;
+    long long message_sum;
+    double message_min, message_max, time_sum;
+  };
+  const Pinned pinned[] = {
+      {"ring-election", 4, 0, 0, 0, 144, 16, 64, 299.68520110272254},
+      {"sensor-network", 4, 0, 0, 0, 160, 32, 64, 338.45148386618285},
+      {"adhoc-field", 4, 0, 0, 0, 1697, 373, 468, 90.301369234613134},
+      {"polling-ring", 4, 0, 0, 0, 161, 36, 45, 90.389299466216585},
+      {"polling-torus", 4, 0, 0, 0, 713, 160, 189, 98.589972888615534},
+      {"polling-hypercube", 4, 0, 0, 0, 717, 176, 182, 68.985943145330509},
+      {"polling-rgg", 4, 0, 0, 0, 738, 182, 187, 75.534952715183394},
+      {"polling-heavytail", 4, 0, 0, 0, 711, 156, 188, 111.64117133100279},
+      {"beta-sync-torus", 4, 0, 0, 0, 1984, 496, 496, 206.51230025377373},
+      {"ring-lossy", 4, 0, 1, 0, 80, 16, 32, 141.7053448268276},
+  };
+  ASSERT_EQ(std::size(pinned), scenario_registry().size());
+  for (const Pinned& p : pinned) {
+    SCOPED_TRACE(p.name);
+    const ScenarioSpec* spec = find_scenario(p.name);
+    ASSERT_NE(spec, nullptr);
+    const ScenarioAggregate agg = run_scenario_trials(*spec, 4, 1, 1);
+    EXPECT_EQ(agg.trials, p.trials);
+    EXPECT_EQ(agg.failures, p.failures);
+    EXPECT_EQ(agg.stalled, p.stalled);
+    EXPECT_EQ(agg.safety_violations, p.safety_violations);
+    EXPECT_EQ(std::llround(agg.messages.sum()), p.message_sum);
+    EXPECT_EQ(agg.messages.min(), p.message_min);
+    EXPECT_EQ(agg.messages.max(), p.message_max);
+    EXPECT_NEAR(agg.time.sum(), p.time_sum, 1e-12 * p.time_sum);
+  }
+}
 
 // --- matrix expansion -----------------------------------------------------
 
