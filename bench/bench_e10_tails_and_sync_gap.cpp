@@ -55,8 +55,8 @@ void print_experiment_tables() {
   for (const char* name : {"fixed", "uniform", "exponential", "lomax"}) {
     ScenarioSpec spec = ring_spec(kN);
     spec.delay_name = name;
-    const RingTally agg = ring_trials(
-        spec, ring_options(linear_regime_a0(kN)), kTrials, 900);
+    const RingTally agg =
+        ring_trials(spec, linear_regime_a0(kN), kTrials, 900);
     if (std::string(name) == "fixed") {
       fixed_msgs = agg.messages.mean();
       fixed_time = agg.time.mean();
@@ -89,12 +89,10 @@ static void BM_FixedVsExpElection(benchmark::State& state) {
   const bool fixed = state.range(0) == 1;
   ScenarioSpec spec = benchutil::ring_spec(kN);
   spec.delay_name = fixed ? "fixed" : "exponential";
-  const ElectionOptions options =
-      benchutil::ring_options(linear_regime_a0(kN));
+  const double a0 = linear_regime_a0(kN);
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        benchutil::ring_trial(spec, options, seed++).messages);
+    benchmark::DoNotOptimize(benchutil::ring_trial(spec, a0, seed++).messages);
   }
   state.SetLabel(fixed ? "fixed" : "exponential");
 }

@@ -143,9 +143,8 @@ void print_experiment_tables() {
   constexpr std::uint64_t kTrials = 64;
   for (unsigned threads : {1u, hw == 0 ? 1u : hw}) {
     const auto t0 = std::chrono::steady_clock::now();
-    const RingTally agg = ring_trials(
-        ring_spec(64), ring_options(linear_regime_a0(64)), kTrials, 1,
-        threads);
+    const RingTally agg =
+        ring_trials(ring_spec(64), linear_regime_a0(64), kTrials, 1, threads);
     const double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -263,10 +262,9 @@ static void BM_TrialThroughput(benchmark::State& state) {
   constexpr std::uint64_t kTrials = 32;
   std::uint64_t seed = 1;
   const ScenarioSpec spec = benchutil::ring_spec(64);
-  const ElectionOptions options = benchutil::ring_options(linear_regime_a0(64));
+  const double a0 = linear_regime_a0(64);
   for (auto _ : state) {
-    const auto agg =
-        benchutil::ring_trials(spec, options, kTrials, seed, threads);
+    const auto agg = benchutil::ring_trials(spec, a0, kTrials, seed, threads);
     benchmark::DoNotOptimize(agg.trials);
     seed += kTrials;
   }
@@ -281,10 +279,10 @@ BENCHMARK(BM_TrialThroughput)->Arg(1)->Arg(2)->Arg(4)
 static void BM_SchedulerElection(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const ScenarioSpec spec = benchutil::ring_spec(n);
-  const ElectionOptions options = benchutil::ring_options(linear_regime_a0(n));
+  const double a0 = linear_regime_a0(n);
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    const auto result = benchutil::ring_trial(spec, options, seed++);
+    const auto result = benchutil::ring_trial(spec, a0, seed++);
     benchmark::DoNotOptimize(result.messages);
   }
 }

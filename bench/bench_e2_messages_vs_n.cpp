@@ -25,8 +25,7 @@ constexpr std::size_t kSizes[] = {8, 16, 32, 64, 128, 256};
 constexpr std::uint64_t kTrials = 20;
 
 benchutil::RingTally abe_runs(std::size_t n) {
-  return benchutil::ring_trials(benchutil::ring_spec(n),
-                                benchutil::ring_options(linear_regime_a0(n)),
+  return benchutil::ring_trials(benchutil::ring_spec(n), linear_regime_a0(n),
                                 kTrials, 1000);
 }
 
@@ -88,10 +87,10 @@ void print_experiment_tables() {
 static void BM_AbeElection(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const ScenarioSpec spec = benchutil::ring_spec(n);
-  const ElectionOptions options = benchutil::ring_options(linear_regime_a0(n));
+  const double a0 = linear_regime_a0(n);
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    const auto result = benchutil::ring_trial(spec, options, seed++);
+    const auto result = benchutil::ring_trial(spec, a0, seed++);
     benchmark::DoNotOptimize(result.messages);
     state.counters["sim_msgs"] = static_cast<double>(result.messages);
   }

@@ -28,8 +28,8 @@ void print_experiment_tables() {
   Table table({"n", "time", "ci95", "time/n", "activations"});
   std::vector<double> xs, ys;
   for (std::size_t n : kSizes) {
-    const RingTally agg = ring_trials(
-        ring_spec(n), ring_options(linear_regime_a0(n)), kTrials, 500);
+    const RingTally agg =
+        ring_trials(ring_spec(n), linear_regime_a0(n), kTrials, 500);
     xs.push_back(static_cast<double>(n));
     ys.push_back(agg.time.mean());
     table.add_row({Table::fmt_int(static_cast<std::int64_t>(n)),
@@ -54,9 +54,9 @@ static void BM_ElectionTimeSim(benchmark::State& state) {
   double total_sim_time = 0;
   std::uint64_t runs = 0;
   const ScenarioSpec spec = benchutil::ring_spec(n);
-  const ElectionOptions options = benchutil::ring_options(linear_regime_a0(n));
+  const double a0 = linear_regime_a0(n);
   for (auto _ : state) {
-    const auto result = benchutil::ring_trial(spec, options, seed++);
+    const auto result = benchutil::ring_trial(spec, a0, seed++);
     total_sim_time += result.election_time;
     ++runs;
   }

@@ -34,9 +34,9 @@ void print_experiment_tables() {
   Table table({"c=n^2*A0", "A0", "msgs", "msgs/n", "time", "time/n",
                "activations", "purges"});
   for (double c : kCs) {
-    const ElectionOptions options = ring_options(linear_regime_a0(kN, c));
-    const RingTally agg = ring_trials(ring_spec(kN), options, kTrials, 800);
-    table.add_row({Table::fmt(c, 3), Table::fmt(options.a0, 6),
+    const double a0 = linear_regime_a0(kN, c);
+    const RingTally agg = ring_trials(ring_spec(kN), a0, kTrials, 800);
+    table.add_row({Table::fmt(c, 3), Table::fmt(a0, 6),
                    Table::fmt(agg.messages.mean(), 1),
                    Table::fmt(agg.messages.mean() / kN, 2),
                    Table::fmt(agg.time.mean(), 1),
@@ -55,12 +55,10 @@ void print_experiment_tables() {
 static void BM_ElectionAtC(benchmark::State& state) {
   const double c = static_cast<double>(state.range(0)) / 100.0;
   const ScenarioSpec spec = benchutil::ring_spec(kN);
-  const ElectionOptions options =
-      benchutil::ring_options(linear_regime_a0(kN, c));
+  const double a0 = linear_regime_a0(kN, c);
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        benchutil::ring_trial(spec, options, seed++).messages);
+    benchmark::DoNotOptimize(benchutil::ring_trial(spec, a0, seed++).messages);
   }
 }
 BENCHMARK(BM_ElectionAtC)->Arg(50)->Arg(100)->Arg(1600)

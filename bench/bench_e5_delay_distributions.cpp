@@ -34,8 +34,8 @@ void print_experiment_tables() {
   for (const auto& name : standard_delay_model_names()) {
     ScenarioSpec spec = ring_spec(kN);
     spec.delay_name = name;
-    const RingTally agg = ring_trials(
-        spec, ring_options(linear_regime_a0(kN)), kTrials, 250);
+    const RingTally agg =
+        ring_trials(spec, linear_regime_a0(kN), kTrials, 250);
     const auto model = make_delay_model(name, 1.0);
     min_msgs = std::min(min_msgs, agg.messages.mean());
     max_msgs = std::max(max_msgs, agg.messages.mean());
@@ -62,12 +62,10 @@ static void BM_ElectionUnderLaw(benchmark::State& state) {
   const auto& name = names[static_cast<std::size_t>(state.range(0))];
   ScenarioSpec spec = benchutil::ring_spec(kN);
   spec.delay_name = name;
-  const ElectionOptions options =
-      benchutil::ring_options(linear_regime_a0(kN));
+  const double a0 = linear_regime_a0(kN);
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        benchutil::ring_trial(spec, options, seed++).messages);
+    benchmark::DoNotOptimize(benchutil::ring_trial(spec, a0, seed++).messages);
   }
   state.SetLabel(name);
 }

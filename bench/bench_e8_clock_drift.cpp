@@ -34,8 +34,8 @@ void print_experiment_tables() {
       const double s = std::sqrt(ratio);
       spec.clock_bounds = ClockBounds{1.0 / s, s};
       spec.drift = ratio == 1.0 ? DriftModel::kNone : drift;
-      const RingTally agg = ring_trials(
-          spec, ring_options(linear_regime_a0(kN)), kTrials, 4200);
+      const RingTally agg =
+          ring_trials(spec, linear_regime_a0(kN), kTrials, 4200);
       table.add_row(
           {Table::fmt(ratio, 0), drift_model_name(spec.drift),
            Table::fmt(agg.messages.mean(), 1),
@@ -65,12 +65,10 @@ static void BM_ElectionUnderDrift(benchmark::State& state) {
   const double s = std::sqrt(ratio);
   spec.clock_bounds = ClockBounds{1.0 / s, s};
   spec.drift = DriftModel::kPiecewiseRandom;
-  const ElectionOptions options =
-      benchutil::ring_options(linear_regime_a0(kN));
+  const double a0 = linear_regime_a0(kN);
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        benchutil::ring_trial(spec, options, seed++).messages);
+    benchmark::DoNotOptimize(benchutil::ring_trial(spec, a0, seed++).messages);
   }
 }
 BENCHMARK(BM_ElectionUnderDrift)->Arg(1)->Arg(4)->Arg(16)

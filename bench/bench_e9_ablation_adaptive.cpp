@@ -33,15 +33,9 @@ ScenarioSpec policy_spec(std::size_t n) {
   return spec;
 }
 
-ElectionOptions policy_options(std::size_t n, ActivationPolicy policy) {
-  ElectionOptions options = benchutil::ring_options(linear_regime_a0(n, kC));
-  options.policy = policy;
-  return options;
-}
-
 benchutil::RingTally run_policy(std::size_t n, ActivationPolicy policy) {
-  return benchutil::ring_trials(policy_spec(n), policy_options(n, policy),
-                                kTrials, 600);
+  return benchutil::ring_trials(policy_spec(n), linear_regime_a0(n, kC),
+                                kTrials, 600, /*threads=*/0, policy);
 }
 
 }  // namespace
@@ -97,11 +91,11 @@ void print_experiment_tables() {
 static void BM_PolicyRun(benchmark::State& state) {
   const auto policy = static_cast<ActivationPolicy>(state.range(0));
   const ScenarioSpec spec = policy_spec(32);
-  const ElectionOptions options = policy_options(32, policy);
+  const double a0 = linear_regime_a0(32, kC);
   std::uint64_t seed = 1;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        benchutil::ring_trial(spec, options, seed++).messages);
+        benchutil::ring_trial(spec, a0, seed++, policy).messages);
   }
   state.SetLabel(activation_policy_name(policy));
 }

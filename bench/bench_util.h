@@ -84,21 +84,17 @@ inline ScenarioSpec ring_spec(std::size_t n) {
   return spec;
 }
 
-// ElectionOptions with the given base activation parameter.
-inline ElectionOptions ring_options(double a0) {
-  ElectionOptions options;
-  options.a0 = a0;
-  return options;
-}
-
-// One election with `options` on `spec`'s environment. Metrics stay off:
-// the BM_* rows time the bare trial.
-inline ElectionRunResult ring_trial(const ScenarioSpec& spec,
-                                    const ElectionOptions& options,
-                                    std::uint64_t seed) {
+// One election with base activation parameter `a0` and `policy` on `spec`'s
+// environment. Metrics stay off: the BM_* rows time the bare trial.
+inline ElectionRunResult ring_trial(
+    const ScenarioSpec& spec, double a0, std::uint64_t seed,
+    ActivationPolicy policy = ActivationPolicy::kAdaptive) {
   RuntimeConfig config =
       scenario_runtime_config(spec, trial_plan(spec.topology, seed), seed);
   config.metrics = false;
+  ElectionOptions options;
+  options.a0 = a0;
+  options.policy = policy;
   ElectionRunResult result;
   const auto driver = make_ring_election_driver(options, spec.settle_time,
                                                 /*adversarial=*/false, &result);
@@ -128,15 +124,15 @@ struct RingTally {
 
 // `trials` elections with seeds seed_base…, through the seed-chunked pool
 // (core/trial_pool.h): bit-identical for every thread count.
-inline RingTally ring_trials(const ScenarioSpec& spec,
-                             const ElectionOptions& options,
-                             std::uint64_t trials, std::uint64_t seed_base,
-                             unsigned threads = 0) {
+inline RingTally ring_trials(
+    const ScenarioSpec& spec, double a0, std::uint64_t trials,
+    std::uint64_t seed_base, unsigned threads = 0,
+    ActivationPolicy policy = ActivationPolicy::kAdaptive) {
   return run_seed_chunked_trials<RingTally>(
       trials, seed_base, threads,
       [&](std::uint64_t seed_lo, std::uint64_t seed_hi, RingTally& out) {
         for (std::uint64_t seed = seed_lo; seed < seed_hi; ++seed) {
-          const ElectionRunResult run = ring_trial(spec, options, seed);
+          const ElectionRunResult run = ring_trial(spec, a0, seed, policy);
           ++out.trials;
           if (!run.elected) {
             ++out.failures;

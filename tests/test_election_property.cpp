@@ -193,6 +193,7 @@ TEST(ElectionProperty, NoDeadlineMissesOverManySeeds) {
   spec.settle_time = 0.0;
   const ScenarioAggregate agg = run_scenario_trials(spec, 50, 1000);
   EXPECT_EQ(agg.failures, 0u);
+  EXPECT_EQ(agg.stalled, 0u);
   EXPECT_EQ(agg.safety_violations, 0u);
 }
 
@@ -209,6 +210,7 @@ TEST(ElectionProperty, MessageAndTimeGrowthNearLinear) {
     spec.settle_time = 0.0;
     const ScenarioAggregate agg = run_scenario_trials(spec, 20, 77);
     ASSERT_EQ(agg.failures, 0u);
+    ASSERT_EQ(agg.stalled, 0u);
     xs.push_back(static_cast<double>(n));
     msgs.push_back(agg.messages.mean());
     times.push_back(agg.time.mean());
@@ -233,6 +235,7 @@ TEST(ElectionProperty, HotA0DegradesSuperLinearly) {
     spec.settle_time = 0.0;
     const ScenarioAggregate agg = run_scenario_trials(spec, 8, 77);
     ASSERT_EQ(agg.failures, 0u);
+    ASSERT_EQ(agg.stalled, 0u);
     xs.push_back(static_cast<double>(n));
     msgs.push_back(agg.messages.mean());
   }

@@ -67,6 +67,7 @@ TEST(Integration, MeasuredMeanDelayMatchesDelta) {
   // Use the trials harness to accumulate enough deliveries.
   const ScenarioAggregate agg = run_scenario_trials(spec, 5, 50);
   EXPECT_EQ(agg.failures, 0u);
+  EXPECT_EQ(agg.stalled, 0u);
 
   // Re-run one instance and inspect the metrics directly.
   NetworkConfig config;
@@ -144,6 +145,7 @@ TEST(Integration, MessageComplexityStableAcrossDelayLaws) {
     spec.settle_time = 0.0;
     const ScenarioAggregate agg = run_scenario_trials(spec, 15, 400);
     ASSERT_EQ(agg.failures, 0u);
+    ASSERT_EQ(agg.stalled, 0u);
     means[idx++] = agg.messages.mean();
   }
   // Same mean delay => message counts within 2x of each other (they are
