@@ -96,6 +96,37 @@ TEST(ItaiRodeh, CostlierThanAbeElectionHeadToHead) {
   EXPECT_GT(ir_agg.messages.mean(), 64.0 * 2);
 }
 
+// Seeded outcomes of a 6-ring, seeds 1-4 (exponential delays, FIFO
+// channels): messages and time up to the election, the leader, its round.
+TEST(ItaiRodeh, SeededOutcomesArePinned) {
+  struct Pin {
+    std::uint64_t messages;
+    double time;
+    std::size_t leader;
+    std::uint64_t rounds;
+  };
+  const Pin pins[] = {
+      {15, 4.5312258003873689, 5, 1},
+      {25, 16.003135641444583, 0, 2},
+      {38, 12.875386718103075, 0, 3},
+      {26, 11.788104418627345, 0, 2},
+  };
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const Pin& pin = pins[seed - 1];
+    IrExperiment e;
+    e.n = 6;
+    e.seed = seed;
+    const auto result = run_itai_rodeh(e);
+    ASSERT_TRUE(result.elected) << "seed=" << seed;
+    EXPECT_TRUE(result.safety_ok) << "seed=" << seed;
+    EXPECT_EQ(result.messages, pin.messages) << "seed=" << seed;
+    EXPECT_NEAR(result.election_time, pin.time, 1e-12 * pin.time)
+        << "seed=" << seed;
+    EXPECT_EQ(result.leader_index, pin.leader) << "seed=" << seed;
+    EXPECT_EQ(result.rounds, pin.rounds) << "seed=" << seed;
+  }
+}
+
 // ------------------------- Chang–Roberts -------------------------------
 
 TEST(ChangRoberts, SingleNode) {
@@ -151,6 +182,35 @@ TEST(ChangRoberts, TrialsAggregate) {
   EXPECT_EQ(agg.safety_violations, 0u);
   // Average-case CR: ~n·H_n messages; definitely more than 2n.
   EXPECT_GT(agg.messages.mean(), 40.0);
+}
+
+// Seeded outcomes of a 7-ring, seeds 1-4 (exponential delays): messages
+// and time up to the election, and the leader (the node holding id 7).
+TEST(ChangRoberts, SeededOutcomesArePinned) {
+  struct Pin {
+    std::uint64_t messages;
+    double time;
+    std::size_t leader;
+  };
+  const Pin pins[] = {
+      {19, 8.9105043261262207, 6},
+      {18, 7.0165094452022929, 1},
+      {21, 6.101539395011268, 0},
+      {18, 6.8346393811942114, 2},
+  };
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const Pin& pin = pins[seed - 1];
+    CrExperiment e;
+    e.n = 7;
+    e.seed = seed;
+    const auto result = run_chang_roberts(e);
+    ASSERT_TRUE(result.elected) << "seed=" << seed;
+    EXPECT_TRUE(result.safety_ok) << "seed=" << seed;
+    EXPECT_EQ(result.messages, pin.messages) << "seed=" << seed;
+    EXPECT_NEAR(result.election_time, pin.time, 1e-12 * pin.time)
+        << "seed=" << seed;
+    EXPECT_EQ(result.leader_index, pin.leader) << "seed=" << seed;
+  }
 }
 
 }  // namespace

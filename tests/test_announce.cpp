@@ -58,5 +58,32 @@ TEST(Announce, TwoNodes) {
   EXPECT_TRUE(r.distances_consistent);
 }
 
+// Seeded outcomes of an 8-ring at A0 = linear_regime_a0(8, 4), seeds 1-4
+// (exponential delays): messages and time until every node knows, and the
+// leader.
+TEST(Announce, SeededOutcomesArePinned) {
+  struct Pin {
+    std::uint64_t messages;
+    double time;
+    std::size_t leader;
+  };
+  const Pin pins[] = {
+      {40, 41.176743746238287, 0},
+      {16, 23.037374358695455, 0},
+      {32, 24.430374830375214, 3},
+      {24, 26.587877651734967, 2},
+  };
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const Pin& pin = pins[seed - 1];
+    const auto r = run_announced_election(8, linear_regime_a0(8, 4.0), seed);
+    ASSERT_TRUE(r.all_done) << "seed=" << seed;
+    EXPECT_TRUE(r.distances_consistent) << "seed=" << seed;
+    EXPECT_EQ(r.messages, pin.messages) << "seed=" << seed;
+    EXPECT_NEAR(r.completion_time, pin.time, 1e-12 * pin.time)
+        << "seed=" << seed;
+    EXPECT_EQ(r.leader_index, pin.leader) << "seed=" << seed;
+  }
+}
+
 }  // namespace
 }  // namespace abe

@@ -145,6 +145,24 @@ TEST(Alpha, AllRoundsExecuteEverywhere) {
   for (auto v : alpha.outputs) EXPECT_EQ(v, 9);
 }
 
+// Seeded outcomes of the broadcast app for 5 rounds on a 2x3 grid, seeds
+// 1-4 (exponential delays): |E| = 14 envelopes per round, the completion
+// time, and the reference BFS depths.
+TEST(Alpha, SeededOutcomesArePinned) {
+  const double times[] = {11.522504600407819, 19.386449012264759,
+                          12.3789580646663, 10.781306132154644};
+  const std::vector<std::int64_t> depths{0, 1, 2, 1, 2, 3};
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const double time = times[seed - 1];
+    const auto alpha = run_alpha_synchronizer(
+        grid(2, 3), broadcast_app_factory(0), 5, exponential_delay(1.0), seed);
+    ASSERT_TRUE(alpha.completed) << "seed=" << seed;
+    EXPECT_EQ(alpha.messages_total, 70u) << "seed=" << seed;
+    EXPECT_NEAR(alpha.completion_time, time, 1e-12 * time) << "seed=" << seed;
+    EXPECT_EQ(alpha.outputs, depths) << "seed=" << seed;
+  }
+}
+
 // ------------------------- ABD synchronizer ---------------------------
 
 TEST(AbdSync, CorrectOnAbdNetwork) {
@@ -228,6 +246,33 @@ TEST(AbdSync, ClockDriftAloneBreaksIt) {
     late += r.late_messages;
   }
   EXPECT_GT(late, 0u);
+}
+
+// Seeded outcomes of the broadcast app for 6 rounds on a bidirectional
+// 6-ring with period 1·δ, seeds 1-4 (exponential delays): app messages,
+// late envelopes, and the corrupted outputs they cause.
+TEST(AbdSync, SeededOutcomesArePinned) {
+  struct Pin {
+    std::uint64_t messages;
+    std::uint64_t late;
+    std::vector<std::int64_t> outputs;
+  };
+  const Pin pins[] = {
+      {2, 2, {0, -1, -1, -1, -1, -1}},
+      {6, 2, {0, -1, -1, -1, 2, 1}},
+      {8, 1, {0, 1, 2, -1, -1, 1}},
+      {8, 3, {0, -1, -1, 3, 2, 1}},
+  };
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const Pin& pin = pins[seed - 1];
+    const auto r = run_abd_synchronizer(bidirectional_ring(6),
+                                        broadcast_app_factory(0), 6,
+                                        exponential_delay(1.0), 1.0, seed);
+    ASSERT_TRUE(r.completed) << "seed=" << seed;
+    EXPECT_EQ(r.messages_total, pin.messages) << "seed=" << seed;
+    EXPECT_EQ(r.late_messages, pin.late) << "seed=" << seed;
+    EXPECT_EQ(r.outputs, pin.outputs) << "seed=" << seed;
+  }
 }
 
 }  // namespace
