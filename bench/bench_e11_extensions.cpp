@@ -23,33 +23,20 @@
 namespace abe {
 namespace {
 
-// The counter app under the β-synchronizer on `topology`: exponential
-// delays of mean 1, the default ScenarioSpec environment.
-BetaRunResult run_beta(const Topology& topology, std::uint64_t rounds,
-                       std::uint64_t seed) {
-  RuntimeConfig config =
-      scenario_runtime_config(ScenarioSpec{}, topology, seed);
-  config.metrics = false;
-  config.deadline = 1e9;
-  const SyncAppFactory factory = counter_app_factory();
-  BetaRunResult result;
-  run_algorithm_trial(RuntimeKind::kSim, std::move(config),
-                      *make_beta_sync_driver(factory, rounds, &result));
-  return result;
-}
-
-GossipResult run_gossip_from_0(const Topology& topology,
-                               const std::string& delay,
-                               std::uint64_t seed) {
+// One trial of `driver` (it fills its own sink, if any) on `topology` with
+// the default ScenarioSpec environment and `delay_name` delays of mean 1.
+// Metrics stay off: the BM_* rows time the bare trial.
+TrialOutcome run_trial(AlgorithmDriver& driver, Topology topology,
+                       std::uint64_t seed,
+                       const std::string& delay_name = "exponential",
+                       SimTime deadline = 1e9) {
   ScenarioSpec spec;
-  spec.delay_name = delay;
-  RuntimeConfig config = scenario_runtime_config(spec, topology, seed);
+  spec.delay_name = delay_name;
+  RuntimeConfig config =
+      scenario_runtime_config(spec, std::move(topology), seed);
   config.metrics = false;
-  config.deadline = 1e6;
-  GossipResult result;
-  run_algorithm_trial(RuntimeKind::kSim, std::move(config),
-                      *make_gossip_driver(/*source=*/0, &result));
-  return result;
+  config.deadline = deadline;
+  return run_algorithm_trial(RuntimeKind::kSim, std::move(config), driver);
 }
 
 }  // namespace
@@ -67,13 +54,15 @@ void print_experiment_tables() {
   for (std::size_t n : {8, 32, 128}) {
     Summary msgs, time;
     bool consistent = true;
+    const ElectionOptions options{linear_regime_a0(n)};
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-      const auto r =
-          run_announced_election(n, linear_regime_a0(n), seed * 11);
-      if (!r.all_done) continue;
+      const TrialOutcome r =
+          run_trial(*make_announced_election_driver(options),
+                    unidirectional_ring(n), seed * 11);
+      if (!r.completed) continue;
       msgs.add(static_cast<double>(r.messages));
-      time.add(r.completion_time);
-      consistent = consistent && r.distances_consistent;
+      time.add(r.time);
+      consistent = consistent && r.safety_ok;
     }
     announce.add_row({Table::fmt_int(static_cast<std::int64_t>(n)),
                       Table::fmt(msgs.mean(), 1),
@@ -94,10 +83,11 @@ void print_experiment_tables() {
     Topology topology;
   } shapes[] = {{"complete(12)", complete(12)}, {"line(16)", line(16)}};
   for (const auto& shape : shapes) {
-    const auto alpha = run_alpha_synchronizer(
-        shape.topology, counter_app_factory(), 20, exponential_delay(1.0),
-        3);
-    const auto beta = run_beta(shape.topology, 20, 3);
+    SynchronizerResult alpha, beta;
+    run_trial(*make_alpha_sync_driver(counter_app_factory(), 20, &alpha),
+              shape.topology, 3);
+    run_trial(*make_beta_sync_driver(counter_app_factory(), 20, &beta),
+              shape.topology, 3);
     sync.add_row({shape.label, "alpha",
                   Table::fmt(alpha.messages_per_round, 1),
                   Table::fmt(alpha.completion_time, 1)});
@@ -117,8 +107,9 @@ void print_experiment_tables() {
       Summary time, msgs;
       for (std::uint64_t seed = 1; seed <= 8; ++seed) {
         Rng rng(seed * 7);
-        const auto r =
-            run_gossip_from_0(random_geometric(n, 0.25, rng), delay, seed);
+        GossipResult r;
+        run_trial(*make_gossip_driver(/*source=*/0, &r),
+                  random_geometric(n, 0.25, rng), seed, delay, 1e6);
         if (!r.all_informed) continue;
         time.add(r.spread_time);
         msgs.add(static_cast<double>(r.messages));
@@ -160,10 +151,12 @@ void print_experiment_tables() {
 
 static void BM_AnnouncedElection(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
+  const ElectionOptions options{linear_regime_a0(n)};
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        run_announced_election(n, linear_regime_a0(n), seed++).messages);
+    benchmark::DoNotOptimize(run_trial(*make_announced_election_driver(options),
+                                       unidirectional_ring(n), seed++)
+                                 .messages);
   }
 }
 BENCHMARK(BM_AnnouncedElection)->Arg(32)->Arg(128)
@@ -172,7 +165,10 @@ BENCHMARK(BM_AnnouncedElection)->Arg(32)->Arg(128)
 static void BM_BetaSync(benchmark::State& state) {
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_beta(grid(4, 4), 10, seed++).messages_total);
+    SynchronizerResult r;
+    run_trial(*make_beta_sync_driver(counter_app_factory(), 10, &r),
+              grid(4, 4), seed++);
+    benchmark::DoNotOptimize(r.messages_total);
   }
 }
 BENCHMARK(BM_BetaSync)->Unit(benchmark::kMillisecond);
@@ -181,10 +177,10 @@ static void BM_GossipGeometric(benchmark::State& state) {
   std::uint64_t seed = 1;
   for (auto _ : state) {
     Rng rng(seed);
-    benchmark::DoNotOptimize(
-        run_gossip_from_0(random_geometric(36, 0.25, rng), "exponential",
-                          seed++)
-            .messages);
+    GossipResult r;
+    run_trial(*make_gossip_driver(/*source=*/0, &r),
+              random_geometric(36, 0.25, rng), seed++, "exponential", 1e6);
+    benchmark::DoNotOptimize(r.messages);
   }
 }
 BENCHMARK(BM_GossipGeometric)->Unit(benchmark::kMillisecond);

@@ -16,6 +16,7 @@
 #include "algo/itai_rodeh.h"
 #include "bench_util.h"
 #include "core/harness.h"
+#include "net/topology.h"
 #include "stats/regression.h"
 
 namespace abe {
@@ -27,6 +28,16 @@ constexpr std::uint64_t kTrials = 20;
 benchutil::RingTally abe_runs(std::size_t n) {
   return benchutil::ring_trials(benchutil::ring_spec(n), linear_regime_a0(n),
                                 kTrials, 1000);
+}
+
+// One trial of a baseline election `driver` on a fresh n-node ring with
+// exponential delays of mean 1; metrics off, as for the ABE rows.
+TrialOutcome baseline_trial(AlgorithmDriver& driver, std::size_t n,
+                            std::uint64_t seed) {
+  RuntimeConfig config =
+      scenario_runtime_config(ScenarioSpec{}, unidirectional_ring(n), seed);
+  config.metrics = false;
+  return run_algorithm_trial(RuntimeKind::kSim, std::move(config), driver);
 }
 
 }  // namespace
@@ -43,26 +54,29 @@ void print_experiment_tables() {
   std::vector<double> xs, abe_ys, ir_ys, cr_ys;
   for (std::size_t n : kSizes) {
     const auto abe_agg = abe_runs(n);
-    IrExperiment ir;
-    ir.n = n;
-    const auto ir_agg = run_itai_rodeh_trials(ir, kTrials, 2000);
-    CrExperiment cr;
-    cr.n = n;
-    const auto cr_agg = run_chang_roberts_trials(cr, kTrials, 3000);
+    Summary ir_msgs, cr_msgs;  // over elected trials
+    for (std::uint64_t t = 0; t < kTrials; ++t) {
+      const TrialOutcome ir = baseline_trial(
+          *make_itai_rodeh_driver(/*id_range=*/0, nullptr), n, 2000 + t);
+      if (ir.completed) ir_msgs.add(static_cast<double>(ir.messages));
+      const TrialOutcome cr =
+          baseline_trial(*make_chang_roberts_driver(), n, 3000 + t);
+      if (cr.completed) cr_msgs.add(static_cast<double>(cr.messages));
+    }
 
     xs.push_back(static_cast<double>(n));
     abe_ys.push_back(abe_agg.messages.mean());
-    ir_ys.push_back(ir_agg.messages.mean());
-    cr_ys.push_back(cr_agg.messages.mean());
+    ir_ys.push_back(ir_msgs.mean());
+    cr_ys.push_back(cr_msgs.mean());
 
     table.add_row({Table::fmt_int(static_cast<std::int64_t>(n)),
                    Table::fmt(abe_agg.messages.mean(), 1),
                    Table::fmt(abe_agg.messages.ci95_half_width(), 1),
                    Table::fmt(abe_agg.messages.mean() / n, 2),
-                   Table::fmt(ir_agg.messages.mean(), 1),
-                   Table::fmt(ir_agg.messages.mean() / n, 2),
-                   Table::fmt(cr_agg.messages.mean(), 1),
-                   Table::fmt(cr_agg.messages.mean() / n, 2)});
+                   Table::fmt(ir_msgs.mean(), 1),
+                   Table::fmt(ir_msgs.mean() / n, 2),
+                   Table::fmt(cr_msgs.mean(), 1),
+                   Table::fmt(cr_msgs.mean() / n, 2)});
   }
   std::printf("%s\n",
               table.render("E2: messages per election (ring size sweep)")
@@ -102,10 +116,8 @@ static void BM_ItaiRodeh(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    abe::IrExperiment e;
-    e.n = n;
-    e.seed = seed++;
-    const auto result = abe::run_itai_rodeh(e);
+    const TrialOutcome result =
+        baseline_trial(*make_itai_rodeh_driver(0, nullptr), n, seed++);
     benchmark::DoNotOptimize(result.messages);
   }
 }

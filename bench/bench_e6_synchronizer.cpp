@@ -12,6 +12,7 @@
 //      is overshot with probability ~e^{-c} per message: the violation rate
 //      and output corruption it causes are charted per period multiplier
 //      and per delay law, plus a clock-drift row (Definition 1(2)).
+#include <optional>
 #include <vector>
 
 #include "bench_util.h"
@@ -19,11 +20,38 @@
 #include "syncr/abd_sync.h"
 #include "syncr/alpha.h"
 #include "syncr/apps.h"
+#include "syncr/sync_runner.h"
 
 namespace abe {
 namespace {
 
 constexpr std::uint64_t kRounds = 30;
+
+// The app under the α-synchronizer on `topology` with `delay` or, given a
+// round period (a multiple of the mean delay), under the ABD synchronizer,
+// on clocks per `clock_bounds` and `drift`. Metrics stay off: the BM_* rows
+// time the bare trial.
+SynchronizerResult run_sync(const Topology& topology,
+                            const SyncAppFactory& factory,
+                            std::uint64_t rounds, DelayModelPtr delay,
+                            std::uint64_t seed,
+                            std::optional<double> abd_period = std::nullopt,
+                            ClockBounds clock_bounds = {},
+                            DriftModel drift = DriftModel::kNone) {
+  RuntimeConfig config =
+      scenario_runtime_config(ScenarioSpec{}, topology, seed);
+  config.delay = std::move(delay);
+  config.clock_bounds = clock_bounds;
+  config.drift = drift;
+  config.metrics = false;
+  config.deadline = 1e9;
+  SynchronizerResult result;
+  const auto driver =
+      abd_period ? make_abd_sync_driver(factory, rounds, *abd_period, &result)
+                 : make_alpha_sync_driver(factory, rounds, &result);
+  run_algorithm_trial(RuntimeKind::kSim, std::move(config), *driver);
+  return result;
+}
 
 }  // namespace
 
@@ -50,9 +78,8 @@ void print_experiment_tables() {
       {"complete(16)", complete(16)},
   };
   for (const auto& shape : shapes) {
-    const auto result = run_alpha_synchronizer(
-        shape.topology, counter_app_factory(), kRounds,
-        exponential_delay(1.0), 7);
+    const auto result = run_sync(shape.topology, counter_app_factory(),
+                                 kRounds, exponential_delay(1.0), 7);
     alpha.add_row(
         {shape.label, Table::fmt_int(static_cast<std::int64_t>(shape.topology.n)),
          Table::fmt_int(static_cast<std::int64_t>(shape.topology.edge_count())),
@@ -67,24 +94,27 @@ void print_experiment_tables() {
                   .c_str());
 
   // (b) ABD synchronizer on a true ABD network.
+  // A run is correct when its outputs equal the lock-step execution's.
+  const Topology ring16 = bidirectional_ring(16);
+  const auto broadcast_ref =
+      run_synchronous(ring16, broadcast_app_factory(0), kRounds).outputs;
   Table abd({"delay", "period_mult", "msgs/round", "late", "outputs_ok"});
   for (double mult : {1.25, 2.0}) {
-    const auto r = run_abd_synchronizer(bidirectional_ring(16),
-                                        broadcast_app_factory(0), kRounds,
-                                        fixed_delay(1.0), mult, 11);
+    const auto r = run_sync(ring16, broadcast_app_factory(0), kRounds,
+                            fixed_delay(1.0), 11, /*abd_period=*/mult);
     abd.add_row({"fixed(1.0)", Table::fmt(mult, 2),
                  Table::fmt(r.messages_per_round, 2),
                  Table::fmt_int(static_cast<std::int64_t>(r.late_messages)),
-                 r.outputs_match_reference ? "yes" : "NO"});
+                 r.outputs == broadcast_ref ? "yes" : "NO"});
   }
   {
-    const auto r = run_abd_synchronizer(bidirectional_ring(16),
-                                        counter_app_factory(), kRounds,
-                                        fixed_delay(1.0), 1.25, 11);
+    const auto r = run_sync(ring16, counter_app_factory(), kRounds,
+                            fixed_delay(1.0), 11, /*abd_period=*/1.25);
+    const auto ref = run_synchronous(ring16, counter_app_factory(), kRounds);
     abd.add_row({"fixed(1.0)+silent app", "1.25",
                  Table::fmt(r.messages_per_round, 2),
                  Table::fmt_int(static_cast<std::int64_t>(r.late_messages)),
-                 r.outputs_match_reference ? "yes" : "NO"});
+                 r.outputs == ref.outputs ? "yes" : "NO"});
   }
   std::printf("%s\n",
               abd.render("E6b: ABD synchronizer on an ABD network — zero "
@@ -107,12 +137,11 @@ void print_experiment_tables() {
       std::uint64_t late = 0, msgs = 0;
       int corrupted = 0;
       for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-        const auto r = run_abd_synchronizer(bidirectional_ring(16),
-                                            broadcast_app_factory(0),
-                                            kRounds, law.delay, mult, seed);
+        const auto r = run_sync(ring16, broadcast_app_factory(0), kRounds,
+                                law.delay, seed, /*abd_period=*/mult);
         late += r.late_messages;
         msgs += r.messages_total;
-        corrupted += r.outputs_match_reference ? 0 : 1;
+        corrupted += r.outputs == broadcast_ref ? 0 : 1;
       }
       viol.add_row({law.label, Table::fmt(mult, 1),
                     Table::fmt_int(static_cast<std::int64_t>(late)),
@@ -128,13 +157,13 @@ void print_experiment_tables() {
     std::uint64_t late = 0, msgs = 0;
     int corrupted = 0;
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-      const auto r = run_abd_synchronizer(
-          bidirectional_ring(16), broadcast_app_factory(0), kRounds,
-          fixed_delay(1.0), 1.25, seed, ClockBounds{0.7, 1.4},
-          DriftModel::kFixedRandomRate);
+      const auto r = run_sync(ring16, broadcast_app_factory(0), kRounds,
+                              fixed_delay(1.0), seed, /*abd_period=*/1.25,
+                              ClockBounds{0.7, 1.4},
+                              DriftModel::kFixedRandomRate);
       late += r.late_messages;
       msgs += r.messages_total;
-      corrupted += r.outputs_match_reference ? 0 : 1;
+      corrupted += r.outputs == broadcast_ref ? 0 : 1;
     }
     viol.add_row({"fixed(1)+drift[0.7,1.4]", "1.25",
                   Table::fmt_int(static_cast<std::int64_t>(late)),
@@ -158,9 +187,8 @@ static void BM_AlphaRound(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    const auto r = run_alpha_synchronizer(unidirectional_ring(n),
-                                          counter_app_factory(), 10,
-                                          exponential_delay(1.0), seed++);
+    const auto r = run_sync(unidirectional_ring(n), counter_app_factory(), 10,
+                            exponential_delay(1.0), seed++);
     benchmark::DoNotOptimize(r.messages_total);
   }
 }

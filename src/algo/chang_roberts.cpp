@@ -1,10 +1,12 @@
 #include "algo/chang_roberts.h"
 
+#include <atomic>
 #include <sstream>
+#include <string>
 #include <utility>
+#include <vector>
 
-#include "net/topology.h"
-#include "util/check.h"
+#include "sim/rng.h"
 
 namespace abe {
 
@@ -48,84 +50,80 @@ std::string ChangRobertsNode::state_string() const {
   return os.str();
 }
 
-CrResult run_chang_roberts(const CrExperiment& experiment) {
-  ABE_CHECK_GE(experiment.n, 1u);
-  NetworkConfig config;
-  config.topology = unidirectional_ring(experiment.n);
-  config.delay = make_delay_model(experiment.delay_name,
-                                  experiment.mean_delay);
-  config.ordering = experiment.ordering;
-  config.seed = experiment.seed;
+namespace {
 
-  Network net(std::move(config));
-  struct {
-    bool elected = false;
-    std::size_t index = 0;
-    SimTime when = 0.0;
-  } leader;
+class ChangRobertsDriver final : public AlgorithmDriver {
+ public:
+  void configure(RuntimeConfig& config) override {
+    const std::size_t n = config.plan->size();
+    drain_window_ =
+        64.0 * config.delay->mean_delay() * static_cast<double>(n);
+    ids_ = Rng(config.seed).substream("cr-ids").permutation(n);
+  }
 
-  // Random id assignment: permutation of {1..n}.
-  Rng id_rng = Rng(experiment.seed).substream("cr-ids");
-  const std::vector<std::size_t> perm = id_rng.permutation(experiment.n);
-
-  net.build_nodes([&](std::size_t i) -> NodePtr {
+  NodePtr make_node(std::size_t index) override {
+    std::atomic<std::int64_t>* leader = &leader_;
+    SimTime* elected_at = &elected_at_;
     return std::make_unique<ChangRobertsNode>(
-        static_cast<std::uint64_t>(perm[i] + 1),
-        [&leader](NodeId node, SimTime when) {
-          if (!leader.elected) {
-            leader.elected = true;
-            leader.index = static_cast<std::size_t>(node.value());
-            leader.when = when;
+        static_cast<std::uint64_t>(ids_[index] + 1),
+        [leader, elected_at](NodeId node, SimTime when) {
+          std::int64_t none = -1;
+          if (leader->compare_exchange_strong(none, node.value())) {
+            *elected_at = when;
           }
         });
-  });
-  net.start();
-
-  CrResult result;
-  const bool elected =
-      net.run_until([&] { return leader.elected; }, experiment.deadline);
-  if (!elected) return result;
-
-  result.elected = true;
-  result.leader_index = leader.index;
-  result.election_time = leader.when;
-  result.messages = net.metrics().messages_sent;
-
-  net.run_until_quiescent(net.now() + 64.0 * experiment.mean_delay *
-                                          static_cast<double>(experiment.n));
-  std::size_t leaders = 0;
-  std::uint64_t max_id = 0;
-  std::size_t max_index = 0;
-  for (std::size_t i = 0; i < net.size(); ++i) {
-    const auto& node = static_cast<const ChangRobertsNode&>(net.node(i));
-    if (node.is_leader()) ++leaders;
-    if (node.id() > max_id) {
-      max_id = node.id();
-      max_index = i;
-    }
   }
-  // Chang–Roberts must elect exactly the maximum id.
-  result.safety_ok = leaders == 1 && max_index == leader.index;
-  return result;
-}
 
-CrAggregate run_chang_roberts_trials(CrExperiment experiment,
-                                     std::uint64_t trials,
-                                     std::uint64_t seed_base) {
-  ABE_CHECK_GT(trials, 0u);
-  CrAggregate agg;
-  for (std::uint64_t t = 0; t < trials; ++t) {
-    experiment.seed = seed_base + t;
-    const CrResult run = run_chang_roberts(experiment);
-    if (!run.elected) {
-      ++agg.failures;
-      continue;
-    }
-    if (!run.safety_ok) ++agg.safety_violations;
-    agg.messages.add(static_cast<double>(run.messages));
-    agg.time.add(run.election_time);
+  bool done(const Runtime& /*rt*/) override {
+    return leader_.load(std::memory_order_acquire) >= 0;
   }
-  return agg;
+
+  void on_complete(Runtime& rt) override {
+    messages_ = rt.stats().messages_sent;
+  }
+
+  void settle(Runtime& rt, bool completed) override {
+    if (completed) rt.drain(drain_window_);
+  }
+
+  TrialOutcome extract(Runtime& rt, bool completed) override {
+    TrialOutcome out;
+    if (!completed) {
+      out.messages = rt.stats().messages_sent;
+      out.safety_detail = "no leader before the deadline";
+      return out;
+    }
+    const std::int64_t leader = leader_.load(std::memory_order_acquire);
+    out.completed = true;
+    out.time = elected_at_;
+    out.messages = messages_;
+    out.decision_node = leader;
+    std::size_t leaders = 0;  // a node is terminated once it is leader
+    for (std::size_t i = 0; i < rt.size(); ++i) leaders += rt.terminated(i);
+    // Chang–Roberts must elect exactly the node holding the maximum id, n.
+    const std::uint64_t id = ids_[static_cast<std::size_t>(leader)] + 1;
+    out.safety_ok = leaders == 1 && id == ids_.size();
+    if (!out.safety_ok) {
+      out.safety_detail = std::to_string(leaders) +
+                          " leader(s); the first holds id " +
+                          std::to_string(id);
+    }
+    return out;
+  }
+
+ private:
+  std::vector<std::size_t> ids_;  // node i holds id ids_[i] + 1
+  SimTime drain_window_ = 0.0;
+  // The first leader, written once by its node's handler.
+  std::atomic<std::int64_t> leader_{-1};
+  SimTime elected_at_ = 0.0;
+  std::uint64_t messages_ = 0;
+};
+
+}  // namespace
+
+std::unique_ptr<AlgorithmDriver> make_chang_roberts_driver() {
+  return std::make_unique<ChangRobertsDriver>();
 }
 
 }  // namespace abe

@@ -10,11 +10,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 
-#include "net/network.h"
 #include "net/node.h"
-#include "stats/summary.h"
+#include "runtime/runtime.h"
 
 namespace abe {
 
@@ -46,9 +46,6 @@ class ChangRobertsNode final : public Node {
   std::string state_string() const override;
   bool is_terminated() const override { return leader_; }
 
-  bool is_leader() const { return leader_; }
-  std::uint64_t id() const { return id_; }
-
  private:
   std::uint64_t id_;
   std::function<void(NodeId, SimTime)> on_leader_;
@@ -56,36 +53,11 @@ class ChangRobertsNode final : public Node {
   bool leader_ = false;
 };
 
-struct CrExperiment {
-  std::size_t n = 8;
-  std::string delay_name = "exponential";
-  double mean_delay = 1.0;
-  ChannelOrdering ordering = ChannelOrdering::kArbitrary;
-  // Ids are a random permutation of {1..n} (the average-case assumption
-  // behind the Θ(n log n) bound).
-  std::uint64_t seed = 1;
-  SimTime deadline = 1e7;
-};
-
-struct CrResult {
-  bool elected = false;
-  std::size_t leader_index = 0;
-  SimTime election_time = 0.0;
-  std::uint64_t messages = 0;
-  bool safety_ok = false;
-};
-
-CrResult run_chang_roberts(const CrExperiment& experiment);
-
-struct CrAggregate {
-  Summary messages;
-  Summary time;
-  std::uint64_t failures = 0;
-  std::uint64_t safety_violations = 0;
-};
-
-CrAggregate run_chang_roberts_trials(CrExperiment experiment,
-                                     std::uint64_t trials,
-                                     std::uint64_t seed_base = 1);
+// Chang–Roberts as an AlgorithmDriver (runtime/runtime.h) on the
+// unidirectional ring its RuntimeConfig carries. The ids are a random
+// permutation of {1..n} (the average-case assumption behind Θ(n log n)).
+// Time and messages are taken when the leader appears; after a 64·δ·n
+// drain, safety is exactly one leader, holding id n. One driver per trial.
+std::unique_ptr<AlgorithmDriver> make_chang_roberts_driver();
 
 }  // namespace abe

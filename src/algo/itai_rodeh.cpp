@@ -1,9 +1,9 @@
 #include "algo/itai_rodeh.h"
 
+#include <atomic>
 #include <sstream>
-
-#include "net/topology.h"
-#include "util/check.h"
+#include <string>
+#include <utility>
 
 namespace abe {
 
@@ -14,13 +14,14 @@ std::string IrToken::describe() const {
   return os.str();
 }
 
-ItaiRodehNode::ItaiRodehNode(IrOptions options)
-    : options_(std::move(options)) {}
+ItaiRodehNode::ItaiRodehNode(std::uint64_t id_range,
+                             std::function<void(NodeId, SimTime)> on_leader)
+    : id_range_(id_range), on_leader_(std::move(on_leader)) {}
 
 void ItaiRodehNode::on_start(Context& ctx) {
   if (ctx.network_size() == 1) {
     leader_ = true;
-    if (options_.on_leader) options_.on_leader(ctx.self(), ctx.real_now());
+    if (on_leader_) on_leader_(ctx.self(), ctx.real_now());
     return;
   }
   start_round(ctx);
@@ -29,7 +30,7 @@ void ItaiRodehNode::on_start(Context& ctx) {
 void ItaiRodehNode::start_round(Context& ctx) {
   ++round_;
   const std::uint64_t range =
-      options_.id_range == 0 ? ctx.network_size() : options_.id_range;
+      id_range_ == 0 ? ctx.network_size() : id_range_;
   id_ = 1 + ctx.rng().uniform_int(range);
   ctx.send(0, std::make_unique<IrToken>(round_, id_, 1, true));
 }
@@ -55,7 +56,7 @@ void ItaiRodehNode::on_message(Context& ctx, std::size_t /*in_index*/,
     // Our token made it all the way around.
     if (token.clean()) {
       leader_ = true;
-      if (options_.on_leader) options_.on_leader(ctx.self(), ctx.real_now());
+      if (on_leader_) on_leader_(ctx.self(), ctx.real_now());
     } else {
       start_round(ctx);  // tie this round; redraw
     }
@@ -91,79 +92,93 @@ std::string ItaiRodehNode::state_string() const {
   return os.str();
 }
 
-IrResult run_itai_rodeh(const IrExperiment& experiment) {
-  ABE_CHECK_GE(experiment.n, 1u);
-  NetworkConfig config;
-  config.topology = unidirectional_ring(experiment.n);
-  config.delay = make_delay_model(experiment.delay_name,
-                                  experiment.mean_delay);
-  config.ordering = experiment.ordering;
-  config.seed = experiment.seed;
+namespace {
 
-  Network net(std::move(config));
-  struct {
-    bool elected = false;
-    std::size_t index = 0;
-    SimTime when = 0.0;
-    std::uint64_t count = 0;
-  } leader;
-
-  IrOptions options;
-  options.on_leader = [&leader](NodeId node, SimTime when) {
-    if (!leader.elected) {
-      leader.elected = true;
-      leader.index = static_cast<std::size_t>(node.value());
-      leader.when = when;
-    }
-    ++leader.count;
-  };
-  net.build_nodes([&](std::size_t) -> NodePtr {
-    return std::make_unique<ItaiRodehNode>(options);
-  });
-  net.start();
-
-  IrResult result;
-  const bool elected =
-      net.run_until([&] { return leader.elected; }, experiment.deadline);
-  if (!elected) return result;
-
-  result.elected = true;
-  result.leader_index = leader.index;
-  result.election_time = leader.when;
-  result.messages = net.metrics().messages_sent;
-  result.rounds = static_cast<const ItaiRodehNode&>(net.node(leader.index))
-                      .round();
-
-  // Drain stale tokens, then check the terminal configuration.
-  net.run_until_quiescent(net.now() + 64.0 * experiment.mean_delay *
-                                          static_cast<double>(experiment.n));
-  std::size_t leaders = 0;
-  for (std::size_t i = 0; i < net.size(); ++i) {
-    const auto& node = static_cast<const ItaiRodehNode&>(net.node(i));
-    if (node.is_leader()) ++leaders;
+class ItaiRodehDriver final : public AlgorithmDriver {
+ public:
+  ItaiRodehDriver(std::uint64_t id_range, std::uint64_t* leader_round)
+      : id_range_(id_range), leader_round_(leader_round) {
+    std::atomic<std::int64_t>* leader = &leader_;
+    std::atomic<std::uint64_t>* elections = &elections_;
+    SimTime* elected_at = &elected_at_;
+    on_leader_ = [leader, elections, elected_at](NodeId node, SimTime when) {
+      std::int64_t none = -1;
+      if (leader->compare_exchange_strong(none, node.value())) {
+        *elected_at = when;
+      }
+      elections->fetch_add(1, std::memory_order_relaxed);
+    };
   }
-  result.safety_ok = leaders == 1 && leader.count == 1;
-  return result;
-}
 
-IrAggregate run_itai_rodeh_trials(IrExperiment experiment,
-                                  std::uint64_t trials,
-                                  std::uint64_t seed_base) {
-  ABE_CHECK_GT(trials, 0u);
-  IrAggregate agg;
-  for (std::uint64_t t = 0; t < trials; ++t) {
-    experiment.seed = seed_base + t;
-    const IrResult run = run_itai_rodeh(experiment);
-    if (!run.elected) {
-      ++agg.failures;
-      continue;
-    }
-    if (!run.safety_ok) ++agg.safety_violations;
-    agg.messages.add(static_cast<double>(run.messages));
-    agg.time.add(run.election_time);
-    agg.rounds.add(static_cast<double>(run.rounds));
+  void configure(RuntimeConfig& config) override {
+    config.ordering = ChannelOrdering::kFifo;
+    drain_window_ = 64.0 * config.delay->mean_delay() *
+                    static_cast<double>(config.plan->size());
   }
-  return agg;
+
+  NodePtr make_node(std::size_t /*index*/) override {
+    return std::make_unique<ItaiRodehNode>(id_range_, on_leader_);
+  }
+
+  bool done(const Runtime& /*rt*/) override {
+    return leader_.load(std::memory_order_acquire) >= 0;
+  }
+
+  void on_complete(Runtime& rt) override {
+    messages_ = rt.stats().messages_sent;
+  }
+
+  void settle(Runtime& rt, bool completed) override {
+    if (completed) rt.drain(drain_window_);
+  }
+
+  TrialOutcome extract(Runtime& rt, bool completed) override {
+    TrialOutcome out;
+    if (!completed) {
+      out.messages = rt.stats().messages_sent;
+      out.safety_detail = "no leader before the deadline";
+      return out;
+    }
+    const std::int64_t leader = leader_.load(std::memory_order_acquire);
+    out.completed = true;
+    out.time = elected_at_;
+    out.messages = messages_;
+    out.decision_node = leader;
+    if (leader_round_ != nullptr) {
+      *leader_round_ =
+          static_cast<const ItaiRodehNode&>(
+              rt.node(static_cast<std::size_t>(leader)).algorithm_node())
+              .round();
+    }
+    std::size_t leaders = 0;  // a node is terminated once it is leader
+    for (std::size_t i = 0; i < rt.size(); ++i) leaders += rt.terminated(i);
+    const std::uint64_t elections = elections_.load(std::memory_order_relaxed);
+    out.safety_ok = leaders == 1 && elections == 1;
+    if (!out.safety_ok) {
+      out.safety_detail = std::to_string(leaders) + " leader(s) at the end, " +
+                          std::to_string(elections) + " election(s)";
+    }
+    return out;
+  }
+
+ private:
+  std::uint64_t id_range_;
+  std::uint64_t* leader_round_;
+  std::function<void(NodeId, SimTime)> on_leader_;
+  SimTime drain_window_ = 0.0;
+  // The first leader, written once by its node's handler, and how many
+  // times any node became leader.
+  std::atomic<std::int64_t> leader_{-1};
+  std::atomic<std::uint64_t> elections_{0};
+  SimTime elected_at_ = 0.0;
+  std::uint64_t messages_ = 0;
+};
+
+}  // namespace
+
+std::unique_ptr<AlgorithmDriver> make_itai_rodeh_driver(
+    std::uint64_t id_range, std::uint64_t* leader_round) {
+  return std::make_unique<ItaiRodehDriver>(id_range, leader_round);
 }
 
 }  // namespace abe

@@ -17,17 +17,17 @@
 //     equal but hop < n (tie): forward with clean=false.
 //   passive nodes forward every token with hop+1.
 //
-// Channels should be FIFO (the classic setting); the round numbers make the
-// algorithm robust in practice and tests also exercise arbitrary order.
+// Channels are FIFO, the classic setting: make_itai_rodeh_driver sets
+// ChannelOrdering::kFifo, and no test runs it on any other ordering.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 
-#include "net/network.h"
 #include "net/node.h"
-#include "stats/summary.h"
+#include "runtime/runtime.h"
 
 namespace abe {
 
@@ -52,16 +52,12 @@ class IrToken final : public Payload {
   bool clean_;
 };
 
-struct IrOptions {
-  // Ids are drawn uniformly from {1..id_range}; 0 means "use n".
-  std::uint64_t id_range = 0;
-  // Invoked once when this node becomes leader.
-  std::function<void(NodeId, SimTime)> on_leader;
-};
-
 class ItaiRodehNode final : public Node {
  public:
-  explicit ItaiRodehNode(IrOptions options);
+  // Ids are drawn uniformly from {1..id_range}; 0 means "use n".
+  // `on_leader` fires once, when this node becomes leader.
+  ItaiRodehNode(std::uint64_t id_range,
+                std::function<void(NodeId, SimTime)> on_leader);
 
   void on_start(Context& ctx) override;
   void on_message(Context& ctx, std::size_t in_index,
@@ -70,50 +66,26 @@ class ItaiRodehNode final : public Node {
   std::string state_string() const override;
   bool is_terminated() const override { return leader_; }
 
-  bool is_leader() const { return leader_; }
-  bool is_passive() const { return passive_; }
   std::uint64_t round() const { return round_; }
 
  private:
   void start_round(Context& ctx);
 
-  IrOptions options_;
+  std::uint64_t id_range_;
+  std::function<void(NodeId, SimTime)> on_leader_;
   bool passive_ = false;
   bool leader_ = false;
   std::uint64_t round_ = 0;
   std::uint64_t id_ = 0;
 };
 
-struct IrExperiment {
-  std::size_t n = 8;
-  std::string delay_name = "exponential";
-  double mean_delay = 1.0;
-  ChannelOrdering ordering = ChannelOrdering::kFifo;
-  std::uint64_t seed = 1;
-  SimTime deadline = 1e7;
-};
-
-struct IrResult {
-  bool elected = false;
-  std::size_t leader_index = 0;
-  SimTime election_time = 0.0;
-  std::uint64_t messages = 0;
-  std::uint64_t rounds = 0;  // rounds reached by the eventual leader
-  bool safety_ok = false;
-};
-
-IrResult run_itai_rodeh(const IrExperiment& experiment);
-
-struct IrAggregate {
-  Summary messages;
-  Summary time;
-  Summary rounds;
-  std::uint64_t failures = 0;
-  std::uint64_t safety_violations = 0;
-};
-
-IrAggregate run_itai_rodeh_trials(IrExperiment experiment,
-                                  std::uint64_t trials,
-                                  std::uint64_t seed_base = 1);
+// Itai–Rodeh as an AlgorithmDriver (runtime/runtime.h) on the
+// unidirectional ring its RuntimeConfig carries, with FIFO channels. Ids
+// are drawn from {1..id_range} (0 means n). Time and messages are taken
+// when the leader appears, its round goes to `*leader_round` (may be
+// null); after a 64·δ·n drain, safety is exactly one leader, elected once.
+// One driver per trial.
+std::unique_ptr<AlgorithmDriver> make_itai_rodeh_driver(
+    std::uint64_t id_range, std::uint64_t* leader_round);
 
 }  // namespace abe

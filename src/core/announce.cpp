@@ -1,10 +1,9 @@
 #include "core/announce.h"
 
 #include <sstream>
+#include <string>
 #include <vector>
 
-#include "net/network.h"
-#include "net/topology.h"
 #include "util/check.h"
 
 namespace abe {
@@ -64,62 +63,69 @@ std::string AnnouncingElectionNode::state_string() const {
   return os.str();
 }
 
-AnnouncedElectionResult run_announced_election(std::size_t n, double a0,
-                                               std::uint64_t seed,
-                                               const std::string& delay_name,
-                                               SimTime deadline) {
-  ABE_CHECK_GE(n, 1u);
-  NetworkConfig config;
-  config.topology = unidirectional_ring(n);
-  config.delay = make_delay_model(delay_name, 1.0);
-  config.enable_ticks = true;
-  config.seed = seed;
+namespace {
 
-  Network net(std::move(config));
-  ElectionOptions options;
-  options.a0 = a0;
-  net.build_nodes([&](std::size_t) -> NodePtr {
-    return std::make_unique<AnnouncingElectionNode>(options);
-  });
-  net.start();
+class AnnouncedElectionDriver final : public AlgorithmDriver {
+ public:
+  explicit AnnouncedElectionDriver(ElectionOptions options)
+      : options_(options) {}
 
-  auto all_done = [&] {
-    for (std::size_t i = 0; i < net.size(); ++i) {
-      if (!static_cast<const AnnouncingElectionNode&>(net.node(i)).done()) {
-        return false;
-      }
+  void configure(RuntimeConfig& config) override {
+    config.enable_ticks = true;
+  }
+
+  NodePtr make_node(std::size_t /*index*/) override {
+    return std::make_unique<AnnouncingElectionNode>(options_);
+  }
+
+  bool done(const Runtime& rt) override {
+    for (std::size_t i = 0; i < rt.size(); ++i) {
+      if (!rt.terminated(i)) return false;
     }
     return true;
-  };
-  AnnouncedElectionResult result;
-  result.all_done = net.run_until(all_done, deadline);
-  if (!result.all_done) return result;
+  }
 
-  result.completion_time = net.now();
-  result.messages = net.metrics().messages_sent;
-
-  // Distances must be a permutation of 0..n-1 consistent with the ring.
-  std::vector<char> seen(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& node =
-        static_cast<const AnnouncingElectionNode&>(net.node(i));
-    if (node.is_leader()) result.leader_index = i;
-    const std::uint64_t d = node.distance_from_leader();
-    if (d < n && !seen[d]) {
-      seen[d] = 1;
-    } else {
-      return result;  // distances_consistent stays false
+  TrialOutcome extract(Runtime& rt, bool completed) override {
+    TrialOutcome out;
+    out.messages = rt.stats().messages_sent;
+    if (!completed) {
+      out.safety_detail = "some node never learned the outcome";
+      return out;
     }
+    out.completed = true;
+    out.time = rt.now();
+    const std::size_t n = rt.size();
+    std::vector<std::uint64_t> distance(n);
+    std::size_t leader = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto& node = static_cast<const AnnouncingElectionNode&>(
+          rt.node(i).algorithm_node());
+      distance[i] = node.distance_from_leader();
+      if (node.is_leader()) leader = i;
+    }
+    out.decision_node = static_cast<std::int64_t>(leader);
+    out.safety_ok = true;
+    for (std::size_t i = 0; i < n && out.safety_ok; ++i) {
+      const std::size_t expected = (i + n - leader) % n;
+      out.safety_ok = distance[i] == expected;
+      if (!out.safety_ok) {
+        out.safety_detail = "node " + std::to_string(i) + " learned distance " +
+                            std::to_string(distance[i]) + ", expected " +
+                            std::to_string(expected);
+      }
+    }
+    return out;
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& node =
-        static_cast<const AnnouncingElectionNode&>(net.node(i));
-    const std::size_t expected =
-        (i + n - result.leader_index) % n;
-    if (node.distance_from_leader() != expected) return result;
-  }
-  result.distances_consistent = true;
-  return result;
+
+ private:
+  ElectionOptions options_;
+};
+
+}  // namespace
+
+std::unique_ptr<AlgorithmDriver> make_announced_election_driver(
+    ElectionOptions options) {
+  return std::make_unique<AnnouncedElectionDriver>(options);
 }
 
 }  // namespace abe

@@ -12,14 +12,18 @@
 // Section 3 (it also yields a ring orientation/indexing: each node ends up
 // knowing its clockwise distance from the leader — a free by-product that
 // downstream protocols typically want).
+//
+// make_announced_election_driver runs it on any Runtime; bench E11a charts
+// its cost (election + n messages, still linear in n).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "core/election.h"
 #include "net/node.h"
-#include "stats/summary.h"
+#include "runtime/runtime.h"
 
 namespace abe {
 
@@ -59,12 +63,10 @@ class AnnouncingElectionNode final : public Node {
     return done_ ? TickDemand::none() : inner_.tick_demand();
   }
 
-  bool done() const { return done_; }
   bool is_leader() const { return inner_.state() == ElectionState::kLeader; }
   // Clockwise distance from the leader (0 for the leader itself);
-  // meaningful once done().
+  // meaningful once terminated.
   std::uint64_t distance_from_leader() const { return distance_; }
-  const ElectionNode& inner() const { return inner_; }
 
  private:
   ElectionNode inner_;
@@ -73,19 +75,12 @@ class AnnouncingElectionNode final : public Node {
   std::uint64_t distance_ = 0;
 };
 
-struct AnnouncedElectionResult {
-  bool all_done = false;
-  std::size_t leader_index = 0;
-  SimTime completion_time = 0.0;  // until *every* node knows
-  std::uint64_t messages = 0;     // election + announcement wave
-  bool distances_consistent = false;  // 0..n-1, each exactly once
-};
-
-// Runs the announcing election on a unidirectional ABE ring.
-AnnouncedElectionResult run_announced_election(std::size_t n, double a0,
-                                               std::uint64_t seed,
-                                               const std::string& delay_name
-                                               = "exponential",
-                                               SimTime deadline = 1e7);
+// The announcing election as an AlgorithmDriver (runtime/runtime.h) on
+// the unidirectional ring its RuntimeConfig carries, with ticks on. Done
+// once every node knows the outcome (election + announcement messages).
+// Safety: the learned distances index the ring from the leader, node
+// (leader + d) mod n holding distance d. One driver per trial.
+std::unique_ptr<AlgorithmDriver> make_announced_election_driver(
+    ElectionOptions options);
 
 }  // namespace abe

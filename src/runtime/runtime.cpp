@@ -115,7 +115,7 @@ std::unique_ptr<Runtime> make_runtime(RuntimeKind kind,
 }
 
 TrialOutcome run_algorithm_trial(RuntimeKind kind, RuntimeConfig config,
-                                 AlgorithmDriver& driver) {
+                                 AlgorithmDriver& driver, Trace* trace_out) {
   using WallClock = std::chrono::steady_clock;
   const auto ms_between = [](WallClock::time_point a, WallClock::time_point b) {
     return std::chrono::duration<double, std::milli>(b - a).count();
@@ -178,6 +178,7 @@ TrialOutcome run_algorithm_trial(RuntimeKind kind, RuntimeConfig config,
     // having pre-enabled tracing.
     outcome.flight_tail = rt->trace_snapshot().events();
   }
+  if (trace_out != nullptr) *trace_out = rt->trace_snapshot();
   return outcome;
 }
 

@@ -352,7 +352,10 @@ class AlgorithmDriver {
 // Runs one trial of `driver` on a fresh runtime of `kind`:
 //   configure → build_nodes → start → run_until_done(deadline) →
 //   on_complete (if completed) → settle → stop → extract.
+// A non-null `trace_out` receives the flight recorder after stop() (full
+// detail when config.trace is set): how a trial is replayed and inspected.
 TrialOutcome run_algorithm_trial(RuntimeKind kind, RuntimeConfig config,
-                                 AlgorithmDriver& driver);
+                                 AlgorithmDriver& driver,
+                                 Trace* trace_out = nullptr);
 
 }  // namespace abe

@@ -1,6 +1,7 @@
 #include "scenario/drivers.h"
 
 #include <algorithm>
+#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -138,37 +139,20 @@ ScenarioTrialDriver make_beta_sync_binding(const Topology& topology) {
   const std::uint64_t rounds =
       std::max<std::size_t>(diameter(topology), 1);
   std::vector<std::int64_t> values(topology.n);
-  for (std::size_t i = 0; i < topology.n; ++i) {
-    values[i] = static_cast<std::int64_t>(i);
-  }
+  std::iota(values.begin(), values.end(), 0);
 
-  // The factory must outlive the driver, which holds it by reference.
-  auto factory =
-      std::make_shared<SyncAppFactory>(max_app_factory(std::move(values)));
-  auto sink = std::make_shared<BetaRunResult>();
+  auto sink = std::make_shared<SynchronizerResult>();
   const std::size_t n = topology.n;
 
   ScenarioTrialDriver binding;
-  binding.driver = make_beta_sync_driver(*factory, rounds, sink.get());
-  binding.project = [sink, factory, rounds,
-                     n](const TrialOutcome& outcome) {
-    TrialOutcome out;
-    // Preserve the trial loop's observability harvest: this projection
-    // rebuilds the outcome from the sink, but metrics/wall/flight-tail
-    // belong to the run, not the algorithm.
-    out.has_metrics = outcome.has_metrics;
-    out.metrics = outcome.metrics;
-    out.wall = outcome.wall;
-    out.flight_tail = outcome.flight_tail;
-    out.decision_node = outcome.decision_node;
-    out.has_critical_path = outcome.has_critical_path;
-    out.critical_path = outcome.critical_path;
-    out.has_timeseries = outcome.has_timeseries;
-    out.timeseries = outcome.timeseries;
-    out.completed = sink->completed;
-    out.time = sink->completion_time;
-    out.messages = sink->messages_total;
-    if (!sink->completed) return out;
+  binding.driver =
+      make_beta_sync_driver(max_app_factory(std::move(values)), rounds,
+                            sink.get());
+  binding.project = [sink, rounds, n](const TrialOutcome& outcome) {
+    // The driver's outcome already carries completion, time and messages;
+    // the cell adds the app's postcondition as its safety verdict.
+    TrialOutcome out = outcome;
+    if (!out.completed) return out;
     const auto target = static_cast<std::int64_t>(n - 1);
     std::size_t converged = 0;
     for (std::int64_t output : sink->outputs) {
@@ -266,23 +250,33 @@ RuntimeConfig scenario_runtime_config(const ScenarioSpec& spec,
   return config;
 }
 
-ScenarioTrialResult run_scenario_trial(const ScenarioSpec& spec,
-                                       std::uint64_t seed) {
-  const std::string problem = runtime_cell_problem(spec);
-  ABE_CHECK(problem.empty())
-      << spec.cell_id() << " cannot run on the "
-      << runtime_kind_name(spec.runtime) << " runtime: " << problem;
+namespace {
 
+// One trial of `spec` through its driver binding; a non-null `trace_out`
+// turns full-detail tracing on and receives the trace.
+TrialOutcome run_bound_trial(const ScenarioSpec& spec, std::uint64_t seed,
+                             Trace* trace_out) {
   // The ring election runs on the unidirectional ring its spec names; all
   // other algorithms take the materialised (possibly random) graph. The
   // driver and the runtime share the trial's plan.
   std::shared_ptr<const NetworkPlan> plan = trial_plan(spec.topology, seed);
   ScenarioTrialDriver binding =
       make_scenario_driver(spec, plan->topology(), seed);
-  const TrialOutcome outcome = run_algorithm_trial(
-      spec.runtime, scenario_runtime_config(spec, std::move(plan), seed),
-      *binding.driver);
-  return binding.project(outcome);
+  RuntimeConfig config = scenario_runtime_config(spec, std::move(plan), seed);
+  config.trace = trace_out != nullptr;
+  return binding.project(run_algorithm_trial(
+      spec.runtime, std::move(config), *binding.driver, trace_out));
+}
+
+}  // namespace
+
+ScenarioTrialResult run_scenario_trial(const ScenarioSpec& spec,
+                                       std::uint64_t seed) {
+  const std::string problem = runtime_cell_problem(spec);
+  ABE_CHECK(problem.empty())
+      << spec.cell_id() << " cannot run on the "
+      << runtime_kind_name(spec.runtime) << " runtime: " << problem;
+  return run_bound_trial(spec, seed, nullptr);
 }
 
 TrialOutcome replay_scenario_trial(const ScenarioSpec& spec,
@@ -291,33 +285,9 @@ TrialOutcome replay_scenario_trial(const ScenarioSpec& spec,
   ABE_CHECK(spec.runtime == RuntimeKind::kSim)
       << "only simulator trials are replayable (thread trials are "
          "wall-clock nondeterministic)";
-
-  std::shared_ptr<const NetworkPlan> plan = trial_plan(spec.topology, seed);
-  ScenarioTrialDriver binding =
-      make_scenario_driver(spec, plan->topology(), seed);
-  RuntimeConfig config = scenario_runtime_config(spec, std::move(plan), seed);
-  config.trace = true;
-
-  // run_algorithm_trial's exact lifecycle, inlined on a concrete
-  // SimRuntime so the trace can be harvested before the runtime dies.
   // Trace recording observes event order without consuming randomness, so
   // the replayed outcome is bit-identical to the original trial's.
-  binding.driver->configure(config);
-  const SimTime deadline = config.deadline;
-  SimRuntime rt(std::move(config));
-  rt.build_nodes(
-      [&](std::size_t i) { return binding.driver->make_node(i); });
-  rt.start();
-  const bool completed = rt.run_until_done(
-      [&] { return binding.driver->done(rt); }, deadline);
-  if (completed) binding.driver->on_complete(rt);
-  binding.driver->settle(rt, completed);
-  rt.stop();
-  TrialOutcome outcome = binding.driver->extract(rt, completed);
-  outcome.metrics = rt.metrics_snapshot();
-  outcome.has_metrics = true;
-  *trace_out = rt.network().trace();
-  return binding.project(outcome);
+  return run_bound_trial(spec, seed, trace_out);
 }
 
 }  // namespace abe

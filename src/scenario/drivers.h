@@ -19,7 +19,9 @@
 // that wants a driver's own result struct (activations, purges, rounds, …)
 // builds the config with scenario_runtime_config, adjusts what the spec
 // does not carry (ordering, an explicit delay model, trace), and calls
-// run_algorithm_trial with the driver directly.
+// run_algorithm_trial with the driver directly. So do the callers of the
+// drivers without a binding: algo/chang_roberts.h, algo/itai_rodeh.h,
+// core/announce.h, syncr/alpha.h and syncr/abd_sync.h.
 #pragma once
 
 #include <cstdint>

@@ -16,20 +16,23 @@
 // (late envelopes, dropped from their round) — bench E6 sweeps c and the
 // delay law to chart the failure probability the paper's Theorem 1 warns
 // about. Clock drift (Definition 1(2)) breaks it too: local round windows
-// slide apart; the bench includes that row as well.
+// slide apart; the bench includes that row as well. make_abd_sync_driver
+// runs it on any Runtime; callers compare its outputs with
+// run_synchronous (syncr/sync_runner.h) to see the corruption.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
-#include "net/network.h"
 #include "net/node.h"
+#include "runtime/runtime.h"
 #include "syncr/sync_app.h"
 
 namespace abe {
 
-class AbdSyncNode final : public Node {
+class AbdSyncNode final : public SyncNode {
  public:
   // `period_local` is P in local-clock units.
   AbdSyncNode(std::unique_ptr<SyncApp> app, std::uint64_t max_rounds,
@@ -41,48 +44,23 @@ class AbdSyncNode final : public Node {
   void on_timer(Context& ctx, TimerId id, std::uint64_t tag) override;
 
   std::string state_string() const override;
-  bool is_terminated() const override { return finished_; }
-
-  std::uint64_t rounds_completed() const { return rounds_completed_; }
-  std::uint64_t late_messages() const { return late_; }
-  const SyncApp& app() const { return *app_; }
+  std::uint64_t late_messages() const override { return late_; }
 
  private:
-  void emit_round(Context& ctx, std::uint64_t round,
-                  std::vector<SyncOutgoing> app_msgs);
-
-  std::unique_ptr<SyncApp> app_;
-  std::uint64_t max_rounds_;
   double period_local_;
   std::uint64_t closed_rounds_ = 0;  // rounds whose window has ended
-  std::uint64_t rounds_completed_ = 0;
   std::uint64_t late_ = 0;
-  bool finished_ = false;
-  SyncAppContext app_ctx_{};
   std::map<std::uint64_t, std::vector<SyncIncoming>> inbox_;
 };
 
-struct AbdRunResult {
-  std::uint64_t rounds = 0;
-  std::uint64_t messages_total = 0;  // app messages only; no sync overhead
-  double messages_per_round = 0.0;
-  std::uint64_t late_messages = 0;   // envelopes missing their round window
-  double late_fraction = 0.0;        // late / delivered app messages
-  std::vector<std::int64_t> outputs;
-  bool outputs_match_reference = false;
-  bool completed = false;
-};
-
-// Runs the app under the ABD synchronizer with round period
-// `period = multiplier × delay->mean_delay()` and compares the outputs with
-// the lock-step reference execution.
-AbdRunResult run_abd_synchronizer(const Topology& topology,
-                                  const SyncAppFactory& factory,
-                                  std::uint64_t rounds,
-                                  const DelayModelPtr& delay,
-                                  double period_multiplier,
-                                  std::uint64_t seed = 1,
-                                  ClockBounds clock_bounds = {},
-                                  DriftModel drift = DriftModel::kNone);
+// The app under the ABD synchronizer for `rounds` rounds, as a
+// SynchronizerDriver (syncr/sync_app.h). configure() sets the period
+// P = period_multiplier × config.delay's mean and the deadline to all round
+// windows at the slowest clock rate (config.clock_bounds.s_low) plus
+// slack: rounds are timer-driven, so every run completes. One driver per
+// trial.
+std::unique_ptr<AlgorithmDriver> make_abd_sync_driver(
+    SyncAppFactory factory, std::uint64_t rounds, double period_multiplier,
+    SynchronizerResult* sink);
 
 }  // namespace abe

@@ -9,16 +9,10 @@ namespace abe {
 
 AlphaSyncNode::AlphaSyncNode(std::unique_ptr<SyncApp> app,
                              std::uint64_t max_rounds)
-    : app_(std::move(app)), max_rounds_(max_rounds) {
-  ABE_CHECK(static_cast<bool>(app_));
-  ABE_CHECK_GT(max_rounds, 0u);
-}
+    : SyncNode(std::move(app), max_rounds) {}
 
 void AlphaSyncNode::on_start(Context& ctx) {
-  app_ctx_ = SyncAppContext{static_cast<std::size_t>(ctx.self().value()),
-                            ctx.out_degree(), ctx.in_degree(),
-                            ctx.network_size(), &ctx.rng()};
-  emit_round(ctx, 1, app_->on_init(app_ctx_));
+  emit_round(ctx, 1, start_app(ctx));
   // Degenerate shapes (no in-channels) never receive; advance on the spot.
   try_advance(ctx);
 }
@@ -81,12 +75,8 @@ void AlphaSyncNode::try_advance(Context& ctx) {
     }
     pending_count_.erase(current_round_);
 
-    auto next_msgs = app_->on_round(app_ctx_, current_round_, inbox);
-    ++rounds_completed_;
-    if (rounds_completed_ >= max_rounds_) {
-      finished_ = true;
-      return;
-    }
+    auto next_msgs = run_round(current_round_, inbox);
+    if (finished_) return;
     ++current_round_;
     emit_round(ctx, current_round_, std::move(next_msgs));
   }
@@ -98,45 +88,22 @@ std::string AlphaSyncNode::state_string() const {
   return os.str();
 }
 
-AlphaRunResult run_alpha_synchronizer(const Topology& topology,
-                                      const SyncAppFactory& factory,
-                                      std::uint64_t rounds,
-                                      const DelayModelPtr& delay,
-                                      std::uint64_t seed, SimTime deadline) {
-  NetworkConfig config;
-  config.topology = topology;
-  config.delay = delay;
-  config.ordering = ChannelOrdering::kArbitrary;
-  config.seed = seed;
+namespace {
 
-  Network net(std::move(config));
-  net.build_nodes([&](std::size_t i) -> NodePtr {
-    return std::make_unique<AlphaSyncNode>(factory(i), rounds);
-  });
-  net.start();
+class AlphaSyncDriver final : public SynchronizerDriver {
+ public:
+  using SynchronizerDriver::SynchronizerDriver;
 
-  auto all_done = [&] {
-    for (std::size_t i = 0; i < net.size(); ++i) {
-      if (!net.node(i).is_terminated()) return false;
-    }
-    return true;
-  };
-  const bool completed = net.run_until(all_done, deadline);
-
-  AlphaRunResult result;
-  result.completed = completed;
-  result.rounds = rounds;
-  result.messages_total = net.metrics().messages_sent;
-  result.messages_per_round =
-      static_cast<double>(result.messages_total) /
-      static_cast<double>(rounds);
-  result.completion_time = net.now();
-  result.outputs.resize(net.size());
-  for (std::size_t i = 0; i < net.size(); ++i) {
-    result.outputs[i] =
-        static_cast<const AlphaSyncNode&>(net.node(i)).app().output();
+  NodePtr make_node(std::size_t index) override {
+    return std::make_unique<AlphaSyncNode>(factory_(index), rounds_);
   }
-  return result;
+};
+
+}  // namespace
+
+std::unique_ptr<AlgorithmDriver> make_alpha_sync_driver(
+    SyncAppFactory factory, std::uint64_t rounds, SynchronizerResult* sink) {
+  return std::make_unique<AlphaSyncDriver>(std::move(factory), rounds, sink);
 }
 
 }  // namespace abe

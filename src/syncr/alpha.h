@@ -11,22 +11,23 @@
 //
 // Correctness needs no delay bound at all — it works on any asynchronous
 // network, ABE included, trading messages for robustness.
+// make_alpha_sync_driver runs it on any Runtime; bench E6a charts the
+// messages per round, E11b compares it with β.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
-#include "net/network.h"
 #include "net/node.h"
+#include "runtime/runtime.h"
 #include "syncr/sync_app.h"
 
 namespace abe {
 
-class AlphaSyncNode final : public Node {
+class AlphaSyncNode final : public SyncNode {
  public:
-  // Runs `max_rounds` app rounds, then stops emitting (all nodes share the
-  // same horizon, so no peer blocks).
   AlphaSyncNode(std::unique_ptr<SyncApp> app, std::uint64_t max_rounds);
 
   void on_start(Context& ctx) override;
@@ -34,45 +35,22 @@ class AlphaSyncNode final : public Node {
                   const Payload& payload) override;
 
   std::string state_string() const override;
-  bool is_terminated() const override { return finished_; }
-
-  std::uint64_t rounds_completed() const { return rounds_completed_; }
-  const SyncApp& app() const { return *app_; }
 
  private:
   void emit_round(Context& ctx, std::uint64_t round,
                   std::vector<SyncOutgoing> app_msgs);
   void try_advance(Context& ctx);
 
-  std::unique_ptr<SyncApp> app_;
-  std::uint64_t max_rounds_;
   std::uint64_t current_round_ = 1;  // round whose inbox we are collecting
-  std::uint64_t rounds_completed_ = 0;
-  bool finished_ = false;
-  SyncAppContext app_ctx_{};
   // round -> (in_index -> envelope); out-of-order rounds buffer here.
   std::map<std::uint64_t, std::vector<std::shared_ptr<const SyncEnvelope>>>
       pending_;
   std::map<std::uint64_t, std::size_t> pending_count_;
 };
 
-struct AlphaRunResult {
-  std::uint64_t rounds = 0;
-  std::uint64_t messages_total = 0;
-  double messages_per_round = 0.0;
-  SimTime completion_time = 0.0;
-  std::vector<std::int64_t> outputs;
-  bool completed = false;
-};
-
-// Runs the app under the α-synchronizer on `topology` over a network with
-// the given delay model. The result's outputs are comparable with
-// run_synchronous (same factory, same seed contract).
-AlphaRunResult run_alpha_synchronizer(const Topology& topology,
-                                      const SyncAppFactory& factory,
-                                      std::uint64_t rounds,
-                                      const DelayModelPtr& delay,
-                                      std::uint64_t seed = 1,
-                                      SimTime deadline = 1e9);
+// The app under the α-synchronizer for `rounds` rounds, as a
+// SynchronizerDriver (syncr/sync_app.h). One driver per trial.
+std::unique_ptr<AlgorithmDriver> make_alpha_sync_driver(
+    SyncAppFactory factory, std::uint64_t rounds, SynchronizerResult* sink);
 
 }  // namespace abe

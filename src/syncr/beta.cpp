@@ -34,27 +34,11 @@ BetaWiring beta_wiring(const NetworkPlan& plan, std::size_t node) {
 
 BetaSyncNode::BetaSyncNode(std::unique_ptr<SyncApp> app,
                            std::uint64_t max_rounds, BetaWiring wiring)
-    : app_(std::move(app)), max_rounds_(max_rounds), wiring_(wiring) {
-  ABE_CHECK(static_cast<bool>(app_));
-  ABE_CHECK_GT(max_rounds, 0u);
-}
+    : SyncNode(std::move(app), max_rounds), wiring_(wiring) {}
 
 void BetaSyncNode::on_start(Context& ctx) {
-  app_ctx_ = SyncAppContext{static_cast<std::size_t>(ctx.self().value()),
-                            ctx.out_degree(), ctx.in_degree(),
-                            ctx.network_size(), &ctx.rng()};
-  round_ = 1;
-  safe_reported_ = false;
-  children_safe_ = 0;
-  auto msgs = app_->on_init(app_ctx_);
-  unacked_ = msgs.size();
-  for (auto& m : msgs) {
-    ABE_CHECK_LT(m.out_index, ctx.out_degree());
-    ABE_CHECK(static_cast<bool>(m.payload));
-    ctx.send(m.out_index,
-             std::make_unique<SyncEnvelope>(round_, std::move(m.payload)));
-  }
-  maybe_report_safe(ctx);
+  pending_sends_ = start_app(ctx);
+  begin_round(ctx, 1);
 }
 
 void BetaSyncNode::begin_round(Context& ctx, std::uint64_t round) {
@@ -63,13 +47,8 @@ void BetaSyncNode::begin_round(Context& ctx, std::uint64_t round) {
   // SAFE/ACK cannot outrun our own round start (we forward GO before
   // beginning), so the counters start clean.
   children_safe_ = 0;
-  auto msgs = std::move(pending_sends_);
+  unacked_ = send_app_messages(ctx, round_, std::move(pending_sends_));
   pending_sends_.clear();
-  unacked_ = msgs.size();
-  for (auto& m : msgs) {
-    ctx.send(m.out_index,
-             std::make_unique<SyncEnvelope>(round_, std::move(m.payload)));
-  }
   // Buffered app messages that raced ahead of our GO.
   auto it = buffered_.find(round_);
   if (it != buffered_.end()) {
@@ -101,12 +80,8 @@ void BetaSyncNode::advance(Context& ctx) {
   }
   std::vector<SyncIncoming> inbox;
   inbox.swap(inbox_);
-  auto msgs = app_->on_round(app_ctx_, round_, inbox);
-  ++rounds_completed_;
-  if (rounds_completed_ >= max_rounds_) {
-    finished_ = true;
-    return;
-  }
+  auto msgs = run_round(round_, inbox);
+  if (finished_) return;
   pending_sends_ = std::move(msgs);
   begin_round(ctx, next);
 }
@@ -162,14 +137,9 @@ std::string BetaSyncNode::state_string() const {
 
 namespace {
 
-class BetaSyncDriver final : public AlgorithmDriver {
+class BetaSyncDriver final : public SynchronizerDriver {
  public:
-  BetaSyncDriver(const SyncAppFactory& factory, std::uint64_t rounds,
-                 BetaRunResult* sink)
-      : factory_(factory), rounds_(rounds), sink_(sink) {
-    ABE_CHECK(sink_ != nullptr);
-    ABE_CHECK(static_cast<bool>(factory_));
-  }
+  using SynchronizerDriver::SynchronizerDriver;
 
   void configure(RuntimeConfig& config) override {
     plan_ = config.plan;
@@ -183,53 +153,15 @@ class BetaSyncDriver final : public AlgorithmDriver {
                                           beta_wiring(*plan_, index));
   }
 
-  bool done(const Runtime& rt) override {
-    for (std::size_t i = 0; i < rt.size(); ++i) {
-      if (!rt.terminated(i)) return false;
-    }
-    return true;
-  }
-
-  TrialOutcome extract(Runtime& rt, bool completed) override {
-    const RunStats stats = rt.stats();
-    sink_->completed = completed;
-    sink_->rounds = rounds_;
-    sink_->messages_total = stats.messages_sent;
-    sink_->messages_per_round =
-        static_cast<double>(sink_->messages_total) /
-        static_cast<double>(rounds_);
-    sink_->completion_time = rt.now();
-    sink_->outputs.resize(rt.size());
-    for (std::size_t i = 0; i < rt.size(); ++i) {
-      sink_->outputs[i] =
-          static_cast<const BetaSyncNode&>(rt.node(i).algorithm_node())
-              .app()
-              .output();
-    }
-
-    TrialOutcome out;
-    out.completed = completed;
-    // The synchronizer itself has no terminal safety predicate; what the
-    // outputs must satisfy is the app's business (callers check them).
-    out.safety_ok = completed;
-    out.time = sink_->completion_time;
-    out.messages = sink_->messages_total;
-    return out;
-  }
-
  private:
-  const SyncAppFactory& factory_;
-  std::uint64_t rounds_;
-  BetaRunResult* sink_;
   std::shared_ptr<const NetworkPlan> plan_;
 };
 
 }  // namespace
 
 std::unique_ptr<AlgorithmDriver> make_beta_sync_driver(
-    const SyncAppFactory& factory, std::uint64_t rounds,
-    BetaRunResult* sink) {
-  return std::make_unique<BetaSyncDriver>(factory, rounds, sink);
+    SyncAppFactory factory, std::uint64_t rounds, SynchronizerResult* sink) {
+  return std::make_unique<BetaSyncDriver>(std::move(factory), rounds, sink);
 }
 
 }  // namespace abe

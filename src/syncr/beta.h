@@ -10,7 +10,7 @@
 // still ≥ n per round for n ≥ 2, as Theorem 1 demands of anything that
 // synchronises an ABE network, but far below α's |E| on dense graphs.
 // Latency per round grows with the tree height (the classic α/β trade-off,
-// charted in bench E6's companion table and test_beta.cpp).
+// charted in bench E11b and test_beta.cpp).
 #pragma once
 
 #include <cstdint>
@@ -61,7 +61,7 @@ struct BetaWiring {
 // edge into `node` to have a reverse.
 BetaWiring beta_wiring(const NetworkPlan& plan, std::size_t node);
 
-class BetaSyncNode final : public Node {
+class BetaSyncNode final : public SyncNode {
  public:
   BetaSyncNode(std::unique_ptr<SyncApp> app, std::uint64_t max_rounds,
                BetaWiring wiring);
@@ -71,24 +71,15 @@ class BetaSyncNode final : public Node {
                   const Payload& payload) override;
 
   std::string state_string() const override;
-  bool is_terminated() const override { return finished_; }
-
-  std::uint64_t rounds_completed() const { return rounds_completed_; }
-  const SyncApp& app() const { return *app_; }
 
  private:
   void begin_round(Context& ctx, std::uint64_t round);
   void maybe_report_safe(Context& ctx);
   void advance(Context& ctx);  // root: all safe -> GO; others: on GO
 
-  std::unique_ptr<SyncApp> app_;
-  std::uint64_t max_rounds_;
   BetaWiring wiring_;
-  SyncAppContext app_ctx_{};
 
   std::uint64_t round_ = 0;  // round currently being exchanged
-  std::uint64_t rounds_completed_ = 0;
-  bool finished_ = false;
   bool safe_reported_ = false;
 
   std::size_t unacked_ = 0;          // our round-r messages not yet acked
@@ -100,21 +91,10 @@ class BetaSyncNode final : public Node {
   std::map<std::uint64_t, std::vector<SyncIncoming>> buffered_;
 };
 
-struct BetaRunResult {
-  std::uint64_t rounds = 0;
-  std::uint64_t messages_total = 0;  // app + acks + tree control
-  double messages_per_round = 0.0;
-  SimTime completion_time = 0.0;
-  std::vector<std::int64_t> outputs;
-  bool completed = false;
-};
-
-// The β-synchronized app as an AlgorithmDriver (runtime/runtime.h): tree
-// wiring read from config.plan in configure(), done once every node
-// finished its `rounds` rounds (terminated flags — race-free on both
-// runtimes), full BetaRunResult into `*sink`. One driver per trial.
+// The app under the β-synchronizer for `rounds` rounds, as a
+// SynchronizerDriver (syncr/sync_app.h) whose configure() reads the tree
+// wiring from config.plan. One driver per trial.
 std::unique_ptr<AlgorithmDriver> make_beta_sync_driver(
-    const SyncAppFactory& factory, std::uint64_t rounds,
-    BetaRunResult* sink);
+    SyncAppFactory factory, std::uint64_t rounds, SynchronizerResult* sink);
 
 }  // namespace abe

@@ -4,22 +4,29 @@
 // network: in every round each node sends at most one message per out-channel
 // and receives everything its in-neighbours sent that round. The same app
 // object can run on
-//   * SyncRunner        — the ideal lock-step executor (ground truth),
-//   * AlphaSynchronizer — Awerbuch's α on an asynchronous/ABE network,
-//   * AbdSynchronizer   — the timeout-based synchronizer that is only sound
-//                         when a sure delay bound exists (ABD networks).
-// Comparing per-node outputs across executors is how the tests certify a
-// synchronizer, and how bench E6 demonstrates where the ABD one breaks.
+//   * run_synchronous — the ideal lock-step executor (ground truth,
+//                       syncr/sync_runner.h),
+//   * AlphaSyncNode   — Awerbuch's α on an asynchronous/ABE network,
+//   * BetaSyncNode    — Awerbuch's β (spanning-tree safety convergecast),
+//   * AbdSyncNode     — the timeout-based synchronizer that is only sound
+//                       when a sure delay bound exists (ABD networks).
+// The network ones share SyncNode and SynchronizerDriver (below).
+// Comparing per-node outputs with run_synchronous is how the tests certify
+// a synchronizer, and how bench E6 demonstrates where the ABD one breaks.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/message.h"
+#include "net/node.h"
+#include "runtime/runtime.h"
 #include "sim/rng.h"
+#include "util/check.h"
 
 namespace abe {
 
@@ -85,6 +92,82 @@ class SyncEnvelope final : public Payload {
  private:
   std::uint64_t round_;
   std::shared_ptr<const Payload> app_;
+};
+
+// What every network synchronizer keeps around the app it drives: the app,
+// its round horizon, its progress and the app's view of the node. All
+// nodes share the same horizon, so no peer blocks on a finished one.
+class SyncNode : public Node {
+ public:
+  bool is_terminated() const override { return finished_; }
+
+  const SyncApp& app() const { return *app_; }
+  // Envelopes that arrived after their round had closed and were dropped
+  // from it. Only a timeout-driven synchronizer (ABD) can have any.
+  virtual std::uint64_t late_messages() const { return 0; }
+
+ protected:
+  // Runs `max_rounds` app rounds, then stops emitting.
+  SyncNode(std::unique_ptr<SyncApp> app, std::uint64_t max_rounds);
+
+  // Binds the app to this node; returns its round-1 messages.
+  std::vector<SyncOutgoing> start_app(Context& ctx);
+  // Hands the complete round-`round` inbox to the app and returns its
+  // messages for round + 1. After the last round it sets finished_ (the
+  // returned messages are then never sent).
+  std::vector<SyncOutgoing> run_round(std::uint64_t round,
+                                      const std::vector<SyncIncoming>& inbox);
+  // Sends each app message in a round-`round` envelope; returns the count.
+  static std::size_t send_app_messages(Context& ctx, std::uint64_t round,
+                                       std::vector<SyncOutgoing> msgs);
+
+  bool finished_ = false;
+
+ private:
+  std::unique_ptr<SyncApp> app_;
+  std::uint64_t max_rounds_;
+  std::uint64_t rounds_completed_ = 0;
+  SyncAppContext app_ctx_{};
+};
+
+// One synchronizer trial's measurements.
+struct SynchronizerResult {
+  std::uint64_t rounds = 0;
+  // Every message sent: app envelopes plus the synchronizer's own (α's
+  // null markers, β's acks and tree control; ABD sends none).
+  std::uint64_t messages_total = 0;
+  double messages_per_round = 0.0;
+  SimTime completion_time = 0.0;
+  // Per node, after the final round; compare with run_synchronous.
+  std::vector<std::int64_t> outputs;
+  std::uint64_t late_messages = 0;  // summed SyncNode::late_messages()
+  bool completed = false;
+};
+
+// The driver the three synchronizers share (runtime/runtime.h): done once
+// every node finished its `rounds` rounds (terminated flags, race-free on
+// every runtime), and the full SynchronizerResult into `*sink`. The
+// synchronizer itself has no terminal safety predicate: the outcome's
+// safety_ok is completion, and what the outputs must satisfy is the app's
+// business. Subclasses build the node and adjust the config. One driver
+// per trial.
+class SynchronizerDriver : public AlgorithmDriver {
+ public:
+  SynchronizerDriver(SyncAppFactory factory, std::uint64_t rounds,
+                     SynchronizerResult* sink)
+      : factory_(std::move(factory)), rounds_(rounds), sink_(sink) {
+    ABE_CHECK(sink_ != nullptr);
+  }
+
+  bool done(const Runtime& rt) override;
+  TrialOutcome extract(Runtime& rt, bool completed) override;
+
+ protected:
+  SyncAppFactory factory_;
+  std::uint64_t rounds_;
+
+ private:
+  SynchronizerResult* sink_;
 };
 
 }  // namespace abe

@@ -14,16 +14,18 @@
 namespace abe {
 namespace {
 
-// The app under the β-synchronizer on `topology` with `delay`.
-BetaRunResult run_beta(const Topology& topology, const SyncAppFactory& factory,
-                       std::uint64_t rounds, DelayModelPtr delay,
-                       std::uint64_t seed) {
+// The app under the β-synchronizer (or the α one, given
+// make_alpha_sync_driver) on `topology` with `delay`.
+SynchronizerResult run_sync(
+    const Topology& topology, const SyncAppFactory& factory,
+    std::uint64_t rounds, DelayModelPtr delay, std::uint64_t seed,
+    decltype(&make_beta_sync_driver) make_driver = make_beta_sync_driver) {
   RuntimeConfig config =
       scenario_runtime_config(ScenarioSpec{}, topology, seed);
   config.delay = std::move(delay);
   config.deadline = 1e9;
-  BetaRunResult result;
-  const auto driver = make_beta_sync_driver(factory, rounds, &result);
+  SynchronizerResult result;
+  const auto driver = make_driver(factory, rounds, &result);
   run_algorithm_trial(RuntimeKind::kSim, std::move(config), *driver);
   return result;
 }
@@ -31,7 +33,7 @@ BetaRunResult run_beta(const Topology& topology, const SyncAppFactory& factory,
 TEST(Beta, MatchesReferenceOnBroadcastGrid) {
   const Topology t = grid(3, 4);
   const auto ref = run_synchronous(t, broadcast_app_factory(0), 8);
-  const auto beta = run_beta(t, broadcast_app_factory(0), 8,
+  const auto beta = run_sync(t, broadcast_app_factory(0), 8,
                              exponential_delay(1.0), 5);
   ASSERT_TRUE(beta.completed);
   EXPECT_EQ(beta.outputs, ref.outputs);
@@ -41,7 +43,7 @@ TEST(Beta, MatchesReferenceOnMaxConsensus) {
   const Topology t = bidirectional_ring(10);
   std::vector<std::int64_t> values{4, 17, 3, 99, 5, 21, 8, 2, 54, 7};
   const auto ref = run_synchronous(t, max_app_factory(values), 6);
-  const auto beta = run_beta(t, max_app_factory(values), 6,
+  const auto beta = run_sync(t, max_app_factory(values), 6,
                              exponential_delay(1.0), 11);
   ASSERT_TRUE(beta.completed);
   EXPECT_EQ(beta.outputs, ref.outputs);
@@ -50,7 +52,7 @@ TEST(Beta, MatchesReferenceOnMaxConsensus) {
 TEST(Beta, MatchesReferenceUnderHeavyTails) {
   const Topology t = line(7);
   const auto ref = run_synchronous(t, broadcast_app_factory(3), 7);
-  const auto beta = run_beta(t, broadcast_app_factory(3), 7,
+  const auto beta = run_sync(t, broadcast_app_factory(3), 7,
                              lomax_delay(2.5, 1.0), 23);
   ASSERT_TRUE(beta.completed);
   EXPECT_EQ(beta.outputs, ref.outputs);
@@ -60,7 +62,7 @@ TEST(Beta, ManySeedsStaySound) {
   const Topology t = torus(3, 3);
   const auto ref = run_synchronous(t, broadcast_app_factory(4), 6);
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    const auto beta = run_beta(t, broadcast_app_factory(4), 6,
+    const auto beta = run_sync(t, broadcast_app_factory(4), 6,
                                exponential_delay(1.0), seed);
     ASSERT_TRUE(beta.completed) << "seed=" << seed;
     ASSERT_EQ(beta.outputs, ref.outputs) << "seed=" << seed;
@@ -69,7 +71,7 @@ TEST(Beta, ManySeedsStaySound) {
 
 TEST(Beta, AllRoundsExecute) {
   const Topology t = complete(6);
-  const auto beta = run_beta(t, counter_app_factory(), 12,
+  const auto beta = run_sync(t, counter_app_factory(), 12,
                              exponential_delay(1.0), 3);
   ASSERT_TRUE(beta.completed);
   for (auto v : beta.outputs) EXPECT_EQ(v, 12);
@@ -81,7 +83,7 @@ TEST(Beta, AllRoundsExecute) {
 TEST(Beta, SilentAppOverheadIsTreeOnly) {
   const Topology t = complete(8);  // alpha would pay |E| = 56 per round
   const std::uint64_t rounds = 20;
-  const auto beta = run_beta(t, counter_app_factory(), rounds,
+  const auto beta = run_sync(t, counter_app_factory(), rounds,
                              exponential_delay(1.0), 3);
   ASSERT_TRUE(beta.completed);
   // Expect ~2(n-1) per round: SAFE up + GO down. Allow the off-by-one
@@ -96,9 +98,10 @@ TEST(Beta, SilentAppOverheadIsTreeOnly) {
 TEST(Beta, CheaperThanAlphaOnDenseGraphs) {
   const Topology t = complete(10);  // |E| = 90
   const std::uint64_t rounds = 10;
-  const auto alpha = run_alpha_synchronizer(t, counter_app_factory(), rounds,
-                                            exponential_delay(1.0), 3);
-  const auto beta = run_beta(t, counter_app_factory(), rounds,
+  const auto alpha = run_sync(t, counter_app_factory(), rounds,
+                              exponential_delay(1.0), 3,
+                              make_alpha_sync_driver);
+  const auto beta = run_sync(t, counter_app_factory(), rounds,
                              exponential_delay(1.0), 3);
   ASSERT_TRUE(alpha.completed);
   ASSERT_TRUE(beta.completed);
@@ -109,9 +112,10 @@ TEST(Beta, SlowerThanAlphaOnDeepTopologies) {
   // The classic trade-off: β pays tree-height latency per round.
   const Topology t = line(16);
   const std::uint64_t rounds = 10;
-  const auto alpha = run_alpha_synchronizer(t, counter_app_factory(), rounds,
-                                            exponential_delay(1.0), 3);
-  const auto beta = run_beta(t, counter_app_factory(), rounds,
+  const auto alpha = run_sync(t, counter_app_factory(), rounds,
+                              exponential_delay(1.0), 3,
+                              make_alpha_sync_driver);
+  const auto beta = run_sync(t, counter_app_factory(), rounds,
                              exponential_delay(1.0), 3);
   ASSERT_TRUE(alpha.completed);
   ASSERT_TRUE(beta.completed);
@@ -119,7 +123,7 @@ TEST(Beta, SlowerThanAlphaOnDeepTopologies) {
 }
 
 TEST(Beta, SingleNode) {
-  const auto beta = run_beta(unidirectional_ring(1), counter_app_factory(), 5,
+  const auto beta = run_sync(unidirectional_ring(1), counter_app_factory(), 5,
                              exponential_delay(1.0), 1);
   ASSERT_TRUE(beta.completed);
   EXPECT_EQ(beta.outputs[0], 5);

@@ -57,6 +57,15 @@ that true, so this linter enforces them:
                   port-budget cap stay enforceable in one file. Qualified
                   names (std::bind, obj.bind(...)) never trip; the bare
                   libc spellings and explicit ::socket etc. do.
+  direct-network  No Network or NetworkConfig constructed outside
+                  src/runtime/ and src/net/network.*: a trial runs through
+                  Runtime + AlgorithmDriver (run_algorithm_trial), where
+                  SimRuntime is the one owner of a simulator Network. A
+                  hand-rolled runner that builds its own Network duplicates
+                  the run loop, describes the environment a second way and
+                  skips the outcome, metrics, flight-tail and critical-path
+                  harvest every driver gets. References and pointers
+                  (Network&, const Network*) never trip.
 
 Suppressions (each names the rule, so waivers stay narrow):
   // abe-lint: allow(<rule>)        on the offending or preceding line
@@ -166,8 +175,23 @@ ADHOC_COUNTER_PATH_PREFIXES = (
     "src/sim/", "src/net/", "src/runtime/", "src/trace/",
 )
 
+# --- direct-network --------------------------------------------------------
+
+# A Network/NetworkConfig value: a declared object (`Network net(...)`,
+# `NetworkConfig config;`), a temporary (`NetworkConfig{}`) or a heap
+# allocation. `\b` keeps WallNetwork and friends out; `&`/`*` after the
+# type name (references, pointers) never match.
+DIRECT_NETWORK_RE = re.compile(
+    r"\b(?:Network|NetworkConfig)\s+[A-Za-z_]\w*\s*(?:[;({=]|$)"
+    r"|\b(?:Network|NetworkConfig)\s*[({]"
+    r"|\bmake_(?:unique|shared)\s*<\s*(?:Network|NetworkConfig)\s*>"
+    r"|\bnew\s+(?:Network|NetworkConfig)\b"
+)
+DIRECT_NETWORK_ALLOWED_PREFIXES = ("src/runtime/", "src/net/network.")
+
 RULES = ("wall-clock", "unordered-iter", "env-read", "inline-capture",
-         "adversary-delay", "no-adhoc-counters", "raw-socket")
+         "adversary-delay", "no-adhoc-counters", "raw-socket",
+         "direct-network")
 
 
 class Finding:
@@ -385,6 +409,21 @@ def check_raw_socket(relpath, lines, add):
             )
 
 
+def check_direct_network(relpath, lines, add):
+    if relpath.startswith(DIRECT_NETWORK_ALLOWED_PREFIXES):
+        return
+    for lineno, line in enumerate(lines, start=1):
+        if DIRECT_NETWORK_RE.search(line):
+            add(
+                lineno,
+                "direct-network",
+                "Network/NetworkConfig constructed outside src/runtime/ "
+                "and src/net/network.*: run the algorithm as an "
+                "AlgorithmDriver through run_algorithm_trial on a "
+                "RuntimeConfig instead of a hand-rolled Network runner",
+            )
+
+
 # (check, needs_string_literals) — env-read matches on the "ABE_" literal.
 CHECKS = (
     (check_wall_clock, False),
@@ -394,6 +433,7 @@ CHECKS = (
     (check_adversary_delay, False),
     (check_no_adhoc_counters, False),
     (check_raw_socket, False),
+    (check_direct_network, False),
 )
 
 
