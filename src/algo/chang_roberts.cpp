@@ -62,16 +62,9 @@ class ChangRobertsDriver final : public AlgorithmDriver {
   }
 
   NodePtr make_node(std::size_t index) override {
-    std::atomic<std::int64_t>* leader = &leader_;
-    SimTime* elected_at = &elected_at_;
     return std::make_unique<ChangRobertsNode>(
         static_cast<std::uint64_t>(ids_[index] + 1),
-        [leader, elected_at](NodeId node, SimTime when) {
-          std::int64_t none = -1;
-          if (leader->compare_exchange_strong(none, node.value())) {
-            *elected_at = when;
-          }
-        });
+        [this](NodeId node, SimTime when) { on_leader(node, when); });
   }
 
   bool done(const Runtime& /*rt*/) override {
@@ -112,9 +105,16 @@ class ChangRobertsDriver final : public AlgorithmDriver {
   }
 
  private:
+  // Runs in the electing node's handler; keeps the first leader.
+  void on_leader(NodeId node, SimTime when) {
+    std::int64_t none = -1;
+    if (leader_.compare_exchange_strong(none, node.value())) {
+      elected_at_ = when;
+    }
+  }
+
   std::vector<std::size_t> ids_;  // node i holds id ids_[i] + 1
   SimTime drain_window_ = 0.0;
-  // The first leader, written once by its node's handler.
   std::atomic<std::int64_t> leader_{-1};
   SimTime elected_at_ = 0.0;
   std::uint64_t messages_ = 0;

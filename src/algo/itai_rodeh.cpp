@@ -97,18 +97,7 @@ namespace {
 class ItaiRodehDriver final : public AlgorithmDriver {
  public:
   ItaiRodehDriver(std::uint64_t id_range, std::uint64_t* leader_round)
-      : id_range_(id_range), leader_round_(leader_round) {
-    std::atomic<std::int64_t>* leader = &leader_;
-    std::atomic<std::uint64_t>* elections = &elections_;
-    SimTime* elected_at = &elected_at_;
-    on_leader_ = [leader, elections, elected_at](NodeId node, SimTime when) {
-      std::int64_t none = -1;
-      if (leader->compare_exchange_strong(none, node.value())) {
-        *elected_at = when;
-      }
-      elections->fetch_add(1, std::memory_order_relaxed);
-    };
-  }
+      : id_range_(id_range), leader_round_(leader_round) {}
 
   void configure(RuntimeConfig& config) override {
     config.ordering = ChannelOrdering::kFifo;
@@ -117,7 +106,9 @@ class ItaiRodehDriver final : public AlgorithmDriver {
   }
 
   NodePtr make_node(std::size_t /*index*/) override {
-    return std::make_unique<ItaiRodehNode>(id_range_, on_leader_);
+    return std::make_unique<ItaiRodehNode>(
+        id_range_,
+        [this](NodeId node, SimTime when) { on_leader(node, when); });
   }
 
   bool done(const Runtime& /*rt*/) override {
@@ -162,12 +153,19 @@ class ItaiRodehDriver final : public AlgorithmDriver {
   }
 
  private:
+  // Runs in the electing node's handler; keeps the first leader and counts
+  // every election.
+  void on_leader(NodeId node, SimTime when) {
+    std::int64_t none = -1;
+    if (leader_.compare_exchange_strong(none, node.value())) {
+      elected_at_ = when;
+    }
+    elections_.fetch_add(1, std::memory_order_relaxed);
+  }
+
   std::uint64_t id_range_;
   std::uint64_t* leader_round_;
-  std::function<void(NodeId, SimTime)> on_leader_;
   SimTime drain_window_ = 0.0;
-  // The first leader, written once by its node's handler, and how many
-  // times any node became leader.
   std::atomic<std::int64_t> leader_{-1};
   std::atomic<std::uint64_t> elections_{0};
   SimTime elected_at_ = 0.0;
