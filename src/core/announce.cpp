@@ -79,10 +79,10 @@ class AnnouncedElectionDriver final : public AlgorithmDriver {
   }
 
   bool done(const Runtime& rt) override {
-    for (std::size_t i = 0; i < rt.size(); ++i) {
-      if (!rt.terminated(i)) return false;
-    }
-    return true;
+    // A node that knows the outcome stays terminated, so each call resumes
+    // at the first node not yet seen terminated.
+    while (known_ < rt.size() && rt.terminated(known_)) ++known_;
+    return known_ == rt.size();
   }
 
   TrialOutcome extract(Runtime& rt, bool completed) override {
@@ -119,6 +119,7 @@ class AnnouncedElectionDriver final : public AlgorithmDriver {
 
  private:
   ElectionOptions options_;
+  std::size_t known_ = 0;  // nodes 0..known_-1 are terminated
 };
 
 }  // namespace

@@ -56,10 +56,12 @@ std::size_t SyncNode::send_app_messages(Context& ctx, std::uint64_t round,
 }
 
 bool SynchronizerDriver::done(const Runtime& rt) {
-  for (std::size_t i = 0; i < rt.size(); ++i) {
-    if (!rt.terminated(i)) return false;
+  // A node that ran its last round stays terminated, so each call resumes
+  // at the first node not yet seen terminated.
+  while (finished_nodes_ < rt.size() && rt.terminated(finished_nodes_)) {
+    ++finished_nodes_;
   }
-  return true;
+  return finished_nodes_ == rt.size();
 }
 
 TrialOutcome SynchronizerDriver::extract(Runtime& rt, bool completed) {

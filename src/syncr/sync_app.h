@@ -168,6 +168,7 @@ class SynchronizerDriver : public AlgorithmDriver {
 
  private:
   SynchronizerResult* sink_;
+  std::size_t finished_nodes_ = 0;  // nodes 0..finished_nodes_-1 are done
 };
 
 }  // namespace abe
