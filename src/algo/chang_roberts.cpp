@@ -68,7 +68,7 @@ class ChangRobertsDriver final : public AlgorithmDriver {
   }
 
   bool done(const Runtime& /*rt*/) override {
-    return leader_.load(std::memory_order_acquire) >= 0;
+    return leader_.load() >= 0;
   }
 
   void on_complete(Runtime& rt) override {
@@ -86,7 +86,7 @@ class ChangRobertsDriver final : public AlgorithmDriver {
       out.safety_detail = "no leader before the deadline";
       return out;
     }
-    const std::int64_t leader = leader_.load(std::memory_order_acquire);
+    const std::int64_t leader = leader_.load();
     out.completed = true;
     out.time = elected_at_;
     out.messages = messages_;

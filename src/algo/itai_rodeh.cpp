@@ -112,7 +112,7 @@ class ItaiRodehDriver final : public AlgorithmDriver {
   }
 
   bool done(const Runtime& /*rt*/) override {
-    return leader_.load(std::memory_order_acquire) >= 0;
+    return leader_.load() >= 0;
   }
 
   void on_complete(Runtime& rt) override {
@@ -130,7 +130,7 @@ class ItaiRodehDriver final : public AlgorithmDriver {
       out.safety_detail = "no leader before the deadline";
       return out;
     }
-    const std::int64_t leader = leader_.load(std::memory_order_acquire);
+    const std::int64_t leader = leader_.load();
     out.completed = true;
     out.time = elected_at_;
     out.messages = messages_;
@@ -143,7 +143,7 @@ class ItaiRodehDriver final : public AlgorithmDriver {
     }
     std::size_t leaders = 0;  // a node is terminated once it is leader
     for (std::size_t i = 0; i < rt.size(); ++i) leaders += rt.terminated(i);
-    const std::uint64_t elections = elections_.load(std::memory_order_relaxed);
+    const std::uint64_t elections = elections_.load();
     out.safety_ok = leaders == 1 && elections == 1;
     if (!out.safety_ok) {
       out.safety_detail = std::to_string(leaders) + " leader(s) at the end, " +
@@ -160,7 +160,7 @@ class ItaiRodehDriver final : public AlgorithmDriver {
     if (leader_.compare_exchange_strong(none, node.value())) {
       elected_at_ = when;
     }
-    elections_.fetch_add(1, std::memory_order_relaxed);
+    elections_.fetch_add(1);
   }
 
   std::uint64_t id_range_;

@@ -1,7 +1,6 @@
 #include "scenario/drivers.h"
 
 #include <algorithm>
-#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -139,7 +138,9 @@ ScenarioTrialDriver make_beta_sync_binding(const Topology& topology) {
   const std::uint64_t rounds =
       std::max<std::size_t>(diameter(topology), 1);
   std::vector<std::int64_t> values(topology.n);
-  std::iota(values.begin(), values.end(), 0);
+  for (std::size_t i = 0; i < topology.n; ++i) {
+    values[i] = static_cast<std::int64_t>(i);
+  }
 
   auto sink = std::make_shared<SynchronizerResult>();
   const std::size_t n = topology.n;
