@@ -2,15 +2,15 @@
 
 #include <sstream>
 
+#include "net/network.h"
+#include "net/topology.h"
+#include "util/check.h"
+
 // run_arq_experiment sets a per-channel loss (Network::set_channel_loss)
 // that RuntimeConfig does not carry, so it still drives a Network of its
 // own. It goes with the ROADMAP item "The paper's claims as gated sweep
 // cells": ported to a claim cell, or deleted with bench E7.
 // abe-lint: allow-file(direct-network)
-
-#include "net/network.h"
-#include "net/topology.h"
-#include "util/check.h"
 
 namespace abe {
 
