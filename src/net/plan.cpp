@@ -24,39 +24,40 @@ NetworkPlan::NetworkPlan(Topology topology) : topology_(std::move(topology)) {
   }
 }
 
-const NetworkPlan::Routes& NetworkPlan::routes() const {
-  std::call_once(routes_once_, [this] {
+const PlanTree& NetworkPlan::tree() const {
+  std::call_once(tree_once_, [this] {
     const OutChannelIndex channels(topology_, out_);
-    auto routes = std::make_unique<Routes>();
-    PlanTree& tree = routes->tree;
-    static_cast<SpanningTree&>(tree) =
+    auto tree = std::make_unique<PlanTree>();
+    static_cast<SpanningTree&>(*tree) =
         bfs_spanning_tree(topology_, 0, out_, channels);
     const std::size_t n = topology_.n;
-    tree.down.assign(n, OutChannelIndex::kNone);
-    tree.up.assign(n, OutChannelIndex::kNone);
+    tree->down.assign(n, OutChannelIndex::kNone);
+    tree->up.assign(n, OutChannelIndex::kNone);
     for (std::size_t k = 1; k < n; ++k) {
-      const std::size_t child = tree.order[k];
-      const std::size_t parent = tree.parent[child];
-      tree.down[k] = channels.channel(parent, child);
-      tree.up[child] = channels.channel(child, parent);
+      const std::size_t child = tree->order[k];
+      const std::size_t parent = tree->parent[child];
+      tree->down[k] = channels.channel(parent, child);
+      tree->up[child] = channels.channel(child, parent);
     }
-    // Filled in in() order, node by node, so it is CSR parallel to in().
-    routes->reverse_of_in.reserve(topology_.edges.size());
-    for (std::size_t v = 0; v < n; ++v) {
-      for (std::size_t e : in_.of(v)) {
-        routes->reverse_of_in.push_back(
-            channels.channel(v, topology_.edges[e].from));
-      }
-    }
-    routes_ = std::move(routes);
+    tree_ = std::move(tree);
   });
-  return *routes_;
+  return *tree_;
 }
 
-const PlanTree& NetworkPlan::tree() const { return routes().tree; }
-
 Adjacency::Span NetworkPlan::reverse_of_in(std::size_t v) const {
-  return in_.slice(routes().reverse_of_in, v);
+  std::call_once(reverse_once_, [this] {
+    const OutChannelIndex channels(topology_, out_);
+    auto reverse = std::make_unique<std::vector<std::size_t>>();
+    // Filled in in() order, node by node, so it is CSR parallel to in().
+    reverse->reserve(topology_.edges.size());
+    for (std::size_t u = 0; u < topology_.n; ++u) {
+      for (std::size_t e : in_.of(u)) {
+        reverse->push_back(channels.channel(u, topology_.edges[e].from));
+      }
+    }
+    reverse_of_in_ = std::move(reverse);
+  });
+  return in_.slice(*reverse_of_in_, v);
 }
 
 std::shared_ptr<const NetworkPlan> make_plan(Topology topology) {

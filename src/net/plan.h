@@ -10,9 +10,9 @@
 // (scenario/scenario.h, trial_plan), so the trials of one cell, on every
 // trial-pool worker, share one plan.
 //
-// A plan never changes after construction except for its tree, built on
-// first use under a std::once_flag: every accessor is safe to call from
-// any number of threads.
+// A plan never changes after construction except for its tree and β's ack
+// routes, each built on first use under its own std::once_flag: every
+// accessor is safe to call from any number of threads.
 #pragma once
 
 #include <cstddef>
@@ -73,22 +73,19 @@ class NetworkPlan {
   const PlanTree& tree() const;
   // For node v's in-channel k, v's out-channel back to that channel's
   // sender (OutChannelIndex::kNone when there is none): the routes β acks
-  // take. Built with the tree.
+  // take. Built on first call, apart from the tree: only β reads it.
   Adjacency::Span reverse_of_in(std::size_t v) const;
 
  private:
-  struct Routes {
-    PlanTree tree;
-    std::vector<std::size_t> reverse_of_in;  // CSR parallel to in()
-  };
-  const Routes& routes() const;
-
   Topology topology_;
   Adjacency out_;
   Adjacency in_;
   std::vector<EdgeEnd> ends_;
-  mutable std::once_flag routes_once_;
-  mutable std::unique_ptr<const Routes> routes_;
+  mutable std::once_flag tree_once_;
+  mutable std::unique_ptr<const PlanTree> tree_;
+  mutable std::once_flag reverse_once_;
+  // CSR parallel to in().
+  mutable std::unique_ptr<const std::vector<std::size_t>> reverse_of_in_;
 };
 
 // A fresh plan of `topology`: the one way a graph becomes a plan.

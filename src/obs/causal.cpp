@@ -19,17 +19,25 @@ bool is_handler_kind(TraceKind kind) {
 }  // namespace
 
 std::vector<EdgeShare> CriticalPath::edge_shares() const {
-  std::map<std::int64_t, EdgeShare> by_edge;
+  // One entry per DELIVER hop, stably sorted by edge, so each run of equal
+  // edges sums its delays in chain order.
+  std::vector<EdgeShare> hops_by_edge;
   for (const CriticalPathHop& hop : chain) {
     if (hop.kind != TraceKind::kDeliver || hop.arg < 0) continue;
-    EdgeShare& share = by_edge[hop.arg];
-    share.edge = hop.arg;
-    share.hops += 1;
-    share.delay += hop.delay;
+    hops_by_edge.push_back(EdgeShare{hop.arg, 1, hop.delay});
   }
+  std::stable_sort(hops_by_edge.begin(), hops_by_edge.end(),
+                   [](const EdgeShare& a, const EdgeShare& b) {
+                     return a.edge < b.edge;
+                   });
   std::vector<EdgeShare> out;
-  out.reserve(by_edge.size());
-  for (const auto& entry : by_edge) out.push_back(entry.second);
+  for (const EdgeShare& hop : hops_by_edge) {
+    if (out.empty() || out.back().edge != hop.edge) {
+      out.push_back(EdgeShare{hop.edge, 0, 0.0});
+    }
+    out.back().hops += 1;
+    out.back().delay += hop.delay;
+  }
   return out;
 }
 
@@ -59,14 +67,18 @@ std::string CriticalPath::render() const {
   return os.str();
 }
 
-CriticalPath extract_critical_path(const std::vector<TraceEvent>& events,
-                                   NodeId decision_node,
-                                   SimTime decision_time) {
+namespace {
+
+// The one extraction body behind both overloads: `size` retained events,
+// oldest first, where at(i) is the i-th one's TraceRecord.
+template <typename At>
+CriticalPath extract_chain(std::size_t size, const At& at,
+                           NodeId decision_node, SimTime decision_time) {
   CriticalPath path;
-  if (events.empty()) return path;
+  if (size == 0) return path;
   // Ids are dense since clear(), so the retained window maps to indices by
   // subtracting the oldest retained id.
-  const std::int64_t first_id = events.front().id;
+  const std::int64_t first_id = at(0).id;
 
   // The decision event: last DELIVER/TIMER record at the decision node at
   // or before the decision instant — decisions fire inside message or timer
@@ -77,38 +89,30 @@ CriticalPath extract_critical_path(const std::vector<TraceEvent>& events,
   // it would yield a hop-free tick chain. Settle-phase traffic recorded
   // after the decision sits later in the ring and is skipped by the time
   // filter either way.
-  std::size_t decision_index = events.size();
-  std::size_t tick_index = events.size();
-  for (std::size_t i = events.size(); i-- > 0;) {
-    const TraceEvent& e = events[i];
+  std::size_t decision_index = size;
+  std::size_t tick_index = size;
+  for (std::size_t i = size; i-- > 0;) {
+    const auto& e = at(i);
     if (e.node != decision_node || !is_handler_kind(e.kind) ||
         e.time > decision_time) {
       continue;
     }
     if (e.kind == TraceKind::kTick) {
-      if (tick_index == events.size()) tick_index = i;
+      if (tick_index == size) tick_index = i;
       continue;
     }
     decision_index = i;
     break;
   }
-  if (decision_index == events.size()) decision_index = tick_index;
-  if (decision_index == events.size()) return path;
+  if (decision_index == size) decision_index = tick_index;
+  if (decision_index == size) return path;
 
-  // Walk cause links back to a root (cause == -1) or out of the ring.
-  std::vector<CriticalPathHop> reversed;
-  std::size_t index = decision_index;
-  for (;;) {
-    const TraceEvent& e = events[index];
-    CriticalPathHop hop;
-    hop.id = e.id;
-    hop.kind = e.kind;
-    hop.node = e.node;
-    hop.arg = e.arg;
-    hop.time = e.time;
-    hop.delay = e.delay;
-    hop.work = e.work;
-    reversed.push_back(hop);
+  // Walk cause links back to a root (cause == -1) or out of the ring: once
+  // to size the chain, once to fill it from the back (root first).
+  std::size_t length = 0;
+  for (std::size_t index = decision_index;;) {
+    const auto& e = at(index);
+    ++length;
     if (e.cause < 0) break;  // a true root
     if (e.cause < first_id || e.cause >= e.id) {
       path.truncated = true;  // evicted parent (or malformed link)
@@ -116,9 +120,20 @@ CriticalPath extract_critical_path(const std::vector<TraceEvent>& events,
     }
     index = static_cast<std::size_t>(e.cause - first_id);
   }
-
   path.found = true;
-  path.chain.assign(reversed.rbegin(), reversed.rend());
+  path.chain.resize(length);
+  for (std::size_t index = decision_index, k = length; k-- > 0;) {
+    const auto& e = at(index);
+    CriticalPathHop& hop = path.chain[k];
+    hop.id = e.id;
+    hop.kind = e.kind;
+    hop.node = e.node;
+    hop.arg = e.arg;
+    hop.time = e.time;
+    hop.delay = e.delay;
+    hop.work = e.work;
+    if (k > 0) index = static_cast<std::size_t>(e.cause - first_id);
+  }
 
   // Attribute each gap. The chain telescopes, so summing the four components
   // reproduces the decision time exactly when the root was reached (the
@@ -157,9 +172,23 @@ CriticalPath extract_critical_path(const std::vector<TraceEvent>& events,
   return path;
 }
 
+}  // namespace
+
+CriticalPath extract_critical_path(const std::vector<TraceEvent>& events,
+                                   NodeId decision_node,
+                                   SimTime decision_time) {
+  return extract_chain(
+      events.size(),
+      [&events](std::size_t i) -> const TraceRecord& { return events[i]; },
+      decision_node, decision_time);
+}
+
 CriticalPath extract_critical_path(const Trace& trace, NodeId decision_node,
                                    SimTime decision_time) {
-  return extract_critical_path(trace.events(), decision_node, decision_time);
+  return extract_chain(
+      trace.size(),
+      [&trace](std::size_t i) -> const TraceRecord& { return trace.at(i); },
+      decision_node, decision_time);
 }
 
 CriticalPathStats CriticalPathStats::from_path(const CriticalPath& path) {

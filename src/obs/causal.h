@@ -69,7 +69,8 @@ struct CriticalPath {
   double waiting = 0.0;
   std::vector<CriticalPathHop> chain;  // root first, decision event last
 
-  // Per-edge shares of this chain, ascending by edge id.
+  // Per-edge shares of this chain, ascending by edge id; each edge's
+  // delays are summed in chain order.
   std::vector<EdgeShare> edge_shares() const;
   // Human-readable chain dump (one hop per line) for the CLI.
   std::string render() const;
@@ -80,9 +81,13 @@ struct CriticalPath {
 // (decisions fire inside message/timer handlers; a TICK anchors only when no
 // such handler exists, so background ticks popping between the deciding
 // DELIVER and a wall-clock decision_time read cannot hijack the anchor).
-// `events` is a Trace linearization (oldest first, dense ids) — pass
-// trace.events(). Returns found = false when the decision event itself has
-// already been evicted.
+// Returns found = false when the decision event itself has already been
+// evicted. Two overloads share one body and return identical paths:
+//   * the Trace overload indexes the ring in place (Trace::at) and copies
+//     nothing but the chain — what run_algorithm_trial calls on its
+//     pre-settle snapshot;
+//   * the vector overload takes a linearization (oldest first, dense ids),
+//     e.g. trace.events() or a hand-built event list.
 CriticalPath extract_critical_path(const std::vector<TraceEvent>& events,
                                    NodeId decision_node, SimTime decision_time);
 CriticalPath extract_critical_path(const Trace& trace, NodeId decision_node,

@@ -2,33 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <iomanip>
-#include <limits>
 #include <sstream>
 
 #include "util/check.h"
+#include "util/json_number.h"
 
 namespace abe {
-
-namespace {
-
-// Counters serialize as integers, everything else with round-trip
-// precision (mirrors stats::Summary::to_json so sweep JSON has one number
-// style throughout).
-std::string json_number(double v) {
-  const double r = std::nearbyint(v);
-  if (r == v && std::fabs(v) < 9.007199254740992e15) {
-    std::ostringstream os;
-    os << static_cast<long long>(r);
-    return os.str();
-  }
-  std::ostringstream os;
-  os << std::setprecision(std::numeric_limits<double>::max_digits10) << v;
-  return os.str();
-}
-
-}  // namespace
 
 const char* metric_kind_name(MetricKind kind) {
   switch (kind) {
@@ -150,17 +130,54 @@ void MetricsSnapshot::add_histogram(const std::string& name,
   }
 }
 
+// The appended entry holds exactly what add_* gives on a name not yet held.
+void MetricsSnapshot::append_counter(const std::string& name, double value) {
+  append(name, MetricKind::kCounter).value += value;
+}
+
+void MetricsSnapshot::append_gauge(const std::string& name, double value) {
+  MetricValue& entry = append(name, MetricKind::kGauge);
+  entry.value = std::max(entry.value, value);
+}
+
+void MetricsSnapshot::append_histogram(const std::string& name,
+                                       std::vector<double> bounds,
+                                       std::vector<std::uint64_t> buckets) {
+  ABE_CHECK_EQ(buckets.size(), bounds.size() + 1);
+  MetricValue& entry = append(name, MetricKind::kHistogram);
+  entry.bounds = std::move(bounds);
+  entry.buckets = std::move(buckets);
+}
+
 void MetricsSnapshot::merge(const MetricsSnapshot& other) {
+  auto it = entries_.begin();
   for (const MetricValue& entry : other.entries_) {
+    while (it != entries_.end() && it->name < entry.name) ++it;
+    if (it == entries_.end() || it->name != entry.name) {
+      MetricValue fresh;
+      fresh.name = entry.name;
+      fresh.kind = entry.kind;
+      it = entries_.insert(it, std::move(fresh));
+    }
+    MetricValue& slot = *it++;
+    ABE_CHECK(slot.kind == entry.kind);
     switch (entry.kind) {
       case MetricKind::kCounter:
-        add_counter(entry.name, entry.value);
+        slot.value += entry.value;
         break;
       case MetricKind::kGauge:
-        add_gauge(entry.name, entry.value);
+        slot.value = std::max(slot.value, entry.value);
         break;
       case MetricKind::kHistogram:
-        add_histogram(entry.name, entry.bounds, entry.buckets);
+        if (slot.bounds.empty()) {
+          slot.bounds = entry.bounds;
+          slot.buckets = entry.buckets;
+          break;
+        }
+        ABE_CHECK(slot.bounds == entry.bounds);
+        for (std::size_t i = 0; i < entry.buckets.size(); ++i) {
+          slot.buckets[i] += entry.buckets[i];
+        }
         break;
     }
   }
@@ -192,6 +209,16 @@ MetricValue& MetricsSnapshot::upsert(const std::string& name,
   }
   ABE_CHECK(it->kind == kind);
   return *it;
+}
+
+MetricValue& MetricsSnapshot::append(const std::string& name,
+                                     MetricKind kind) {
+  ABE_CHECK(entries_.empty() || entries_.back().name < name)
+      << "metric '" << name << "' appended out of name order";
+  MetricValue& entry = entries_.emplace_back();
+  entry.name = name;
+  entry.kind = kind;
+  return entry;
 }
 
 std::string MetricsSnapshot::render() const {
@@ -236,17 +263,17 @@ void MetricsSnapshot::append_json(std::string* out) const {
       out->append(", \"bounds\": [");
       for (std::size_t i = 0; i < entry.bounds.size(); ++i) {
         if (i > 0) out->append(", ");
-        out->append(json_number(entry.bounds[i]));
+        append_json_number(out, entry.bounds[i]);
       }
       out->append("], \"counts\": [");
       for (std::size_t i = 0; i < entry.buckets.size(); ++i) {
         if (i > 0) out->append(", ");
-        out->append(json_number(static_cast<double>(entry.buckets[i])));
+        append_json_number(out, static_cast<double>(entry.buckets[i]));
       }
       out->append("]");
     } else {
       out->append(", \"value\": ");
-      out->append(json_number(entry.value));
+      append_json_number(out, entry.value);
     }
     out->push_back('}');
   }
@@ -282,14 +309,30 @@ FixedHistogram& MetricsRegistry::histogram(const std::string& name,
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MutexLock lock(mutex_);
   MetricsSnapshot snap;
-  for (const auto& [name, counter] : counters_) {
-    snap.add_counter(name, static_cast<double>(counter->value()));
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    snap.add_gauge(name, gauge->value());
-  }
-  for (const auto& [name, histogram] : histograms_) {
-    snap.add_histogram(name, histogram->bounds(), histogram->bucket_counts());
+  snap.reserve(counters_.size() + gauges_.size() + histograms_.size());
+  // Each map is sorted by name; take the smallest head each step. A name
+  // registered under two kinds reaches append twice and aborts there.
+  auto c = counters_.begin();
+  auto g = gauges_.begin();
+  auto h = histograms_.begin();
+  for (;;) {
+    const bool has_c = c != counters_.end();
+    const bool has_g = g != gauges_.end();
+    const bool has_h = h != histograms_.end();
+    if (has_c && (!has_g || c->first <= g->first) &&
+        (!has_h || c->first <= h->first)) {
+      snap.append_counter(c->first, static_cast<double>(c->second->value()));
+      ++c;
+    } else if (has_g && (!has_h || g->first <= h->first)) {
+      snap.append_gauge(g->first, g->second->value());
+      ++g;
+    } else if (has_h) {
+      snap.append_histogram(h->first, h->second->bounds(),
+                            h->second->bucket_counts());
+      ++h;
+    } else {
+      break;
+    }
   }
   return snap;
 }

@@ -142,6 +142,18 @@ class MetricsSnapshot {
   void add_histogram(const std::string& name, std::vector<double> bounds,
                      std::vector<std::uint64_t> buckets);
 
+  // Room for `entries` entries, ahead of a run of append_* calls.
+  void reserve(std::size_t entries) { entries_.reserve(entries); }
+  // Appends a new entry whose name sorts after every entry held — how a
+  // harvest that walks its instruments in name order builds a snapshot
+  // without re-sorting. An out-of-order or repeated name aborts.
+  void append_counter(const std::string& name, double value);
+  void append_gauge(const std::string& name, double value);
+  void append_histogram(const std::string& name, std::vector<double> bounds,
+                        std::vector<std::uint64_t> buckets);
+
+  // One walk over both name-sorted lists: entries of the same name combine
+  // as add_* would, and only names this side lacks are inserted.
   void merge(const MetricsSnapshot& other);
 
   const std::vector<MetricValue>& entries() const { return entries_; }
@@ -166,6 +178,7 @@ class MetricsSnapshot {
 
  private:
   MetricValue& upsert(const std::string& name, MetricKind kind);
+  MetricValue& append(const std::string& name, MetricKind kind);
   std::vector<MetricValue> entries_;  // sorted by name
 };
 
@@ -185,7 +198,7 @@ class MetricsRegistry {
   FixedHistogram& histogram(const std::string& name,
                             std::vector<double> bounds) EXCLUDES(mutex_);
 
-  // Harvest every instrument, sorted by name.
+  // Harvest every instrument, appended in name order.
   MetricsSnapshot snapshot() const EXCLUDES(mutex_);
 
  private:

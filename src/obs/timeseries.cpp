@@ -1,32 +1,11 @@
 #include "obs/timeseries.h"
 
 #include <algorithm>
-#include <cmath>
-#include <iomanip>
-#include <limits>
-#include <sstream>
 
 #include "util/check.h"
+#include "util/json_number.h"
 
 namespace abe {
-
-namespace {
-
-// Same number style as the rest of the sweep JSON (metrics.cpp,
-// Summary::to_json): integers bare, everything else round-trip precision.
-std::string json_number(double v) {
-  const double r = std::nearbyint(v);
-  if (r == v && std::fabs(v) < 9.007199254740992e15) {
-    std::ostringstream os;
-    os << static_cast<long long>(r);
-    return os.str();
-  }
-  std::ostringstream os;
-  os << std::setprecision(std::numeric_limits<double>::max_digits10) << v;
-  return os.str();
-}
-
-}  // namespace
 
 void TimeSeries::merge(const TimeSeries& other) {
   if (other.trials == 0 && other.samples.empty()) return;
@@ -51,16 +30,23 @@ void TimeSeries::merge(const TimeSeries& other) {
 void TimeSeries::append_json(std::string* out) const {
   ABE_CHECK(out != nullptr);
   const double denom = trials == 0 ? 1.0 : static_cast<double>(trials);
-  *out += "\"timeseries\": {\"interval\": " + json_number(interval) +
-          ", \"trials\": " + json_number(static_cast<double>(trials)) +
-          ", \"samples\": [";
+  *out += "\"timeseries\": {\"interval\": ";
+  append_json_number(out, interval);
+  *out += ", \"trials\": ";
+  append_json_number(out, static_cast<double>(trials));
+  *out += ", \"samples\": [";
   for (std::size_t i = 0; i < samples.size(); ++i) {
     if (i > 0) *out += ", ";
     const TimeSeriesSample& s = samples[i];
-    *out += "{\"t\": " + json_number(s.t) +
-            ", \"pending\": " + json_number(s.pending / denom) +
-            ", \"in_flight\": " + json_number(s.in_flight / denom) +
-            ", \"live\": " + json_number(s.live / denom) + "}";
+    *out += "{\"t\": ";
+    append_json_number(out, s.t);
+    *out += ", \"pending\": ";
+    append_json_number(out, s.pending / denom);
+    *out += ", \"in_flight\": ";
+    append_json_number(out, s.in_flight / denom);
+    *out += ", \"live\": ";
+    append_json_number(out, s.live / denom);
+    *out += "}";
   }
   *out += "]}";
 }

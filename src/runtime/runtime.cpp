@@ -135,7 +135,8 @@ TrialOutcome run_algorithm_trial(RuntimeKind kind, RuntimeConfig config,
   // The decision's causal history must be snapshotted BEFORE the settle
   // phase: settle traffic keeps recording and would evict the decision
   // neighborhood from the lite flight ring. The decision NODE is only known
-  // after extract(), so hold the whole (bounded) ring.
+  // after extract(), so hold the whole (bounded) ring: one flat copy of its
+  // POD records (trace/trace.h).
   Trace decided_trace;
   if (completed) decided_trace = rt->trace_snapshot();
   driver.settle(*rt, completed);
@@ -158,9 +159,10 @@ TrialOutcome run_algorithm_trial(RuntimeKind kind, RuntimeConfig config,
     // Decision-terminated critical path (obs/causal.h). Pure analysis of
     // the pre-settle snapshot: no RNG, no event reordering, so aggregates
     // are untouched; chains may be `truncated` in lite flight mode
-    // (RuntimeConfig::causal_history widens the ring).
+    // (RuntimeConfig::causal_history widens the ring). Reads the snapshot's
+    // ring in place.
     const CriticalPath path = extract_critical_path(
-        decided_trace.events(), NodeId{outcome.decision_node}, outcome.time);
+        decided_trace, NodeId{outcome.decision_node}, outcome.time);
     outcome.critical_path = CriticalPathStats::from_path(path);
     outcome.has_critical_path = true;
   }

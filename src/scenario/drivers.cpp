@@ -46,14 +46,14 @@ ScenarioTrialDriver make_ring_binding(const ScenarioSpec& spec) {
   // The ring driver's outcome already IS its scenario semantics (completed
   // == elected); the sink capture keeps the result the driver writes into
   // alive for the driver's lifetime.
-  binding.project = [sink](const TrialOutcome& outcome) { return outcome; };
+  binding.project = [sink](TrialOutcome outcome) { return outcome; };
   return binding;
 }
 
 ScenarioTrialDriver make_unsafe_toy_binding() {
   ScenarioTrialDriver binding;
   binding.driver = make_unsafe_toy_driver();
-  binding.project = [](const TrialOutcome& outcome) { return outcome; };
+  binding.project = [](TrialOutcome outcome) { return outcome; };
   return binding;
 }
 
@@ -110,8 +110,7 @@ ScenarioTrialDriver make_polling_binding() {
   auto sink = std::make_shared<PollingRunResult>();
   ScenarioTrialDriver binding;
   binding.driver = make_polling_driver(/*id_bits=*/64, sink.get());
-  binding.project = [sink](const TrialOutcome& outcome) {
-    TrialOutcome out = outcome;
+  binding.project = [sink](TrialOutcome out) {
     // Election alone is not completion: under loss a stranded RESULT
     // leaves the poll unfinished, and that counts as the injected failure.
     out.completed = sink->elected && sink->terminated;
@@ -128,7 +127,7 @@ ScenarioTrialDriver make_gossip_binding() {
   binding.driver = make_gossip_driver(/*source=*/0, sink.get());
   // Gossip's driver outcome already IS its scenario semantics: completion
   // and safety are both total dissemination, time is the spread time.
-  binding.project = [sink](const TrialOutcome& outcome) { return outcome; };
+  binding.project = [sink](TrialOutcome outcome) { return outcome; };
   return binding;
 }
 
@@ -149,10 +148,9 @@ ScenarioTrialDriver make_beta_sync_binding(const Topology& topology) {
   binding.driver =
       make_beta_sync_driver(max_app_factory(std::move(values)), rounds,
                             sink.get());
-  binding.project = [sink, rounds, n](const TrialOutcome& outcome) {
+  binding.project = [sink, rounds, n](TrialOutcome out) {
     // The driver's outcome already carries completion, time and messages;
     // the cell adds the app's postcondition as its safety verdict.
-    TrialOutcome out = outcome;
     if (!out.completed) return out;
     const auto target = static_cast<std::int64_t>(n - 1);
     std::size_t converged = 0;

@@ -35,10 +35,12 @@
 namespace abe {
 
 // One trial's driver binding (see file comment). `driver` runs the trial;
-// `project` converts the outcome after run_algorithm_trial returns.
+// `project` converts the outcome after run_algorithm_trial returns. It takes
+// the outcome by value, so a caller that is done with it moves it in and the
+// projection edits it in place.
 struct ScenarioTrialDriver {
   std::unique_ptr<AlgorithmDriver> driver;
-  std::function<TrialOutcome(const TrialOutcome&)> project;
+  std::function<TrialOutcome(TrialOutcome)> project;
 };
 
 // Builds the binding for one trial of `spec` on the already-materialised

@@ -1,9 +1,6 @@
 #include "scenario/sweep.h"
 
 #include <algorithm>
-#include <cmath>
-#include <iomanip>
-#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -11,6 +8,7 @@
 #include "scenario/drivers.h"
 #include "stats/table.h"
 #include "util/check.h"
+#include "util/json_number.h"
 
 namespace abe {
 
@@ -98,21 +96,6 @@ std::vector<SweepCellOutcome> run_sweep(
 
 namespace {
 
-// Same number style as MetricsSnapshot::append_json: integers bare,
-// everything else at max_digits10 so a byte-equal document means
-// bit-equal values.
-std::string json_number(double v) {
-  const double r = std::nearbyint(v);
-  if (r == v && std::fabs(v) < 9.007199254740992e15) {
-    std::ostringstream os;
-    os << static_cast<long long>(r);
-    return os.str();
-  }
-  std::ostringstream os;
-  os << std::setprecision(std::numeric_limits<double>::max_digits10) << v;
-  return os.str();
-}
-
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -141,17 +124,23 @@ void append_critical_path_json(const CriticalPathAggregate& aggregate,
   ABE_CHECK(out != nullptr);
   std::string& s = *out;
   s += "{\"considered\": ";
-  s += json_number(static_cast<double>(aggregate.considered));
+  append_json_number(out, static_cast<double>(aggregate.considered));
   s += ", \"found\": ";
-  s += json_number(static_cast<double>(aggregate.found));
+  append_json_number(out, static_cast<double>(aggregate.found));
   s += ", \"truncated\": ";
-  s += json_number(static_cast<double>(aggregate.truncated));
-  s += ", \"hops\": " + aggregate.hops.to_json();
-  s += ", \"span\": " + aggregate.span.to_json();
-  s += ", \"channel_delay\": " + aggregate.channel_delay.to_json();
-  s += ", \"processing\": " + aggregate.processing.to_json();
-  s += ", \"queueing\": " + aggregate.queueing.to_json();
-  s += ", \"waiting\": " + aggregate.waiting.to_json();
+  append_json_number(out, static_cast<double>(aggregate.truncated));
+  s += ", \"hops\": ";
+  aggregate.hops.append_json(out);
+  s += ", \"span\": ";
+  aggregate.span.append_json(out);
+  s += ", \"channel_delay\": ";
+  aggregate.channel_delay.append_json(out);
+  s += ", \"processing\": ";
+  aggregate.processing.append_json(out);
+  s += ", \"queueing\": ";
+  aggregate.queueing.append_json(out);
+  s += ", \"waiting\": ";
+  aggregate.waiting.append_json(out);
   s += ", \"top_channels\": [";
   // A large cell has O(n) channels; the heaviest few are what a reader can
   // act on, and the per-hop Summary above already carries the totals.
@@ -159,15 +148,21 @@ void append_critical_path_json(const CriticalPathAggregate& aggregate,
   const std::vector<EdgeShare> top = aggregate.top_channels(kTopChannels);
   for (std::size_t i = 0; i < top.size(); ++i) {
     if (i > 0) s += ", ";
-    s += "{\"edge\": " + json_number(static_cast<double>(top[i].edge));
-    s += ", \"hops\": " + json_number(static_cast<double>(top[i].hops));
-    s += ", \"delay\": " + json_number(top[i].delay) + "}";
+    s += "{\"edge\": ";
+    append_json_number(out, static_cast<double>(top[i].edge));
+    s += ", \"hops\": ";
+    append_json_number(out, static_cast<double>(top[i].hops));
+    s += ", \"delay\": ";
+    append_json_number(out, top[i].delay);
+    s += "}";
   }
   s += "]";
   if (aggregate.has_worst) {
     s += ", \"worst\": {\"seed\": ";
-    s += json_number(static_cast<double>(aggregate.worst_seed));
-    s += ", \"span\": " + json_number(aggregate.worst_span) + "}";
+    append_json_number(out, static_cast<double>(aggregate.worst_seed));
+    s += ", \"span\": ";
+    append_json_number(out, aggregate.worst_span);
+    s += "}";
   }
   s += "}";
 }

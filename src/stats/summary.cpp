@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "util/check.h"
+#include "util/json_number.h"
 
 namespace abe {
 
@@ -73,17 +74,30 @@ std::string Summary::to_string() const {
   return os.str();
 }
 
-std::string Summary::to_json() const {
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
+void Summary::append_json(std::string* out) const {
   // min()/max() are NaN when empty, which JSON cannot carry — an empty
   // summary (count 0 says it all) serializes as zeros.
   const double lo = n_ == 0 ? 0.0 : min();
   const double hi = n_ == 0 ? 0.0 : max();
-  os << "{\"count\": " << n_ << ", \"mean\": " << mean()
-     << ", \"stddev\": " << stddev() << ", \"min\": " << lo
-     << ", \"max\": " << hi << ", \"ci95\": " << ci95_half_width() << "}";
-  return os.str();
+  out->append("{\"count\": ");
+  append_json_number(out, static_cast<double>(n_));
+  out->append(", \"mean\": ");
+  append_json_number(out, mean());
+  out->append(", \"stddev\": ");
+  append_json_number(out, stddev());
+  out->append(", \"min\": ");
+  append_json_number(out, lo);
+  out->append(", \"max\": ");
+  append_json_number(out, hi);
+  out->append(", \"ci95\": ");
+  append_json_number(out, ci95_half_width());
+  out->push_back('}');
+}
+
+std::string Summary::to_json() const {
+  std::string out;
+  append_json(&out);
+  return out;
 }
 
 double t_critical_975(std::uint64_t dof) {

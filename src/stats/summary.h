@@ -37,13 +37,16 @@ class Summary {
   // "mean ± hw (n=…)" for logs.
   std::string to_string() const;
 
-  // JSON object {"count", "mean", "stddev", "min", "max", "ci95"} with
-  // round-trip (max_digits10) float precision — the single serialization
-  // point for summaries in emitted artefacts (scenario sweep JSON), so
-  // bit-identical aggregates serialize to byte-identical JSON. Every field
-  // is a finite JSON number: ci95 is 0 below two samples, and an empty
-  // summary serializes min/max as 0 (NaN has no JSON form).
+  // JSON object {"count", "mean", "stddev", "min", "max", "ci95"} in the
+  // library's one number style (util/json_number.h: integral values bare,
+  // the rest at round-trip precision) — the single serialization point for
+  // summaries in emitted artefacts (scenario sweep JSON), so bit-identical
+  // aggregates serialize to byte-identical JSON. Every field is a finite
+  // JSON number: ci95 is 0 below two samples, and an empty summary
+  // serializes min/max as 0 (NaN has no JSON form).
   std::string to_json() const;
+  // The same object appended to `out`.
+  void append_json(std::string* out) const;
 
   // Exact (==) state comparison: true when both summaries hold identical
   // counts and identical floating-point accumulators. Used by tests to

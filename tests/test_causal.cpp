@@ -158,6 +158,126 @@ ScenarioSpec ring_spec() {
   return spec;
 }
 
+// The in-place overload (indexing the Trace's ring) and the linearised one
+// (trace.events()) share one body; every field must agree exactly.
+void expect_same_path(const CriticalPath& a, const CriticalPath& b) {
+  EXPECT_EQ(a.found, b.found);
+  EXPECT_EQ(a.truncated, b.truncated);
+  EXPECT_EQ(a.hops, b.hops);
+  EXPECT_EQ(a.span, b.span);
+  EXPECT_EQ(a.channel_delay, b.channel_delay);
+  EXPECT_EQ(a.processing, b.processing);
+  EXPECT_EQ(a.queueing, b.queueing);
+  EXPECT_EQ(a.waiting, b.waiting);
+  ASSERT_EQ(a.chain.size(), b.chain.size());
+  for (std::size_t i = 0; i < a.chain.size(); ++i) {
+    const CriticalPathHop& x = a.chain[i];
+    const CriticalPathHop& y = b.chain[i];
+    EXPECT_EQ(x.id, y.id) << "hop " << i;
+    EXPECT_EQ(x.kind, y.kind) << "hop " << i;
+    EXPECT_EQ(x.node, y.node) << "hop " << i;
+    EXPECT_EQ(x.arg, y.arg) << "hop " << i;
+    EXPECT_EQ(x.time, y.time) << "hop " << i;
+    EXPECT_EQ(x.gap, y.gap) << "hop " << i;
+    EXPECT_EQ(x.delay, y.delay) << "hop " << i;
+    EXPECT_EQ(x.work, y.work) << "hop " << i;
+    EXPECT_EQ(x.queue, y.queue) << "hop " << i;
+    EXPECT_EQ(x.wait, y.wait) << "hop " << i;
+  }
+  const std::vector<EdgeShare> sa = a.edge_shares();
+  const std::vector<EdgeShare> sb = b.edge_shares();
+  ASSERT_EQ(sa.size(), sb.size());
+  for (std::size_t i = 0; i < sa.size(); ++i) {
+    EXPECT_EQ(sa[i].edge, sb[i].edge);
+    EXPECT_EQ(sa[i].hops, sb[i].hops);
+    EXPECT_EQ(sa[i].delay, sb[i].delay);
+  }
+}
+
+CriticalPath expect_overloads_agree(const Trace& trace, NodeId node,
+                                    SimTime time) {
+  const CriticalPath in_place = extract_critical_path(trace, node, time);
+  const CriticalPath linear = extract_critical_path(trace.events(), node, time);
+  expect_same_path(in_place, linear);
+  return in_place;
+}
+
+TEST(CriticalPath, InPlaceExtractionEqualsLinearised) {
+  {
+    SCOPED_TRACE("wrapped lite ring, truncated chain");
+    // One long SEND -> DELIVER relay around an 8-node ring: 600 records
+    // into the 256-slot flight ring, so the root is long evicted and the
+    // ring's head sits mid-buffer.
+    Trace trace;
+    std::int64_t cause = trace.record(0.0, TraceKind::kTick, NodeId{0});
+    double t = 0.0;
+    for (std::int64_t hop = 0; hop < 300; ++hop) {
+      const std::int64_t edge = hop % 8;
+      const std::int64_t send =
+          trace.record(t, TraceKind::kSend, NodeId{edge}, edge, cause);
+      t += 0.5 + 0.01 * static_cast<double>(hop % 7);
+      cause = trace.record(t, TraceKind::kDeliver, NodeId{(edge + 1) % 8},
+                           edge, send, /*delay=*/0.4, /*work=*/0.05);
+    }
+    ASSERT_EQ(trace.size(), Trace::kFlightCapacity);
+    ASSERT_GT(trace.evicted(), 0u);
+    const CriticalPath path = expect_overloads_agree(trace, NodeId{4}, t);
+    EXPECT_TRUE(path.found);
+    EXPECT_TRUE(path.truncated);
+    EXPECT_GE(path.hops, 100u);
+  }
+  {
+    SCOPED_TRACE("causal-history ring of a ring-election trial");
+    // The lite, widened flight ring the trial loop extracts from (trace
+    // recording stays off; trace_out receives the recorder as it is).
+    const ScenarioSpec spec = ring_spec();
+    const std::uint64_t seed = 3;
+    std::shared_ptr<const NetworkPlan> plan = trial_plan(spec.topology, seed);
+    ScenarioTrialDriver binding =
+        make_scenario_driver(spec, plan->topology(), seed);
+    RuntimeConfig config = scenario_runtime_config(spec, std::move(plan), seed);
+    Trace trace;
+    const TrialOutcome outcome = binding.project(run_algorithm_trial(
+        spec.runtime, std::move(config), *binding.driver, &trace));
+    ASSERT_FALSE(trace.enabled());
+    ASSERT_TRUE(outcome.completed);
+    ASSERT_GE(outcome.decision_node, 0);
+    const CriticalPath path = expect_overloads_agree(
+        trace, NodeId{outcome.decision_node}, outcome.time);
+    EXPECT_TRUE(path.found);
+    EXPECT_FALSE(path.truncated);
+    EXPECT_GE(path.hops, 1u);
+  }
+  {
+    SCOPED_TRACE("chain crossing one edge three times");
+    // 0 -e0-> 1 -e1-> 0 -e0-> 1 -e1-> 0 -e0-> 1: edge 0 carries hops with
+    // delays 0.1, 0.2 and 0.3, summed in chain order.
+    Trace trace;
+    std::int64_t cause = trace.record(0.0, TraceKind::kTimer, NodeId{0});
+    const double delays[] = {0.1, 0.7, 0.2, 0.9, 0.3};
+    double t = 0.0;
+    for (std::int64_t hop = 0; hop < 5; ++hop) {
+      const std::int64_t edge = hop % 2;
+      const std::int64_t send =
+          trace.record(t, TraceKind::kSend, NodeId{edge}, edge, cause);
+      t += 1.0;
+      cause = trace.record(t, TraceKind::kDeliver, NodeId{1 - edge}, edge,
+                           send, delays[hop], 0.0);
+    }
+    const CriticalPath path = expect_overloads_agree(trace, NodeId{1}, t);
+    ASSERT_TRUE(path.found);
+    EXPECT_EQ(path.hops, 5u);
+    const std::vector<EdgeShare> shares = path.edge_shares();
+    ASSERT_EQ(shares.size(), 2u);
+    EXPECT_EQ(shares[0].edge, 0);
+    EXPECT_EQ(shares[0].hops, 3u);
+    EXPECT_EQ(shares[0].delay, ((0.0 + 0.1) + 0.2) + 0.3);
+    EXPECT_EQ(shares[1].edge, 1);
+    EXPECT_EQ(shares[1].hops, 2u);
+    EXPECT_EQ(shares[1].delay, (0.0 + 0.7) + 0.9);
+  }
+}
+
 TEST(CriticalPath, AttributionSumsToDecisionTimeOnSimulator) {
   // The headline invariant: the four components telescope EXACTLY (not
   // approximately) to the trial's decision time on the simulator — with a

@@ -136,6 +136,32 @@ TEST(PlanSharing, ConcurrentTreeCallsSeeOneTree) {
   EXPECT_EQ(seen.front()->order.size(), 900u);
 }
 
+// β's ack routes sit behind their own once_flag, apart from the tree: the
+// first reverse_of_in() calls race the same way, and alongside tree()
+// calls.
+TEST(PlanSharing, ConcurrentAckRouteCallsSeeOneTable) {
+  const auto plan = make_plan(torus(30, 30));
+  std::vector<const std::size_t*> seen(4, nullptr);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    threads.emplace_back([&plan, &seen, i] {
+      if (i % 2 == 0) plan->tree();
+      seen[i] = plan->reverse_of_in(0).begin();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const std::size_t* routes : seen) EXPECT_EQ(routes, seen.front());
+  // Every in-channel of a torus has a reverse out-channel.
+  for (std::size_t v = 0; v < plan->size(); ++v) {
+    const Adjacency::Span reverse = plan->reverse_of_in(v);
+    ASSERT_EQ(reverse.size(), plan->in().degree(v));
+    for (std::size_t k = 0; k < reverse.size(); ++k) {
+      EXPECT_EQ(plan->topology().edges[plan->out().of(v)[reverse[k]]].to,
+                plan->topology().edges[plan->in().of(v)[k]].from);
+    }
+  }
+}
+
 TEST(PlanSharing, PoolWidthFourEqualsWidthOneOnACachedCell) {
   ScenarioSpec cell;
   cell.algorithm = ScenarioAlgorithm::kPollingElection;

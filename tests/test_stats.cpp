@@ -3,11 +3,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iomanip>
+#include <limits>
+#include <sstream>
+#include <string>
 
 #include "stats/histogram.h"
 #include "stats/regression.h"
 #include "stats/summary.h"
 #include "stats/table.h"
+#include "util/json_number.h"
 
 namespace abe {
 namespace {
@@ -98,6 +103,73 @@ TEST(Summary, ToJsonRoundTripPrecisionAndNullCi) {
   EXPECT_EQ(empty.to_json(),
             "{\"count\": 0, \"mean\": 0, \"stddev\": 0, \"min\": 0, "
             "\"max\": 0, \"ci95\": 0}");
+}
+
+// The stream rendering the JSON writers used before append_json_number:
+// integral values below 2^53 as integers, the rest at max_digits10.
+std::string stream_json_number(double v) {
+  std::ostringstream os;
+  const double r = std::nearbyint(v);
+  if (r == v && std::fabs(v) < 9.007199254740992e15) {
+    os << static_cast<long long>(r);
+  } else {
+    os << std::setprecision(std::numeric_limits<double>::max_digits10) << v;
+  }
+  return os.str();
+}
+
+TEST(JsonNumber, MatchesStreamRendering) {
+  const double two53 = 9007199254740992.0;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double values[] = {0.0,
+                           -0.0,
+                           1.0,
+                           -7.0,
+                           two53 - 1.0,
+                           two53,
+                           two53 + 2.0,
+                           0.1,
+                           1.0 / 3.0,
+                           1e300,
+                           5e-324,
+                           inf,
+                           -inf,
+                           std::numeric_limits<double>::quiet_NaN()};
+  for (const double v : values) {
+    std::string out = "[";
+    append_json_number(&out, v);
+    EXPECT_EQ(out, "[" + stream_json_number(v)) << v;
+    EXPECT_EQ(json_number(v), stream_json_number(v)) << v;
+  }
+  EXPECT_EQ(json_number(-0.0), "0");
+  EXPECT_EQ(json_number(two53 + 2.0), "9007199254740994");
+  EXPECT_EQ(json_number(1.0 / 3.0), "0.33333333333333331");
+}
+
+// Summary::to_json as it was written with a stream.
+std::string stream_summary_json(const Summary& s) {
+  std::ostringstream os;
+  os.precision(std::numeric_limits<double>::max_digits10);
+  const double lo = s.count() == 0 ? 0.0 : s.min();
+  const double hi = s.count() == 0 ? 0.0 : s.max();
+  os << "{\"count\": " << s.count() << ", \"mean\": " << s.mean()
+     << ", \"stddev\": " << s.stddev() << ", \"min\": " << lo
+     << ", \"max\": " << hi << ", \"ci95\": " << s.ci95_half_width() << "}";
+  return os.str();
+}
+
+TEST(Summary, ToJsonMatchesStreamRendering) {
+  Summary empty;
+  EXPECT_EQ(empty.to_json(), stream_summary_json(empty));
+  Summary one;
+  one.add(0.1);
+  EXPECT_EQ(one.to_json(), stream_summary_json(one));
+  Summary many;
+  for (const double x : {1.0 / 3.0, 2.0, 123456.789, 1e-7, 7.0}) many.add(x);
+  EXPECT_EQ(many.to_json(), stream_summary_json(many));
+  std::string appended = "x";
+  many.append_json(&appended);
+  EXPECT_EQ(appended, "x" + many.to_json());
 }
 
 TEST(Summary, TCriticalValues) {

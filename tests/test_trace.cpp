@@ -3,6 +3,7 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "trace/trace.h"
 #include "util/cli.h"
@@ -169,6 +170,117 @@ TEST(Trace, FilterAfterEviction) {
   const auto sends = trace.filter(TraceKind::kSend);
   EXPECT_EQ(sends.size(), Trace::kFlightCapacity / 2);
   for (const TraceEvent& e : sends) EXPECT_EQ(e.kind, TraceKind::kSend);
+}
+
+// Details live in a side vector parallel to the ring; these cases pin that
+// each detail stays with its own record through activation, wraparound,
+// shrinking and clear().
+
+// The detail record i carries in the alignment cases below.
+std::string detail_of(std::int64_t i) { return "d" + std::to_string(i); }
+
+// Every retained event carries detail_of(arg) when `has_detail(arg)`, and an
+// empty detail otherwise.
+template <typename HasDetail>
+void expect_details_aligned(const Trace& trace, HasDetail has_detail) {
+  const std::vector<TraceEvent> events = trace.events();
+  ASSERT_EQ(events.size(), trace.size());
+  for (const TraceEvent& e : events) {
+    EXPECT_EQ(e.detail, has_detail(e.arg) ? detail_of(e.arg) : "")
+        << "arg " << e.arg;
+  }
+}
+
+TEST(Trace, FirstDetailIntoEmptyRingIsKept) {
+  Trace trace;  // lite: the first record ever carries the first detail
+  trace.record(1.0, TraceKind::kCustom, NodeId{0}, "first", /*arg=*/0);
+  trace.record(2.0, TraceKind::kSend, NodeId{1}, /*arg=*/1);
+  const std::vector<TraceEvent> events = trace.events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].detail, "first");
+  EXPECT_EQ(events[1].detail, "");
+  EXPECT_NE(trace.to_string().find("first"), std::string::npos);
+}
+
+TEST(Trace, LiteAndDetailRecordsStayAlignedAcrossWraparound) {
+  const std::size_t cap = Trace::kFlightCapacity;
+  const auto every_third = [](std::int64_t i) { return i % 3 == 0; };
+  Trace trace;
+  for (std::int64_t i = 1; i < static_cast<std::int64_t>(2 * cap + 7); ++i) {
+    if (every_third(i)) {
+      trace.record(static_cast<double>(i), TraceKind::kCustom, NodeId{0},
+                   detail_of(i), i);
+    } else {
+      trace.record(static_cast<double>(i), TraceKind::kSend, NodeId{0}, i);
+    }
+  }
+  ASSERT_EQ(trace.size(), cap);
+  expect_details_aligned(trace, every_third);
+  const std::vector<TraceEvent> custom = trace.filter(TraceKind::kCustom);
+  ASSERT_FALSE(custom.empty());
+  for (const TraceEvent& e : custom) EXPECT_EQ(e.detail, detail_of(e.arg));
+
+  // The first detail arriving once the ring is full and wrapped.
+  Trace wrapped;
+  const auto only_last = [cap](std::int64_t i) {
+    return i == static_cast<std::int64_t>(cap + 40);
+  };
+  for (std::int64_t i = 0; i < static_cast<std::int64_t>(cap + 40); ++i) {
+    wrapped.record(static_cast<double>(i), TraceKind::kSend, NodeId{0}, i);
+  }
+  const std::int64_t last = static_cast<std::int64_t>(cap + 40);
+  wrapped.record(1e3, TraceKind::kCustom, NodeId{0}, detail_of(last), last);
+  ASSERT_EQ(wrapped.size(), cap);
+  EXPECT_EQ(wrapped.events().back().detail, detail_of(last));
+  expect_details_aligned(wrapped, only_last);
+}
+
+TEST(Trace, ShrinkingCapacityKeepsEachDetailWithItsRecord) {
+  const auto odd = [](std::int64_t i) { return i % 2 == 1; };
+  Trace trace;
+  trace.set_capacity(8);
+  for (std::int64_t i = 0; i < 21; ++i) {  // wraps the 8-slot ring twice
+    if (odd(i)) {
+      trace.record(static_cast<double>(i), TraceKind::kCustom, NodeId{0},
+                   detail_of(i), i);
+    } else {
+      trace.record(static_cast<double>(i), TraceKind::kTick, NodeId{0}, i);
+    }
+  }
+  trace.set_capacity(5);
+  const std::vector<TraceEvent> events = trace.events();
+  ASSERT_EQ(events.size(), 5u);
+  EXPECT_EQ(events.front().arg, 16);
+  EXPECT_EQ(events.back().arg, 20);
+  expect_details_aligned(trace, odd);
+  // Growing again and wrapping the new ring keeps the pairing too.
+  trace.set_capacity(7);
+  for (std::int64_t i = 21; i < 40; ++i) {
+    if (odd(i)) {
+      trace.record(static_cast<double>(i), TraceKind::kCustom, NodeId{0},
+                   detail_of(i), i);
+    } else {
+      trace.record(static_cast<double>(i), TraceKind::kTick, NodeId{0}, i);
+    }
+  }
+  ASSERT_EQ(trace.size(), 7u);
+  EXPECT_EQ(trace.events().front().arg, 33);
+  expect_details_aligned(trace, odd);
+}
+
+TEST(Trace, ClearedRingCarriesEmptyDetailsForLiteRecords) {
+  Trace trace;
+  for (std::int64_t i = 0; i < 10; ++i) {
+    trace.record(static_cast<double>(i), TraceKind::kCustom, NodeId{0},
+                 detail_of(i), i);
+  }
+  trace.clear();
+  for (std::int64_t i = 0; i < 4; ++i) {
+    trace.record(static_cast<double>(i), TraceKind::kSend, NodeId{0}, i);
+  }
+  expect_details_aligned(trace, [](std::int64_t) { return false; });
+  EXPECT_EQ(trace.to_string().find(" d"), std::string::npos)
+      << trace.to_string();
 }
 
 // ---------------------------------------------------------------------
