@@ -654,9 +654,9 @@ MetricsSnapshot Network::metrics_snapshot() const {
   // The always-on pull-model counters: the scheduler and the NetworkMetrics
   // aggregate keep plain fields on their hot paths (cheaper than even a
   // relaxed atomic in the single-threaded simulator) and the snapshot
-  // harvests them here, at collection time, appended in name order.
+  // harvests them here, at collection time, added in name order so each
+  // row appends.
   MetricsSnapshot snap;
-  snap.reserve(16);  // the 14 rows below plus the delay histogram
   if (config_.metrics) {
     // Scalar rollups of the per-channel drop counts (the vectors themselves
     // are exposed via dropped_by_channel(); at n = 10^4 they would dwarf the
@@ -667,29 +667,28 @@ MetricsSnapshot Network::metrics_snapshot() const {
       if (dropped > 0) ++lossy;
       worst = std::max(worst, dropped);
     }
-    snap.append_counter("net.channels.lossy", static_cast<double>(lossy));
-    snap.append_gauge("net.channels.max_dropped", static_cast<double>(worst));
+    snap.add_counter("net.channels.lossy", static_cast<double>(lossy));
+    snap.add_gauge("net.channels.max_dropped", static_cast<double>(worst));
   }
-  snap.append_gauge("net.delay.max", metrics_.max_channel_delay);
-  snap.append_counter("net.delay.sum", metrics_.total_channel_delay);
-  snap.append_counter("net.delivered",
-                      static_cast<double>(metrics_.messages_delivered));
-  snap.append_counter("net.dropped",
-                      static_cast<double>(metrics_.messages_dropped));
-  snap.append_counter("net.sent", static_cast<double>(metrics_.messages_sent));
-  snap.append_counter("net.ticks", static_cast<double>(metrics_.ticks_fired));
-  snap.append_counter("net.timers",
-                      static_cast<double>(metrics_.timers_fired));
-  snap.append_counter("sched.cancelled",
-                      static_cast<double>(scheduler_.cancelled_count()));
-  snap.append_counter("sched.popped",
-                      static_cast<double>(scheduler_.processed_count()));
-  snap.append_gauge("sched.queue_high_water",
-                    static_cast<double>(scheduler_.queue_high_water()));
-  snap.append_counter("sched.scheduled",
-                      static_cast<double>(scheduler_.scheduled_count()));
-  snap.append_counter("trace.recorded",
-                      static_cast<double>(trace_.total_recorded()));
+  snap.add_gauge("net.delay.max", metrics_.max_channel_delay);
+  snap.add_counter("net.delay.sum", metrics_.total_channel_delay);
+  snap.add_counter("net.delivered",
+                   static_cast<double>(metrics_.messages_delivered));
+  snap.add_counter("net.dropped",
+                   static_cast<double>(metrics_.messages_dropped));
+  snap.add_counter("net.sent", static_cast<double>(metrics_.messages_sent));
+  snap.add_counter("net.ticks", static_cast<double>(metrics_.ticks_fired));
+  snap.add_counter("net.timers", static_cast<double>(metrics_.timers_fired));
+  snap.add_counter("sched.cancelled",
+                   static_cast<double>(scheduler_.cancelled_count()));
+  snap.add_counter("sched.popped",
+                   static_cast<double>(scheduler_.processed_count()));
+  snap.add_gauge("sched.queue_high_water",
+                 static_cast<double>(scheduler_.queue_high_water()));
+  snap.add_counter("sched.scheduled",
+                   static_cast<double>(scheduler_.scheduled_count()));
+  snap.add_counter("trace.recorded",
+                   static_cast<double>(trace_.total_recorded()));
   // The registry's instruments (the delay histogram, when enabled) slot in
   // by name.
   snap.merge(registry_.snapshot());

@@ -105,48 +105,51 @@ double FixedHistogram::quantile_of(const std::vector<double>& bounds,
   return bounds.back();
 }
 
+namespace {
+
+// The combine rules shared by add_* and merge: a counter sums, a gauge keeps
+// the max.
+void combine_scalar(MetricValue& slot, double value) {
+  if (slot.kind == MetricKind::kCounter) {
+    slot.value += value;
+  } else {
+    slot.value = std::max(slot.value, value);
+  }
+}
+
+// A histogram adopts the first (bounds, buckets) it sees and sums buckets
+// after; the bounds must agree. Forwarding lets add_histogram move its
+// vectors in and merge copy only when it adopts.
+template <typename Bounds, typename Buckets>
+void combine_histogram(MetricValue& slot, Bounds&& bounds,
+                       Buckets&& buckets) {
+  ABE_CHECK_EQ(buckets.size(), bounds.size() + 1);
+  if (slot.bounds.empty()) {
+    slot.bounds = std::forward<Bounds>(bounds);
+    slot.buckets = std::forward<Buckets>(buckets);
+    return;
+  }
+  ABE_CHECK(slot.bounds == bounds);
+  for (std::size_t i = 0; i < buckets.size(); ++i) {
+    slot.buckets[i] += buckets[i];
+  }
+}
+
+}  // namespace
+
 void MetricsSnapshot::add_counter(const std::string& name, double value) {
-  upsert(name, MetricKind::kCounter).value += value;
+  combine_scalar(upsert(name, MetricKind::kCounter), value);
 }
 
 void MetricsSnapshot::add_gauge(const std::string& name, double value) {
-  MetricValue& entry = upsert(name, MetricKind::kGauge);
-  entry.value = std::max(entry.value, value);
+  combine_scalar(upsert(name, MetricKind::kGauge), value);
 }
 
 void MetricsSnapshot::add_histogram(const std::string& name,
                                     std::vector<double> bounds,
                                     std::vector<std::uint64_t> buckets) {
-  ABE_CHECK_EQ(buckets.size(), bounds.size() + 1);
-  MetricValue& entry = upsert(name, MetricKind::kHistogram);
-  if (entry.bounds.empty()) {
-    entry.bounds = std::move(bounds);
-    entry.buckets = std::move(buckets);
-    return;
-  }
-  ABE_CHECK(entry.bounds == bounds);
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    entry.buckets[i] += buckets[i];
-  }
-}
-
-// The appended entry holds exactly what add_* gives on a name not yet held.
-void MetricsSnapshot::append_counter(const std::string& name, double value) {
-  append(name, MetricKind::kCounter).value += value;
-}
-
-void MetricsSnapshot::append_gauge(const std::string& name, double value) {
-  MetricValue& entry = append(name, MetricKind::kGauge);
-  entry.value = std::max(entry.value, value);
-}
-
-void MetricsSnapshot::append_histogram(const std::string& name,
-                                       std::vector<double> bounds,
-                                       std::vector<std::uint64_t> buckets) {
-  ABE_CHECK_EQ(buckets.size(), bounds.size() + 1);
-  MetricValue& entry = append(name, MetricKind::kHistogram);
-  entry.bounds = std::move(bounds);
-  entry.buckets = std::move(buckets);
+  combine_histogram(upsert(name, MetricKind::kHistogram), std::move(bounds),
+                    std::move(buckets));
 }
 
 void MetricsSnapshot::merge(const MetricsSnapshot& other) {
@@ -161,24 +164,10 @@ void MetricsSnapshot::merge(const MetricsSnapshot& other) {
     }
     MetricValue& slot = *it++;
     ABE_CHECK(slot.kind == entry.kind);
-    switch (entry.kind) {
-      case MetricKind::kCounter:
-        slot.value += entry.value;
-        break;
-      case MetricKind::kGauge:
-        slot.value = std::max(slot.value, entry.value);
-        break;
-      case MetricKind::kHistogram:
-        if (slot.bounds.empty()) {
-          slot.bounds = entry.bounds;
-          slot.buckets = entry.buckets;
-          break;
-        }
-        ABE_CHECK(slot.bounds == entry.bounds);
-        for (std::size_t i = 0; i < entry.buckets.size(); ++i) {
-          slot.buckets[i] += entry.buckets[i];
-        }
-        break;
+    if (entry.kind == MetricKind::kHistogram) {
+      combine_histogram(slot, entry.bounds, entry.buckets);
+    } else {
+      combine_scalar(slot, entry.value);
     }
   }
 }
@@ -198,9 +187,12 @@ double MetricsSnapshot::value_of(const std::string& name) const {
 
 MetricValue& MetricsSnapshot::upsert(const std::string& name,
                                      MetricKind kind) {
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), name,
-      [](const MetricValue& e, const std::string& n) { return e.name < n; });
+  auto it = entries_.end();
+  if (!entries_.empty() && !(entries_.back().name < name)) {
+    it = std::lower_bound(
+        entries_.begin(), entries_.end(), name,
+        [](const MetricValue& e, const std::string& n) { return e.name < n; });
+  }
   if (it == entries_.end() || it->name != name) {
     MetricValue entry;
     entry.name = name;
@@ -209,16 +201,6 @@ MetricValue& MetricsSnapshot::upsert(const std::string& name,
   }
   ABE_CHECK(it->kind == kind);
   return *it;
-}
-
-MetricValue& MetricsSnapshot::append(const std::string& name,
-                                     MetricKind kind) {
-  ABE_CHECK(entries_.empty() || entries_.back().name < name)
-      << "metric '" << name << "' appended out of name order";
-  MetricValue& entry = entries_.emplace_back();
-  entry.name = name;
-  entry.kind = kind;
-  return entry;
 }
 
 std::string MetricsSnapshot::render() const {
@@ -309,30 +291,14 @@ FixedHistogram& MetricsRegistry::histogram(const std::string& name,
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MutexLock lock(mutex_);
   MetricsSnapshot snap;
-  snap.reserve(counters_.size() + gauges_.size() + histograms_.size());
-  // Each map is sorted by name; take the smallest head each step. A name
-  // registered under two kinds reaches append twice and aborts there.
-  auto c = counters_.begin();
-  auto g = gauges_.begin();
-  auto h = histograms_.begin();
-  for (;;) {
-    const bool has_c = c != counters_.end();
-    const bool has_g = g != gauges_.end();
-    const bool has_h = h != histograms_.end();
-    if (has_c && (!has_g || c->first <= g->first) &&
-        (!has_h || c->first <= h->first)) {
-      snap.append_counter(c->first, static_cast<double>(c->second->value()));
-      ++c;
-    } else if (has_g && (!has_h || g->first <= h->first)) {
-      snap.append_gauge(g->first, g->second->value());
-      ++g;
-    } else if (has_h) {
-      snap.append_histogram(h->first, h->second->bounds(),
-                            h->second->bucket_counts());
-      ++h;
-    } else {
-      break;
-    }
+  for (const auto& [name, counter] : counters_) {
+    snap.add_counter(name, static_cast<double>(counter->value()));
+  }
+  for (const auto& [name, gauge] : gauges_) {
+    snap.add_gauge(name, gauge->value());
+  }
+  for (const auto& [name, histogram] : histograms_) {
+    snap.add_histogram(name, histogram->bounds(), histogram->bucket_counts());
   }
   return snap;
 }

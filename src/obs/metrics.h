@@ -142,16 +142,6 @@ class MetricsSnapshot {
   void add_histogram(const std::string& name, std::vector<double> bounds,
                      std::vector<std::uint64_t> buckets);
 
-  // Room for `entries` entries, ahead of a run of append_* calls.
-  void reserve(std::size_t entries) { entries_.reserve(entries); }
-  // Appends a new entry whose name sorts after every entry held — how a
-  // harvest that walks its instruments in name order builds a snapshot
-  // without re-sorting. An out-of-order or repeated name aborts.
-  void append_counter(const std::string& name, double value);
-  void append_gauge(const std::string& name, double value);
-  void append_histogram(const std::string& name, std::vector<double> bounds,
-                        std::vector<std::uint64_t> buckets);
-
   // One walk over both name-sorted lists: entries of the same name combine
   // as add_* would, and only names this side lacks are inserted.
   void merge(const MetricsSnapshot& other);
@@ -177,8 +167,9 @@ class MetricsSnapshot {
   }
 
  private:
+  // Entry `name`, created when absent. A name sorting after every entry
+  // held is appended, so a harvest in name order never shifts entries.
   MetricValue& upsert(const std::string& name, MetricKind kind);
-  MetricValue& append(const std::string& name, MetricKind kind);
   std::vector<MetricValue> entries_;  // sorted by name
 };
 
@@ -198,7 +189,7 @@ class MetricsRegistry {
   FixedHistogram& histogram(const std::string& name,
                             std::vector<double> bounds) EXCLUDES(mutex_);
 
-  // Harvest every instrument, appended in name order.
+  // Harvest every instrument, sorted by name.
   MetricsSnapshot snapshot() const EXCLUDES(mutex_);
 
  private:
