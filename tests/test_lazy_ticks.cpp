@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "runtime/runtime.h"
 #include "scenario/drivers.h"
 #include "scenario/scenario.h"
+#include "scenario/sweep.h"
 #include "stats/summary.h"
 
 namespace abe {
@@ -523,6 +525,108 @@ TEST(LazyTicks, TimeSeriesMatchesEveryTick) {
     }
   }
   EXPECT_GT(unelected, 0);  // some lossy run stalled and ran to the deadline
+}
+
+// FNV-1a over the bit patterns of every sample's (t, pending, in_flight,
+// live), in grid order.
+std::uint64_t sample_digest(const TimeSeries& series) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const TimeSeriesSample& sample : series.samples) {
+    for (double v : {sample.t, sample.pending, sample.in_flight, sample.live}) {
+      std::uint64_t bits;
+      std::memcpy(&bits, &v, sizeof(bits));
+      for (int byte = 0; byte < 8; ++byte) {
+        h ^= (bits >> (8 * byte)) & 0xff;
+        h *= 1099511628211ull;
+      }
+    }
+  }
+  return h;
+}
+
+// Seeds 1-4 of the sweep ring cells (the robustness sweep's three, the
+// lossy ring, the drift sweep's piecewise-drift ring) and one polling cell,
+// observed as `abe_scenarios critical-path --timeseries 1` observes them.
+// Pins what the lazy train and the sampler decide: every time-series sample
+// (including the pending gauge the differential tests leave out) and the
+// event-accounting rows.
+TEST(LazyTicks, SeededSweepObservabilityIsPinned) {
+  struct Pinned {
+    std::uint64_t seed;
+    std::size_t samples;
+    std::uint64_t digest;
+    double popped, scheduled, cancelled, high_water, ticks, recorded;
+  };
+  struct Cell {
+    const char* id;
+    Pinned trials[4];
+  };
+  const Cell pinned[] = {
+      {"abe-ring/ring-uni-16/fixed/ideal/none",
+       {{1, 133, 0xc24f007e9854e053ull, 56, 71, 15, 16, 5, 126},
+        {2, 82, 0xc7176cffaf68c5f7ull, 26, 41, 15, 16, 1, 50},
+        {3, 51, 0x39728f4b0a77f1caull, 36, 51, 15, 16, 3, 88},
+        {4, 158, 0x0d0aeb69a0a9220dull, 72, 87, 15, 16, 7, 164}}},
+      {"abe-ring/ring-uni-16/exponential/ideal/none",
+       {{1, 45, 0x6a685efd4878fd8full, 36, 51, 15, 16, 3, 88},
+        {2, 86, 0x95b4407663a2bf96ull, 28, 43, 15, 16, 1, 50},
+        {3, 45, 0xe0045d10ae7aad9aull, 36, 51, 15, 16, 3, 88},
+        {4, 161, 0x8937914260f710feull, 72, 87, 15, 16, 7, 164}}},
+      {"abe-ring/ring-uni-16/lomax/ideal/none",
+       {{1, 45, 0xe48b7e0fd80d1c6full, 36, 51, 15, 16, 3, 88},
+        {2, 90, 0x753a806268df05b9ull, 29, 44, 15, 16, 1, 50},
+        {3, 45, 0xb9cec809cba0e17aull, 36, 51, 15, 16, 3, 88},
+        {4, 42, 0xa2c33b36d8c9541eull, 18, 33, 15, 16, 1, 50}}},
+      {"abe-ring/ring-uni-16/exponential/ideal/loss-0.005",
+       {{1, 44, 0x436951f0dae5ac60ull, 36, 51, 15, 16, 3, 88},
+        {2, 82, 0xa2c195ef4c5aa85full, 22, 37, 15, 16, 1, 50},
+        {3, 45, 0x3586763a6433e4caull, 36, 51, 15, 16, 3, 88},
+        {4, 512, 0xdebfbcd4ffda4f96ull, 28, 42, 14, 16, 3, 69}}},
+      {"abe-ring/ring-uni-16/exponential/piecewise-random[0.666667,1.5]/none",
+       {{1, 121, 0x321719208b81d957ull, 56, 71, 15, 16, 5, 126},
+        {2, 70, 0xbbf6a07ed31c4fb0ull, 18, 33, 15, 16, 1, 50},
+        {3, 41, 0x4cfc715ede2a08bbull, 36, 51, 15, 16, 3, 88},
+        {4, 41, 0x17f4240c0a97e538ull, 18, 33, 15, 16, 1, 50}}},
+      {"polling/torus-16/exponential/ideal/none",
+       {{1, 9, 0x3f3c269d3eef6fc8ull, 46, 46, 0, 6, 0, 90},
+        {2, 11, 0xeca5946db49f73beull, 46, 46, 0, 6, 0, 90},
+        {3, 12, 0x4248853f133874dcull, 46, 46, 0, 7, 0, 90},
+        {4, 11, 0x4cdf4c157b12854aull, 46, 46, 0, 6, 0, 90}}},
+  };
+
+  std::vector<ScenarioSpec> cells = find_sweep("robustness")->expand();
+  const std::vector<ScenarioSpec> drift = find_sweep("drift")->expand();
+  cells.insert(cells.end(), drift.begin(), drift.end());
+  cells.push_back(*find_scenario("ring-lossy"));
+  for (const Cell& cell : pinned) {
+    SCOPED_TRACE(cell.id);
+    const ScenarioSpec* found = nullptr;
+    for (const ScenarioSpec& spec : cells) {
+      if (spec.cell_id() == cell.id) {
+        found = &spec;
+        break;
+      }
+    }
+    ASSERT_NE(found, nullptr);
+    ScenarioSpec spec = *found;
+    spec.causal_history = true;
+    spec.timeseries_interval = 1.0;
+    for (const Pinned& p : cell.trials) {
+      SCOPED_TRACE("seed " + std::to_string(p.seed));
+      const TrialOutcome trial = run_scenario_trial(spec, p.seed);
+      ASSERT_TRUE(trial.has_timeseries);
+      ASSERT_TRUE(trial.has_metrics);
+      EXPECT_EQ(trial.timeseries.samples.size(), p.samples);
+      EXPECT_EQ(sample_digest(trial.timeseries), p.digest);
+      const MetricsSnapshot& m = trial.metrics;
+      EXPECT_EQ(m.value_of("sched.popped"), p.popped);
+      EXPECT_EQ(m.value_of("sched.scheduled"), p.scheduled);
+      EXPECT_EQ(m.value_of("sched.cancelled"), p.cancelled);
+      EXPECT_EQ(m.value_of("sched.queue_high_water"), p.high_water);
+      EXPECT_EQ(m.value_of("net.ticks"), p.ticks);
+      EXPECT_EQ(m.value_of("trace.recorded"), p.recorded);
+    }
+  }
 }
 
 // Sends one message from on_start; demands no ticks.
