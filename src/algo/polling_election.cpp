@@ -214,7 +214,6 @@ class PollingDriver final : public AlgorithmDriver {
     sink_->max_leaders_ever =
         watch_.leader_count.load(std::memory_order_acquire);
 
-    std::ostringstream detail;
     std::size_t leaders = 0;
     std::size_t passives = 0;
     for (std::size_t i = 0; i < rt.size(); ++i) {
@@ -231,39 +230,44 @@ class PollingDriver final : public AlgorithmDriver {
 
     // Safety proper: the protocol must never mint two leaders, lossy or
     // not (a RESULT names one winner id and only its holder leads).
-    bool safe = true;
-    if (leaders > 1 || sink_->max_leaders_ever > 1) {
-      safe = false;
-      detail << "more than one leader (" << leaders << " now, "
-             << sink_->max_leaders_ever << " ever); ";
-    }
+    const bool safe = leaders <= 1 && sink_->max_leaders_ever <= 1;
 
     // Termination completeness: guaranteed on reliable channels; loss can
     // strand kPolled nodes behind a dropped RESULT (or unwoken ones behind
     // a dropped WAKE), which is the injected failure, not an algorithm bug.
-    bool terminated = true;
-    if (leaders != 1) {
-      terminated = false;
-      detail << "expected exactly 1 leader, found " << leaders << "; ";
-    }
-    if (passives != rt.size() - 1) {
-      terminated = false;
-      detail << "expected " << rt.size() - 1 << " passive nodes, found "
-             << passives << "; ";
-    }
-    if (sink_->woken != rt.size()) {
-      terminated = false;
-      detail << "polling incomplete: only " << sink_->woken << " of "
-             << rt.size() << " nodes were woken; ";
-    }
-    if (stats.in_flight() != 0) {
-      terminated = false;
-      detail << stats.in_flight() << " messages still in flight; ";
-    }
+    const bool one_leader = leaders == 1;
+    const bool all_passive = passives == rt.size() - 1;
+    const bool all_woken = sink_->woken == rt.size();
+    const bool drained = stats.in_flight() == 0;
+    const bool terminated = one_leader && all_passive && all_woken && drained;
 
     sink_->terminated = terminated;
     sink_->safety_ok = lossy_ ? safe : safe && terminated;
-    sink_->safety_detail = detail.str();
+    sink_->safety_detail.clear();
+    if (!safe || !terminated) {
+      // The text is built only when a check failed (a lossy trial can be
+      // safe and still report what loss left unfinished).
+      std::ostringstream detail;
+      if (!safe) {
+        detail << "more than one leader (" << leaders << " now, "
+               << sink_->max_leaders_ever << " ever); ";
+      }
+      if (!one_leader) {
+        detail << "expected exactly 1 leader, found " << leaders << "; ";
+      }
+      if (!all_passive) {
+        detail << "expected " << rt.size() - 1 << " passive nodes, found "
+               << passives << "; ";
+      }
+      if (!all_woken) {
+        detail << "polling incomplete: only " << sink_->woken << " of "
+               << rt.size() << " nodes were woken; ";
+      }
+      if (!drained) {
+        detail << stats.in_flight() << " messages still in flight; ";
+      }
+      sink_->safety_detail = detail.str();
+    }
 
     out.completed = true;
     out.safety_ok = sink_->safety_ok;

@@ -13,8 +13,8 @@
 //     the safe direction for a bound.
 //
 // Tests verify the bracketing property on stationary and regime-switching
-// delay streams; the sensor example uses it to pick the election's
-// parameters without being told δ.
+// delay streams; bench_e11_extensions tracks its bound through a delay
+// regime shift. No scenario or example uses it to tune an election yet.
 #pragma once
 
 #include <cstdint>

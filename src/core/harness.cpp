@@ -128,8 +128,6 @@ class RingElectionDriver final : public AlgorithmDriver {
         watch_.leader_count.load(std::memory_order_acquire);
 
     // --- safety postconditions ------------------------------------------
-    std::ostringstream detail;
-    bool ok = true;
     std::size_t leaders = 0;
     std::size_t passives = 0;
     for (std::size_t i = 0; i < rt.size(); ++i) {
@@ -150,36 +148,39 @@ class RingElectionDriver final : public AlgorithmDriver {
           break;
       }
     }
-    if (leaders != 1) {
-      ok = false;
-      detail << "expected exactly 1 leader, found " << leaders << "; ";
-    }
-    if (sink_->max_leaders_ever > 1) {
-      ok = false;
-      detail << "more than one leader was ever elected; ";
-    }
+    const bool one_leader = leaders == 1;
+    const bool never_two = sink_->max_leaders_ever <= 1;
     // The passive-count and in-flight postconditions describe the HONEST
     // ring environment: crashed nodes are never knocked out, and
     // equivocated tokens may still circulate at quiescence. Under injected
     // behavior profiles or adversarial delays only the actual safety
     // property remains — exactly one leader, never two leaders ever.
-    if (!adversarial_ && passives != rt.size() - 1) {
-      ok = false;
-      detail << "expected " << rt.size() - 1 << " passive nodes, found "
-             << passives << "; ";
-    }
+    const bool all_passive = adversarial_ || passives == rt.size() - 1;
     // Dropped messages mean a token died in the channel — with failure
     // injection the run can still elect by luck, but quiescence is no
     // longer token conservation, so only require in-flight == 0 on
     // lossless runs. Wall-clock runs freeze mid-flight by design, so the
     // check is simulator-only.
-    if (!adversarial_ && rt.kind() == RuntimeKind::kSim &&
-        !lossy_ && stats.in_flight() != 0) {
-      ok = false;
-      detail << stats.in_flight() << " messages still in flight; ";
+    const bool drained = adversarial_ || rt.kind() != RuntimeKind::kSim ||
+                         lossy_ || stats.in_flight() == 0;
+    sink_->safety_ok = one_leader && never_two && all_passive && drained;
+    sink_->safety_detail.clear();
+    if (!sink_->safety_ok) {
+      // The text is built only for a failing trial.
+      std::ostringstream detail;
+      if (!one_leader) {
+        detail << "expected exactly 1 leader, found " << leaders << "; ";
+      }
+      if (!never_two) detail << "more than one leader was ever elected; ";
+      if (!all_passive) {
+        detail << "expected " << rt.size() - 1 << " passive nodes, found "
+               << passives << "; ";
+      }
+      if (!drained) {
+        detail << stats.in_flight() << " messages still in flight; ";
+      }
+      sink_->safety_detail = detail.str();
     }
-    sink_->safety_ok = ok;
-    sink_->safety_detail = detail.str();
 
     out.completed = true;
     out.safety_ok = sink_->safety_ok;

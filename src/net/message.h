@@ -8,6 +8,8 @@
 
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <typeinfo>
 
 #include "util/check.h"
 
@@ -28,9 +30,16 @@ class Payload {
 using PayloadPtr = std::unique_ptr<const Payload>;
 
 // Checked downcast: returns nullptr when the payload is a different type.
+// A final T (every payload class in src/ is one) has no subclasses, so the
+// payload is a T exactly when its dynamic type is T: one type_info compare
+// and a static_cast instead of the hierarchy walk of dynamic_cast.
 template <typename T>
 const T* payload_cast(const Payload& p) {
-  return dynamic_cast<const T*>(&p);
+  if constexpr (std::is_final_v<T>) {
+    return typeid(p) == typeid(T) ? static_cast<const T*>(&p) : nullptr;
+  } else {
+    return dynamic_cast<const T*>(&p);
+  }
 }
 
 // Asserting downcast: aborts with the payload description on type mismatch.

@@ -117,6 +117,10 @@ Network::Network(NetworkConfig config)
   }
   timeseries_.interval = config_.timeseries_interval;
   next_sample_ = config_.timeseries_interval;
+  sampling_ = timeseries_.enabled();
+  bracket_handlers_ = config_.enable_ticks || sampling_;
+  // The grid is capped, so the whole series fits one constant allocation.
+  if (sampling_) timeseries_.samples.reserve(TimeSeries::kMaxSamples);
 
   const std::size_t n = plan_->size();
   const std::size_t edge_count = plan_->edge_count();
@@ -129,9 +133,8 @@ Network::Network(NetworkConfig config)
     // ABE contract promises — with a deep 2^6 tail (the part "bounded
     // EXPECTED delay" leaves unbounded).
     const double mean = config_.delay->mean_delay();
-    delay_hist_ = &registry_.histogram(
-        "net.delay", FixedHistogram::log2_bounds(mean > 0.0 ? mean : 1.0,
-                                                 /*below=*/3, /*above=*/6));
+    delay_hist_ = std::make_unique<FixedHistogram>(FixedHistogram::log2_bounds(
+        mean > 0.0 ? mean : 1.0, /*below=*/3, /*above=*/6));
   }
   nodes_.reserve(n);
   slots_.reserve(n);
@@ -200,10 +203,12 @@ void Network::start() {
   ABE_CHECK_EQ(nodes_.size(), size())
       << "node " << nodes_.size() << " missing before start()";
   started_ = true;
+  live_ = nodes_.size();
   scheduler_.schedule_at(0.0, [this] {
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
       current_cause_ = -1;  // on_start is a causal root: no trace record
       nodes_[i]->on_start(context_for(i));
+      recount_live(i, /*was_live=*/true);
       if (config_.enable_ticks) rearm_ticks(i);
     }
   });
@@ -266,18 +271,18 @@ void Network::pause_ticks(std::size_t node_index) {
   // tick at exactly now() counts after the handler about to run.
   const std::uint64_t next =
       first_tick_at_or_after(node_index, train.ticks + 1, now()).k;
-  Rng& rng = slots_[node_index].rng;
-  for (; train.ticks + 1 < next; ++train.ticks) {
-    const bool fired = rng.bernoulli(train.p);
-    ABE_CHECK(!fired) << "tick train replay diverged at node " << node_index;
-  }
+  if (next <= train.ticks + 1) return;
+  const std::uint64_t failed = next - 1 - train.ticks;
+  ABE_CHECK_EQ(slots_[node_index].rng.skip_bernoulli_failures(train.p, failed),
+               failed)
+      << "tick train replay diverged at node " << node_index;
+  train.ticks += failed;
 }
 
 void Network::rearm_ticks(std::size_t node_index, bool after_tick) {
   const Node& node = *nodes_[node_index];
   TickTrain& train = trains_[node_index];
-  if (timeseries_.interval > 0.0 && train.stop == kTimeInfinity &&
-      node.is_terminated()) {
+  if (sampling_ && train.stop == kTimeInfinity && node.is_terminated()) {
     // A per-tick train stops after the first tick that sees the node
     // terminated: this one, or the next lattice tick.
     train.stop =
@@ -310,18 +315,13 @@ void Network::rearm_ticks(std::size_t node_index, bool after_tick) {
 void Network::arm_lazy(std::size_t node_index, std::uint32_t horizon) {
   TickTrain& train = trains_[node_index];
   // Draw ahead on a copy of the node's stream, one bernoulli(p) per lattice
-  // tick, exactly as on_tick would; stop at the first success or after
-  // `horizon` failures (the checkpoint).
-  Rng ahead = slots_[node_index].rng;
-  Rng before = ahead;
-  std::uint64_t k = train.ticks + 1;
-  bool success = false;
-  for (std::uint32_t h = 1;; ++h, ++k) {
-    before = ahead;
-    success = ahead.bernoulli(train.p);
-    if (success || h == horizon) break;
-  }
-  train.rng = success ? before : ahead;
+  // tick, exactly as on_tick would; stop before the first success (on_tick
+  // redraws it) or after `horizon` failures (the checkpoint).
+  train.rng = slots_[node_index].rng;
+  const std::uint64_t failures =
+      train.rng.skip_bernoulli_failures(train.p, horizon);
+  const bool success = failures < horizon;
+  const std::uint64_t k = train.ticks + (success ? failures + 1 : horizon);
   train.state = Train::kLazy;
   train.horizon = horizon;
   train.event = scheduler_.schedule_at(
@@ -350,7 +350,9 @@ void Network::fire_tick(std::size_t node_index) {
       now(), TraceKind::kTick, NodeId{static_cast<std::int64_t>(node_index)},
       static_cast<std::int64_t>(train.ticks), train.last_record);
   train.last_record = current_cause_;
+  const bool was_live = counts_live(node_index);
   nodes_[node_index]->on_tick(context_for(node_index), train.ticks);
+  recount_live(node_index, was_live);
   rearm_ticks(node_index, /*after_tick=*/true);
 }
 
@@ -373,7 +375,9 @@ TimerId Network::set_timer(std::size_t node_index, double local_delay,
             trace_.record(now(), TraceKind::kTimer,
                           NodeId{static_cast<std::int64_t>(node_index)},
                           static_cast<std::int64_t>(tag), cause);
+        const bool was_live = counts_live(node_index);
         nodes_[node_index]->on_timer(context_for(node_index), timer_id, tag);
+        recount_live(node_index, was_live);
         if (config_.enable_ticks) rearm_ticks(node_index);
       });
   return timer_id;
@@ -516,10 +520,12 @@ void Network::finish_delivery(std::size_t edge_index, const Payload& payload,
                                    static_cast<std::int64_t>(edge_index),
                                    send_id, channel_delay, work);
   }
-  if (config_.enable_ticks) {
-    pause_ticks(to);
+  if (bracket_handlers_) {
+    if (config_.enable_ticks) pause_ticks(to);
+    const bool was_live = counts_live(to);
     nodes_[to]->on_message(context_for(to), end.in_index, payload);
-    rearm_ticks(to);
+    recount_live(to, was_live);
+    if (config_.enable_ticks) rearm_ticks(to);
   } else {
     nodes_[to]->on_message(context_for(to), end.in_index, payload);
   }
@@ -530,11 +536,7 @@ void Network::take_sample() {
   sample.t = next_sample_;
   sample.pending = static_cast<double>(scheduler_.pending());
   sample.in_flight = static_cast<double>(metrics_.in_flight());
-  std::uint64_t live = 0;
-  for (const NodePtr& node : nodes_) {
-    if (!node->is_terminated()) ++live;
-  }
-  sample.live = static_cast<double>(live);
+  sample.live = static_cast<double>(live_);
   timeseries_.samples.push_back(sample);
   next_sample_ += timeseries_.interval;
 }
@@ -576,8 +578,7 @@ void Network::sample_skipped_ticks(SimTime limit, bool inclusive) {
 
 bool Network::run_until(const std::function<bool()>& pred, SimTime deadline) {
   ABE_CHECK(started_) << "run before start()";
-  const bool sampling = timeseries_.interval > 0.0;
-  const bool skipped_ticks = sampling && config_.enable_ticks;
+  const bool skipped_ticks = sampling_ && config_.enable_ticks;
   while (!pred()) {
     // Peek so no event beyond the deadline is ever executed.
     const SimTime next = scheduler_.next_event_time();
@@ -587,7 +588,7 @@ bool Network::run_until(const std::function<bool()>& pred, SimTime deadline) {
     }
     if (skipped_ticks) sample_skipped_ticks(next, /*inclusive=*/false);
     scheduler_.run_steps(1);
-    if (sampling) sample_timeseries();
+    if (sampling_) sample_timeseries();
   }
   return true;
 }
@@ -669,6 +670,8 @@ MetricsSnapshot Network::metrics_snapshot() const {
     }
     snap.add_counter("net.channels.lossy", static_cast<double>(lossy));
     snap.add_gauge("net.channels.max_dropped", static_cast<double>(worst));
+    snap.add_histogram("net.delay", delay_hist_->bounds(),
+                       delay_hist_->bucket_counts());
   }
   snap.add_gauge("net.delay.max", metrics_.max_channel_delay);
   snap.add_counter("net.delay.sum", metrics_.total_channel_delay);
@@ -689,9 +692,6 @@ MetricsSnapshot Network::metrics_snapshot() const {
                    static_cast<double>(scheduler_.scheduled_count()));
   snap.add_counter("trace.recorded",
                    static_cast<double>(trace_.total_recorded()));
-  // The registry's instruments (the delay histogram, when enabled) slot in
-  // by name.
-  snap.merge(registry_.snapshot());
   return snap;
 }
 

@@ -30,18 +30,22 @@
 //   kEvery      one event per lattice tick, each calling on_tick: the
 //               per-tick train (the default until a node terminates);
 //   kNone       no event; the lattice ticks pass unseen;
-//   kBernoulli  the network copies the node's Rng, replays bernoulli(p) on
-//               the copy tick by tick, and schedules one event: at the
-//               first success, where it installs the copy's state from just
-//               before that draw and calls on_tick (which redraws it and
-//               succeeds), or at a checkpoint 64 ticks on (doubling per
-//               checkpoint of one idle stretch, up to 1024), where it
-//               installs the state after the failures and draws ahead again.
+//   kBernoulli  the network copies the node's Rng, draws ahead on the copy
+//               with Rng::skip_bernoulli_failures — the state change of
+//               bernoulli(p) tick by tick, run on the four state words in
+//               registers with no per-tick copy or call — and
+//               schedules one event: at the first success, where it
+//               installs the copy's state from just before that draw and
+//               calls on_tick (which redraws it and succeeds), or at a
+//               checkpoint 64 ticks on (doubling per checkpoint of one idle
+//               stretch, up to 1024), where it installs the state after the
+//               failures and draws ahead again.
 // Before anything else touches a node with a kBernoulli train — its
 // processing-time draw, on_message, on_timer — the train pauses: the failed
 // draws of the lattice ticks strictly before now() are replayed on the
-// node's own Rng and the pending event is cancelled; after the handler the
-// train re-arms from the next lattice tick. The node's stream therefore sees
+// node's own Rng by the same skip, which must report every one of them a
+// failure, and the pending event is cancelled; after the handler the train
+// re-arms from the next lattice tick. The node's stream therefore sees
 // exactly the draws a per-tick train would make, in the same order, and a
 // seeded run is the same — messages, times, states — while an idle node
 // costs O(1) events per activation instead of one per period.
@@ -64,8 +68,11 @@
 //     instead (tests/test_lazy_ticks.cpp).
 //   * The time-series sampler (obs/timeseries.h) still samples as if every
 //     lattice tick were an event: a grid point followed by a skipped tick
-//     before the next event is sampled at once (sample_skipped_ticks). Only
-//     its pending gauge differs.
+//     before the next event is sampled at once (sample_skipped_ticks, which
+//     scans the trains for such a tick). Only its pending gauge differs.
+//     The live gauge is a count kept current around every handler call
+//     while sampling is on (a node's is_terminated() changes only inside
+//     its own handlers), so a sample is O(1), not a scan of all n nodes.
 // The thread and UDP substrates ignore tick_demand and keep waking every
 // node once per period.
 #pragma once
@@ -255,6 +262,8 @@ class Network {
   const Trace& trace() const { return trace_; }
   // Sampled load gauges (config.timeseries_interval > 0; empty otherwise).
   const TimeSeries& timeseries() const { return timeseries_; }
+  // Moves the series out; for the end of a trial, when nothing runs after.
+  TimeSeries take_timeseries() { return std::move(timeseries_); }
 
   // Per-channel and per-node message counts, derived on each call from the
   // channel records (channel = edge index into topology().edges; node =
@@ -358,6 +367,19 @@ class Network {
   void rearm_ticks(std::size_t node_index, bool after_tick = false);
   void arm_lazy(std::size_t node_index, std::uint32_t horizon);
   void fire_tick(std::size_t node_index);
+  // The live gauge (time-series sampling only): whether a node counts as
+  // live before one of its handlers runs, and the gauge's update after it.
+  // A node's is_terminated() changes only inside its own handlers, so this
+  // keeps live_ equal to the number of non-terminated nodes.
+  bool counts_live(std::size_t node_index) const {
+    return sampling_ && !nodes_[node_index]->is_terminated();
+  }
+  void recount_live(std::size_t node_index, bool was_live) {
+    if (!sampling_) return;
+    const bool live = !nodes_[node_index]->is_terminated();
+    if (live && !was_live) ++live_;
+    if (!live && was_live) --live_;
+  }
   void sample_timeseries();
   void sample_skipped_ticks(SimTime limit, bool inclusive);
   bool skipped_tick_in(SimTime from, SimTime limit, bool inclusive);
@@ -372,11 +394,10 @@ class Network {
   Rng channel_rng_;
   Trace trace_;
   NetworkMetrics metrics_;
-  // Extended observability state (config_.metrics only). The histogram
-  // lives in the registry; the hot paths cache one raw pointer and pay a
-  // single null test when metrics are off (the obs cost contract).
-  MetricsRegistry registry_;
-  FixedHistogram* delay_hist_ = nullptr;
+  // Extended observability state (config_.metrics only): the channel-delay
+  // histogram, harvested as the "net.delay" row. The hot path pays a single
+  // null test when metrics are off (the obs cost contract).
+  std::unique_ptr<FixedHistogram> delay_hist_;
   std::shared_ptr<const NetworkPlan> plan_;
   // nodes_[i] is node i (add_node appends in index order): the dispatch
   // table every handler call goes through.
@@ -399,9 +420,15 @@ class Network {
   // (-1 between handlers / inside on_start). Every record made from inside a
   // handler — sends, drops, scheduled timer/tick fires — links back to it.
   std::int64_t current_cause_ = -1;
-  // Time-series sampling state: next sim-time grid point to sample.
+  // Time-series sampling state: next sim-time grid point to sample, and the
+  // live gauge (nodes not terminated), kept current by recount_live.
   TimeSeries timeseries_;
   SimTime next_sample_ = 0.0;
+  std::uint64_t live_ = 0;
+  bool sampling_ = false;
+  // A delivery calls on_message between pause_ticks/rearm_ticks and keeps
+  // the live gauge: ticks or sampling on. Off, it calls the handler alone.
+  bool bracket_handlers_ = false;
   bool started_ = false;
 };
 

@@ -19,25 +19,30 @@ bool is_handler_kind(TraceKind kind) {
 }  // namespace
 
 std::vector<EdgeShare> CriticalPath::edge_shares() const {
-  // One entry per DELIVER hop, stably sorted by edge, so each run of equal
-  // edges sums its delays in chain order.
-  std::vector<EdgeShare> hops_by_edge;
-  for (const CriticalPathHop& hop : chain) {
-    if (hop.kind != TraceKind::kDeliver || hop.arg < 0) continue;
-    hops_by_edge.push_back(EdgeShare{hop.arg, 1, hop.delay});
-  }
-  std::stable_sort(hops_by_edge.begin(), hops_by_edge.end(),
-                   [](const EdgeShare& a, const EdgeShare& b) {
-                     return a.edge < b.edge;
-                   });
+  // One entry per DELIVER hop, sorted by (edge, chain position) — `hops`
+  // holds the position until the runs are folded — so each run of equal
+  // edges sums its delays in chain order. Folding runs in place leaves one
+  // allocation, sized by the chain.
   std::vector<EdgeShare> out;
-  for (const EdgeShare& hop : hops_by_edge) {
-    if (out.empty() || out.back().edge != hop.edge) {
-      out.push_back(EdgeShare{hop.edge, 0, 0.0});
-    }
-    out.back().hops += 1;
-    out.back().delay += hop.delay;
+  out.reserve(chain.size());
+  for (std::size_t i = 0; i < chain.size(); ++i) {
+    const CriticalPathHop& hop = chain[i];
+    if (hop.kind != TraceKind::kDeliver || hop.arg < 0) continue;
+    out.push_back(EdgeShare{hop.arg, i, hop.delay});
   }
+  std::sort(out.begin(), out.end(), [](const EdgeShare& a, const EdgeShare& b) {
+    return a.edge != b.edge ? a.edge < b.edge : a.hops < b.hops;
+  });
+  std::size_t runs = 0;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const EdgeShare hop = out[i];  // out[runs] may be this very entry
+    if (runs == 0 || hop.edge != out[runs - 1].edge) {
+      out[runs++] = EdgeShare{hop.edge, 0, 0.0};
+    }
+    out[runs - 1].hops += 1;
+    out[runs - 1].delay += hop.delay;
+  }
+  out.resize(runs);
   return out;
 }
 
@@ -205,6 +210,38 @@ CriticalPathStats CriticalPathStats::from_path(const CriticalPath& path) {
   return stats;
 }
 
+namespace {
+
+// Adds `from` into `into`, both ascending by edge with unique edges: an
+// edge's hops and delay sum onto its entry, which starts at {edge, 0, 0.0}
+// when new. Counts the new edges first and merges from the back, so every
+// entry moves at most once and `into` grows at most once.
+void add_shares(std::vector<EdgeShare>& into,
+                const std::vector<EdgeShare>& from) {
+  std::size_t fresh = 0;
+  auto it = into.begin();
+  for (const EdgeShare& share : from) {
+    while (it != into.end() && it->edge < share.edge) ++it;
+    if (it == into.end() || it->edge != share.edge) ++fresh;
+  }
+  std::size_t kept = into.size();
+  std::size_t write = kept + fresh;
+  into.resize(write);
+  for (std::size_t next = from.size(); next-- > 0;) {
+    const EdgeShare& share = from[next];
+    while (kept > 0 && into[kept - 1].edge > share.edge) {
+      into[--write] = into[--kept];
+    }
+    EdgeShare sum{share.edge, 0, 0.0};
+    if (kept > 0 && into[kept - 1].edge == share.edge) sum = into[--kept];
+    sum.hops += share.hops;
+    sum.delay += share.delay;
+    into[--write] = sum;
+  }
+}
+
+}  // namespace
+
 void CriticalPathAggregate::add(const CriticalPathStats& stats,
                                 std::uint64_t seed) {
   ++considered;
@@ -217,12 +254,7 @@ void CriticalPathAggregate::add(const CriticalPathStats& stats,
   processing.add(stats.processing);
   queueing.add(stats.queueing);
   waiting.add(stats.waiting);
-  for (const EdgeShare& share : stats.edges) {
-    EdgeShare& slot = channels[share.edge];
-    slot.edge = share.edge;
-    slot.hops += share.hops;
-    slot.delay += share.delay;
-  }
+  add_shares(channels, stats.edges);
   if (!has_worst || stats.span > worst_span ||
       (stats.span == worst_span && seed < worst_seed)) {
     has_worst = true;
@@ -241,12 +273,7 @@ void CriticalPathAggregate::merge(const CriticalPathAggregate& other) {
   processing.merge(other.processing);
   queueing.merge(other.queueing);
   waiting.merge(other.waiting);
-  for (const auto& entry : other.channels) {
-    EdgeShare& slot = channels[entry.first];
-    slot.edge = entry.second.edge;
-    slot.hops += entry.second.hops;
-    slot.delay += entry.second.delay;
-  }
+  add_shares(channels, other.channels);
   if (other.has_worst &&
       (!has_worst || other.worst_span > worst_span ||
        (other.worst_span == worst_span && other.worst_seed < worst_seed))) {
@@ -258,9 +285,7 @@ void CriticalPathAggregate::merge(const CriticalPathAggregate& other) {
 
 std::vector<EdgeShare> CriticalPathAggregate::top_channels(
     std::size_t k) const {
-  std::vector<EdgeShare> out;
-  out.reserve(channels.size());
-  for (const auto& entry : channels) out.push_back(entry.second);
+  std::vector<EdgeShare> out = channels;
   std::sort(out.begin(), out.end(), [](const EdgeShare& a, const EdgeShare& b) {
     if (a.delay != b.delay) return a.delay > b.delay;
     return a.edge < b.edge;

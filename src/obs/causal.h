@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -122,7 +121,9 @@ struct CriticalPathAggregate {
   Summary processing;
   Summary queueing;
   Summary waiting;
-  std::map<std::int64_t, EdgeShare> channels;  // edge -> summed share
+  // Summed share per edge, ascending by edge id: one flat array, so adding a
+  // trial allocates only when it brings edges not seen before.
+  std::vector<EdgeShare> channels;
   bool has_worst = false;
   double worst_span = 0.0;
   std::uint64_t worst_seed = 0;

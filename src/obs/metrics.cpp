@@ -137,15 +137,15 @@ void combine_histogram(MetricValue& slot, Bounds&& bounds,
 
 }  // namespace
 
-void MetricsSnapshot::add_counter(const std::string& name, double value) {
+void MetricsSnapshot::add_counter(std::string_view name, double value) {
   combine_scalar(upsert(name, MetricKind::kCounter), value);
 }
 
-void MetricsSnapshot::add_gauge(const std::string& name, double value) {
+void MetricsSnapshot::add_gauge(std::string_view name, double value) {
   combine_scalar(upsert(name, MetricKind::kGauge), value);
 }
 
-void MetricsSnapshot::add_histogram(const std::string& name,
+void MetricsSnapshot::add_histogram(std::string_view name,
                                     std::vector<double> bounds,
                                     std::vector<std::uint64_t> buckets) {
   combine_histogram(upsert(name, MetricKind::kHistogram), std::move(bounds),
@@ -157,10 +157,7 @@ void MetricsSnapshot::merge(const MetricsSnapshot& other) {
   for (const MetricValue& entry : other.entries_) {
     while (it != entries_.end() && it->name < entry.name) ++it;
     if (it == entries_.end() || it->name != entry.name) {
-      MetricValue fresh;
-      fresh.name = entry.name;
-      fresh.kind = entry.kind;
-      it = entries_.insert(it, std::move(fresh));
+      it = insert_entry(it, entry.name, entry.kind);
     }
     MetricValue& slot = *it++;
     ABE_CHECK(slot.kind == entry.kind);
@@ -185,22 +182,31 @@ double MetricsSnapshot::value_of(const std::string& name) const {
   return entry != nullptr ? entry->value : 0.0;
 }
 
-MetricValue& MetricsSnapshot::upsert(const std::string& name,
-                                     MetricKind kind) {
+MetricValue& MetricsSnapshot::upsert(std::string_view name, MetricKind kind) {
   auto it = entries_.end();
   if (!entries_.empty() && !(entries_.back().name < name)) {
     it = std::lower_bound(
         entries_.begin(), entries_.end(), name,
-        [](const MetricValue& e, const std::string& n) { return e.name < n; });
+        [](const MetricValue& e, std::string_view n) { return e.name < n; });
   }
   if (it == entries_.end() || it->name != name) {
-    MetricValue entry;
-    entry.name = name;
-    entry.kind = kind;
-    it = entries_.insert(it, std::move(entry));
+    it = insert_entry(it, name, kind);
   }
   ABE_CHECK(it->kind == kind);
   return *it;
+}
+
+std::vector<MetricValue>::iterator MetricsSnapshot::insert_entry(
+    std::vector<MetricValue>::iterator at, std::string_view name,
+    MetricKind kind) {
+  if (entries_.capacity() == 0) {
+    entries_.reserve(kInitialRows);
+    at = entries_.begin();  // entries_ was empty: `at` was its end
+  }
+  MetricValue entry;
+  entry.name = name;
+  entry.kind = kind;
+  return entries_.insert(at, std::move(entry));
 }
 
 std::string MetricsSnapshot::render() const {

@@ -32,6 +32,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/thread_annotations.h"
@@ -137,9 +138,9 @@ class MetricsSnapshot {
   // add_* upserts: a counter accumulates, a gauge keeps the max, a
   // histogram sums buckets. Registering the same name under two different
   // kinds (or two bound vectors) is a caller bug and aborts.
-  void add_counter(const std::string& name, double value);
-  void add_gauge(const std::string& name, double value);
-  void add_histogram(const std::string& name, std::vector<double> bounds,
+  void add_counter(std::string_view name, double value);
+  void add_gauge(std::string_view name, double value);
+  void add_histogram(std::string_view name, std::vector<double> bounds,
                      std::vector<std::uint64_t> buckets);
 
   // One walk over both name-sorted lists: entries of the same name combine
@@ -169,7 +170,14 @@ class MetricsSnapshot {
  private:
   // Entry `name`, created when absent. A name sorting after every entry
   // held is appended, so a harvest in name order never shifts entries.
-  MetricValue& upsert(const std::string& name, MetricKind kind);
+  MetricValue& upsert(std::string_view name, MetricKind kind);
+  // Inserts a fresh entry before `at`. The first insertion makes room for
+  // kInitialRows, which holds a whole network harvest (15 rows at most),
+  // so a per-trial snapshot allocates its row array once.
+  std::vector<MetricValue>::iterator insert_entry(
+      std::vector<MetricValue>::iterator at, std::string_view name,
+      MetricKind kind);
+  static constexpr std::size_t kInitialRows = 16;
   std::vector<MetricValue> entries_;  // sorted by name
 };
 

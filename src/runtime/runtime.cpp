@@ -167,7 +167,7 @@ TrialOutcome run_algorithm_trial(RuntimeKind kind, RuntimeConfig config,
     outcome.has_critical_path = true;
   }
   {
-    TimeSeries series = rt->timeseries_snapshot();
+    TimeSeries series = rt->take_timeseries();
     if (series.enabled()) {
       series.trials = 1;
       outcome.timeseries = std::move(series);

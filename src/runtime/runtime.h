@@ -262,6 +262,9 @@ class Runtime {
   // Sampled load gauges (RuntimeConfig::timeseries_interval). Only the
   // simulator samples; the default is an empty, disabled series.
   virtual TimeSeries timeseries_snapshot() const { return TimeSeries{}; }
+  // The same series moved out instead of copied: for the end of a trial,
+  // after stop(). Later snapshots are empty.
+  virtual TimeSeries take_timeseries() { return timeseries_snapshot(); }
 };
 
 // Minimum wall window WallRuntime::run_for realises (see run_for).
@@ -303,6 +306,7 @@ class SimRuntime final : public Runtime {
   TimeSeries timeseries_snapshot() const override {
     return net_.timeseries();
   }
+  TimeSeries take_timeseries() override { return net_.take_timeseries(); }
 
   // Escape hatch for simulator-only instrumentation (trace, per-channel
   // overrides, scheduler introspection).

@@ -49,6 +49,12 @@ inline bool entry_earlier(const QueueEntry& a, const QueueEntry& b) {
 #endif
 }
 
+// Pending events the scheduler's slab and the heap make room for up front:
+// the whole pending set of a small trial (the n = 16 sweep cells peak at
+// 16), so such a trial never regrows them. A constant, not a function of n:
+// larger runs grow from here by doubling.
+inline constexpr std::size_t kInitialPendingCapacity = 32;
+
 inline SimTime entry_time(const QueueEntry& e) {
   SimTime t;
   std::memcpy(&t, &e.time_bits, sizeof(t));

@@ -27,6 +27,11 @@ namespace abe {
 
 class HeapQueue final : public EventQueue {
  public:
+  HeapQueue() {
+    heap_.reserve(kInitialPendingCapacity);
+    pos_.reserve(kInitialPendingCapacity);
+  }
+
   void push(const QueueEntry& entry) override {
     const auto pos = static_cast<std::uint32_t>(heap_.size());
     heap_.push_back(entry);

@@ -94,6 +94,38 @@ bool Rng::bernoulli(double p) {
   return uniform01() < p;
 }
 
+std::uint64_t Rng::skip_bernoulli_failures(double p, std::uint64_t max) {
+  if (p <= 0.0) return max;
+  if (p >= 1.0) return 0;
+  // uniform01() < p  <=>  (x >> 11) < p * 2^53  <=>  (x >> 11) < ceil(p * 2^53)
+  // for the integer x >> 11; the scaling is exact, and p < 1 keeps the
+  // threshold below 2^53, so shifting it left by 11 cannot overflow. NaN
+  // compares false everywhere: threshold 0, every draw fails.
+  const std::uint64_t threshold =
+      p == p ? static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53)) << 11 : 0;
+  std::uint64_t s0 = s_[0];
+  std::uint64_t s1 = s_[1];
+  std::uint64_t s2 = s_[2];
+  std::uint64_t s3 = s_[3];
+  std::uint64_t failures = 0;
+  for (; failures < max; ++failures) {
+    // next_u64(), with the output tested before the state advances.
+    if (rotl(s1 * 5, 7) * 9 < threshold) break;
+    const std::uint64_t t = s1 << 17;
+    s2 ^= s0;
+    s3 ^= s1;
+    s1 ^= s2;
+    s0 ^= s3;
+    s2 ^= t;
+    s3 = rotl(s3, 45);
+  }
+  s_[0] = s0;
+  s_[1] = s1;
+  s_[2] = s2;
+  s_[3] = s3;
+  return failures;
+}
+
 double Rng::exponential(double mean) {
   ABE_CHECK_GT(mean, 0.0);
   // Inverse transform; 1 - u in (0,1] avoids log(0).

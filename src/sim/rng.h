@@ -47,6 +47,16 @@ class Rng {
   // Bernoulli trial with success probability p (clamped to [0,1]).
   bool bernoulli(double p);
 
+  // Makes exactly the state change of calling bernoulli(p) until it returns
+  // true (that successful draw is NOT consumed) or until `max` calls have
+  // failed, and returns the number of failed calls: less than `max` means
+  // the next bernoulli(p) succeeds. p <= 0 fails without drawing (returns
+  // `max`, state unchanged), p >= 1 succeeds without drawing (returns 0),
+  // and NaN draws and fails, all as in bernoulli. The loop runs on the four
+  // state words in registers and tests each output against the integer
+  // threshold ceil(p * 2^53), which is exactly uniform01() < p.
+  std::uint64_t skip_bernoulli_failures(double p, std::uint64_t max);
+
   // Exponential with the given mean (inverse transform). Requires mean > 0.
   double exponential(double mean);
 

@@ -7,6 +7,8 @@
 namespace abe {
 
 Scheduler::Scheduler(EqueueBackend requested) {
+  slots_.reserve(kInitialPendingCapacity);
+  free_.reserve(kInitialPendingCapacity);
   const EqueueBackend resolved = resolve_equeue_backend(requested);
   if (resolved == EqueueBackend::kAuto) {
     auto_backend_ = true;

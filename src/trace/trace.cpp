@@ -89,7 +89,9 @@ std::int64_t Trace::record(SimTime time, TraceKind kind, NodeId node,
   if (!detail.empty()) {
     // The first detail since clear() gives every other retained record an
     // empty one; from then on details_ stays slot-parallel to ring_ and
-    // the resize is a no-op.
+    // the resize is a no-op. It grows with ring_, one reserve per ring
+    // growth (next_slot).
+    if (details_.empty()) details_.reserve(ring_.capacity());
     details_.resize(ring_.size());
     details_[slot(ring_.size() - 1)] = std::move(detail);
   }
@@ -102,6 +104,7 @@ TraceRecord& Trace::next_slot() {
       // The first growth allocates a whole flight ring at once.
       ring_.reserve(std::min(capacity_,
                              std::max(kFlightCapacity, 2 * ring_.size())));
+      if (!details_.empty()) details_.reserve(ring_.capacity());
     }
     if (!details_.empty()) details_.emplace_back();
     return ring_.emplace_back();

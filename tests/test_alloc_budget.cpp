@@ -1,4 +1,5 @@
-// Heap-allocation budget of one polling trial.
+// Heap-allocation budget of one polling trial, and of the small observed
+// trials a sweep runs.
 //
 // This binary replaces the global operator new/delete with counting
 // wrappers, so it is built without sanitizers (they install their own
@@ -64,10 +65,11 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace abe {
 namespace {
 
-// Allocations of one trial beyond one per message and one per node: 99 at
-// n = 1024, and 96 to 111 for n from 256 to 4096, on x86-64 Linux with
-// gcc 12 and libstdc++. The slack absorbs standard-library differences; a
-// per-node vector would add hundreds.
+// Allocations of one trial beyond one per message and one per node: 31 at
+// n = 1024, and 27 to 35 for n from 256 to 4096, on x86-64 Linux with
+// gcc 12 and libstdc++ (about 70 while the scheduler and metrics containers
+// still regrew per trial). The slack absorbs standard-library differences;
+// a per-node vector would add hundreds.
 constexpr std::uint64_t kPerTrialConstant = 160;
 
 TEST(AllocBudget, PollingTorusTrialIsMessagesPlusNodesPlusConstant) {
@@ -102,8 +104,8 @@ TEST(AllocBudget, PollingTorusTrialIsMessagesPlusNodesPlusConstant) {
 }
 
 // The same allocations on a warm cell, whose network plan (graph, channel
-// lists, tree) the scenario engine's cache already holds: 84 at n = 1024,
-// and 81 to 96 for n from 256 to 10^4, on x86-64 Linux with gcc 12 and
+// lists, tree) the scenario engine's cache already holds: 31 at n = 1024,
+// and 27 to 39 for n from 256 to 10^4, on x86-64 Linux with gcc 12 and
 // libstdc++. Rebuilding the plan per trial would add about 20.
 constexpr std::uint64_t kWarmTrialConstant = 100;
 
@@ -127,6 +129,41 @@ TEST(AllocBudget, WarmCellTrialAllocatesNoGraphStructure) {
       << "net.sent = " << sent << ", n = " << n << ": "
       << allocations - sent - n << " allocations beyond one per message "
       << "and one per node";
+}
+
+// Allocations of one observed sweep-size trial (n = 16, causal history,
+// time series every sim unit) beyond one per message and one per node: 31
+// for ring-election and 28 for polling-ring on x86-64 Linux with gcc 12 and
+// libstdc++. The scheduler slab and heap, the metrics rows, the sample grid
+// and the critical path's edge shares are each allocated once; regrowing
+// any of them step by step costs several more (81 and 60 before they were).
+constexpr std::uint64_t kObservedSmallTrialConstant = 55;
+
+TEST(AllocBudget, ObservedSmallTrialsAllocateNoContainerChurn) {
+  for (const char* name : {"ring-election", "polling-ring"}) {
+    SCOPED_TRACE(name);
+    ScenarioSpec spec = *find_scenario(name);
+    ASSERT_EQ(spec.topology.n, 16u);
+    spec.causal_history = true;
+    spec.timeseries_interval = 1.0;
+    const std::uint64_t n = spec.topology.n;
+    ASSERT_TRUE(run_scenario_trial(spec, /*seed=*/1).completed);
+
+    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    const ScenarioTrialResult trial = run_scenario_trial(spec, /*seed=*/2);
+    const std::uint64_t allocations =
+        g_allocations.load(std::memory_order_relaxed) - before;
+
+    ASSERT_TRUE(trial.completed);
+    ASSERT_TRUE(trial.has_timeseries);
+    ASSERT_TRUE(trial.has_critical_path);
+    const auto sent =
+        static_cast<std::uint64_t>(trial.metrics.value_of("net.sent"));
+    EXPECT_LE(allocations, sent + n + kObservedSmallTrialConstant)
+        << "net.sent = " << sent << ", n = " << n << ": "
+        << allocations - sent - n << " allocations beyond one per message "
+        << "and one per node";
+  }
 }
 
 }  // namespace

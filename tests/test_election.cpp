@@ -30,6 +30,35 @@ ElectionRunResult elect(std::size_t n, std::uint64_t seed,
   return result;
 }
 
+// The safety text names each failed postcondition. The driver extracts a
+// run stopped, as if complete, while the first token travels: no leader,
+// no node knocked out yet, one message in flight.
+TEST(Election, FailedPostconditionsNameEachCheck) {
+  ScenarioSpec spec;
+  spec.topology = TopologySpec{TopologyFamily::kRingUni, 8, 0.0};
+  RuntimeConfig config =
+      scenario_runtime_config(spec, trial_plan(spec.topology, 1), 1);
+  ElectionOptions options;
+  options.a0 = 0.3;
+  ElectionRunResult result;
+  const auto driver = make_ring_election_driver(options, /*settle_time=*/0.0,
+                                                /*adversarial=*/false, &result);
+  driver->configure(config);
+  const std::unique_ptr<Runtime> rt =
+      make_runtime(RuntimeKind::kSim, std::move(config));
+  rt->build_nodes([&driver](std::size_t i) { return driver->make_node(i); });
+  rt->start();
+  ASSERT_TRUE(rt->run_until_done(
+      [&rt] { return rt->stats().in_flight() > 0; }, 1e3));
+  rt->stop();
+  const TrialOutcome out = driver->extract(*rt, /*completed=*/true);
+  EXPECT_FALSE(out.safety_ok);
+  EXPECT_EQ(out.safety_detail,
+            "expected exactly 1 leader, found 0; expected 7 passive nodes, "
+            "found 0; 1 messages still in flight; ");
+  EXPECT_EQ(result.safety_detail, out.safety_detail);
+}
+
 TEST(Election, SingleNodeElectsItself) {
   const auto result = elect(1, 1);
   EXPECT_TRUE(result.elected);

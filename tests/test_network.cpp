@@ -447,6 +447,8 @@ class CountingFloodNode final : public Node {
   }
   void on_message(Context& ctx, std::size_t, const Payload& payload) override {
     ASSERT_NE(payload_cast<CountingPayload>(payload), nullptr);
+    // Another final payload type misses the checked downcast.
+    ASSERT_EQ(payload_cast<IntPayload>(payload), nullptr);
     if (forwards_left_ > 0) {
       --forwards_left_;
       ctx.send(0, std::make_unique<CountingPayload>(freed_));
@@ -505,6 +507,11 @@ void expect_payloads_freed_once(ProcessingModel processing, double loss,
 TEST(Network, PayloadFreedOncePerSendZeroProcessing) {
   expect_payloads_freed_once(ProcessingModel::zero(), 0.0,
                              Teardown::kAfterQuiescence);
+  // The asserting downcast to another type aborts, naming the payload.
+  std::size_t freed = 0;
+  const CountingPayload payload(&freed);
+  EXPECT_DEATH(payload_as<IntPayload>(payload),
+               "payload type mismatch; got Counting");
 }
 
 TEST(Network, PayloadFreedOncePerSendFixedProcessing) {

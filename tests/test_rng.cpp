@@ -110,6 +110,63 @@ TEST(Rng, BernoulliFrequency) {
   EXPECT_NEAR(static_cast<double>(hits) / kN, 0.3, 0.01);
 }
 
+TEST(Rng, SkipBernoulliFailuresMatchesRepeatedDraws) {
+  // The loop the skip replaces: bernoulli(p) until a success (whose draw is
+  // undone) or until `max` failures.
+  const auto repeated = [](Rng& rng, double p, std::uint64_t max) {
+    std::uint64_t failures = 0;
+    while (failures < max) {
+      const Rng before = rng;
+      if (rng.bernoulli(p)) {
+        rng = before;
+        break;
+      }
+      ++failures;
+    }
+    return failures;
+  };
+  const auto check = [&](std::uint64_t seed, double p, std::uint64_t max) {
+    Rng skipped(seed);
+    Rng drawn(seed);
+    // Start mid-stream, not at a fresh seed.
+    for (std::uint64_t i = 0; i < seed % 5; ++i) {
+      skipped.next_u64();
+      drawn.next_u64();
+    }
+    ASSERT_EQ(skipped.skip_bernoulli_failures(p, max), repeated(drawn, p, max))
+        << "seed " << seed << " p " << p << " max " << max;
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_EQ(skipped.next_u64(), drawn.next_u64())
+          << "seed " << seed << " p " << p << " max " << max;
+    }
+  };
+  const double ps[] = {-1.0,
+                       0.0,
+                       std::ldexp(1.0, -1074),
+                       std::ldexp(1.0, -53),
+                       1.0 / 256.0,
+                       1.0 / 3.0,
+                       0.5,
+                       1.0 - std::ldexp(1.0, -53),
+                       1.0,
+                       2.0,
+                       std::nan("")};
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    for (double p : ps) {
+      for (std::uint64_t max : {0u, 1u, 64u, 1024u}) check(seed, p, max);
+    }
+    // The threshold edge: p at, just below and just above the first
+    // output's uniform01() value, where `u < p` flips.
+    Rng probe(seed);
+    for (std::uint64_t i = 0; i < seed % 5; ++i) probe.next_u64();
+    const double u = probe.uniform01();
+    for (double p : {u, std::nextafter(u, 0.0), std::nextafter(u, 1.0),
+                     u + std::ldexp(1.0, -53)}) {
+      for (std::uint64_t max : {1u, 64u}) check(seed, p, max);
+    }
+  }
+}
+
 TEST(Rng, ExponentialMean) {
   Rng rng(10);
   double sum = 0;

@@ -40,6 +40,30 @@ void expect_safe_election(const PollingRunResult& r, std::size_t n) {
   EXPECT_GE(r.rounds, 1u);
 }
 
+// The safety text names each failed postcondition. The driver extracts a
+// run stopped, as if complete, once the first WAKEs travel: no leader yet,
+// no node passive, most not woken, messages in flight.
+TEST(PollingElection, FailedPostconditionsNameEachCheck) {
+  PollingRunResult result;
+  const auto driver = make_polling_driver(/*id_bits=*/64, &result);
+  RuntimeConfig config = scenario_runtime_config({}, torus(4, 4), 1);
+  driver->configure(config);
+  const std::unique_ptr<Runtime> rt =
+      make_runtime(RuntimeKind::kSim, std::move(config));
+  rt->build_nodes([&driver](std::size_t i) { return driver->make_node(i); });
+  rt->start();
+  ASSERT_TRUE(rt->run_until_done(
+      [&rt] { return rt->stats().in_flight() > 0; }, 1e3));
+  rt->stop();
+  const TrialOutcome out = driver->extract(*rt, /*completed=*/true);
+  EXPECT_FALSE(out.safety_ok);
+  EXPECT_EQ(out.safety_detail,
+            "expected exactly 1 leader, found 0; expected 15 passive nodes, "
+            "found 0; polling incomplete: only 1 of 16 nodes were woken; 4 "
+            "messages still in flight; ");
+  EXPECT_EQ(result.safety_detail, out.safety_detail);
+}
+
 TEST(PollingElection, ElectsOnTorus) {
   const auto r = poll_once(torus(4, 4));
   expect_safe_election(r, 16);
