@@ -30,16 +30,13 @@ class Payload {
 using PayloadPtr = std::unique_ptr<const Payload>;
 
 // Checked downcast: returns nullptr when the payload is a different type.
-// A final T (every payload class in src/ is one) has no subclasses, so the
-// payload is a T exactly when its dynamic type is T: one type_info compare
-// and a static_cast instead of the hierarchy walk of dynamic_cast.
+// Payload types must be final: a final T has no subclasses, so the payload is
+// a T exactly when its dynamic type is T, and one type_info compare plus a
+// static_cast replaces the hierarchy walk of dynamic_cast.
 template <typename T>
 const T* payload_cast(const Payload& p) {
-  if constexpr (std::is_final_v<T>) {
-    return typeid(p) == typeid(T) ? static_cast<const T*>(&p) : nullptr;
-  } else {
-    return dynamic_cast<const T*>(&p);
-  }
+  static_assert(std::is_final_v<T>, "payload types must be final");
+  return typeid(p) == typeid(T) ? static_cast<const T*>(&p) : nullptr;
 }
 
 // Asserting downcast: aborts with the payload description on type mismatch.

@@ -119,8 +119,9 @@ Network::Network(NetworkConfig config)
   next_sample_ = config_.timeseries_interval;
   sampling_ = timeseries_.enabled();
   bracket_handlers_ = config_.enable_ticks || sampling_;
-  // The grid is capped, so the whole series fits one constant allocation.
-  if (sampling_) timeseries_.samples.reserve(TimeSeries::kMaxSamples);
+  // One constant allocation holds the series of the small sweep cells (at
+  // most 161 samples); a longer series grows by doubling up to the cap.
+  if (sampling_) timeseries_.samples.reserve(256);
 
   const std::size_t n = plan_->size();
   const std::size_t edge_count = plan_->edge_count();

@@ -212,31 +212,19 @@ CriticalPathStats CriticalPathStats::from_path(const CriticalPath& path) {
 
 namespace {
 
-// Adds `from` into `into`, both ascending by edge with unique edges: an
-// edge's hops and delay sum onto its entry, which starts at {edge, 0, 0.0}
-// when new. Counts the new edges first and merges from the back, so every
-// entry moves at most once and `into` grows at most once.
+// Adds each share of `from` onto the entry of its edge in `into`, which stays
+// ascending by edge; a new edge's entry starts at {edge, 0, 0.0}.
 void add_shares(std::vector<EdgeShare>& into,
                 const std::vector<EdgeShare>& from) {
-  std::size_t fresh = 0;
-  auto it = into.begin();
   for (const EdgeShare& share : from) {
-    while (it != into.end() && it->edge < share.edge) ++it;
-    if (it == into.end() || it->edge != share.edge) ++fresh;
-  }
-  std::size_t kept = into.size();
-  std::size_t write = kept + fresh;
-  into.resize(write);
-  for (std::size_t next = from.size(); next-- > 0;) {
-    const EdgeShare& share = from[next];
-    while (kept > 0 && into[kept - 1].edge > share.edge) {
-      into[--write] = into[--kept];
+    auto it = std::lower_bound(
+        into.begin(), into.end(), share.edge,
+        [](const EdgeShare& e, std::int64_t edge) { return e.edge < edge; });
+    if (it == into.end() || it->edge != share.edge) {
+      it = into.insert(it, EdgeShare{share.edge, 0, 0.0});
     }
-    EdgeShare sum{share.edge, 0, 0.0};
-    if (kept > 0 && into[kept - 1].edge == share.edge) sum = into[--kept];
-    sum.hops += share.hops;
-    sum.delay += share.delay;
-    into[--write] = sum;
+    it->hops += share.hops;
+    it->delay += share.delay;
   }
 }
 
